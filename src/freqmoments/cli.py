@@ -222,6 +222,7 @@ def _run_scan(args) -> int:
         include_r0=not args.nonzero_only,
         weight_selector=selector,
         jobs=args.jobs,
+        max_coeffs=_coefficient_budget(),
     )
     renderers = {
         "json": scan_report_to_json,

@@ -27,7 +27,7 @@ from .divisorweights import (
     weighted_sigma_table,
 )
 from .moments import MomentSeries, fermat_reduce, master_transform
-from .qseries import CoefficientRing, Ensemble, Series, companion_series, ORDINARY
+from .qseries import CoefficientRing, Ensemble, Series, companion_series, fits_int64, ORDINARY
 
 __all__ = [
     "CertificationRecord",
@@ -138,31 +138,26 @@ class CertificationRecord:
 CSV_HEADER = "m,ell,r,prime,L,model,sturm_B,max_index,status"
 
 
-def _projected_moment_values(
-    sigma: Series, comp: Series, ell: int, r: int, count: int
-) -> list[int]:
-    """M(ell*n + r) mod modulus for n = 0..count-1, evaluated only at the
-    projected indices (one integer dot product each)."""
+def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, count: int):
+    """Yield M(ell*n + r) mod modulus for n = 0..count-1 in order, each
+    evaluated on its own (one integer dot product), so a caller that stops
+    early pays only for the values it read."""
     modulus = sigma.ring.modulus
     assert modulus is not None
     n_max = sigma.n_max
-    if (modulus - 1) ** 2 * (n_max + 1) >= 2**62:
+    if not fits_int64(n_max + 1, modulus):
         # exact big-int fallback for moduli too large for int64 dots
-        out = []
         for n in range(count):
             t = ell * n + r
             total = sum(sigma.coeffs[d] * comp.coeffs[t - d] for d in range(1, t + 1))
-            out.append(total % modulus)
-        return out
+            yield total % modulus
+        return
     sig = np.array(sigma.coeffs, dtype=np.int64)
     rev = np.array(comp.coeffs[::-1], dtype=np.int64)
-    out = []
     for n in range(count):
         t = ell * n + r
         # sum_{d=0..t} sigma(d) comp(t-d); sigma(0) = 0 keeps this the transform
-        value = int(np.dot(sig[: t + 1], rev[n_max - t :])) % modulus
-        out.append(value)
-    return out
+        yield int(np.dot(sig[: t + 1], rev[n_max - t :])) % modulus
 
 
 def _certification_inputs(
@@ -199,6 +194,7 @@ def _finish_certification(
     bound: int,
 ) -> CertificationRecord:
     values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
+    # the generator stops at the first nonzero value: a FAIL costs its witness
     for n, value in enumerate(values):
         if value != 0:
             t = prog.ell * n + prog.r
@@ -356,6 +352,7 @@ def scan(
     include_r0: bool = True,
     weight_selector: DirichletCharacterSpec | GlaisherFilter | None = None,
     jobs: int = 1,
+    max_coeffs: int = DEFAULT_COEFF_BUDGET,
 ) -> ScanReport:
     """For each odd m and prime ell, record every residue class r whose
     projected moment entries all vanish mod ell up to n_scan.
@@ -363,6 +360,8 @@ def scan(
     weight_selector switches the divisor weights from the ensemble's
     canonical c(d) * d^m to a twisted or filtered rule.  Results are merged
     in sorted order, so any parallelism degree gives identical reports.
+    A scan needing more than max_coeffs coefficients per series raises
+    ResourceLimitError before anything is built.
     """
     ms = tuple(sorted(set(ms)))
     ells = tuple(sorted(set(ells)))
@@ -374,6 +373,10 @@ def scan(
         raise ValueError("scan moduli must be prime")
     if n_scan < max(ells):
         raise ValueError("n_scan must be at least the largest prime scanned")
+    if n_scan + 1 > max_coeffs:
+        raise ResourceLimitError(
+            f"scan needs {n_scan + 1} coefficients, over the budget of {max_coeffs}"
+        )
     tasks = [(ensemble, weight_selector, m, ell, n_scan, include_r0) for m in ms for ell in ells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 from .arith import factorize, is_prime, kronecker_symbol
-from .qseries import CoefficientRing, ExponentSequence, Series
+from .qseries import CoefficientRing, ExponentSequence, Series, fits_int64
 
 __all__ = [
     "CharacterTerm",
@@ -257,22 +259,72 @@ def _build_sigma(term_of_d, n: int, ring: CoefficientRing) -> Series:
     return Series(ring, tuple(table))
 
 
+def _tiled(values: list[int], length: int) -> np.ndarray:
+    """values[d % len(values)] for d = 0..length-1, as int64."""
+    period = len(values)
+    return np.tile(np.array(values, dtype=np.int64), -(-length // period))[:length]
+
+
+def _weight_terms_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray:
+    """term(d) = w(d) * d^m mod modulus for d = 0..n as int64, term(0) = 0.
+
+    d^m and d are periodic mod modulus, and ensemble weights mod their
+    period, so each is a short table tiled to length n + 1 (a table over
+    0..min(modulus, n+1)-1 tiles to its value at d mod modulus).  Characters
+    and filters are evaluated once per d.  Products are formed in place, so
+    at most two arrays of length n + 1 are alive.
+    """
+    span = min(modulus, n + 1)
+    terms = _tiled([pow(r, weight.exponent, modulus) for r in range(span)], n + 1)
+    sel = weight.selector
+    if isinstance(sel, ExponentSequence):
+        w = _tiled([v % modulus for v in sel.values], n + 1)
+        if sel.power_factor:
+            w *= _tiled(list(range(span)), n + 1)
+            w %= modulus
+    elif sel is not None:
+        w = np.array([0] + [weight.weight_of(k) % modulus for k in range(1, n + 1)], dtype=np.int64)
+    if sel is not None:
+        terms *= w
+        terms %= modulus
+    terms[0] = 0
+    return terms
+
+
+def _divisor_sums_mod(terms: np.ndarray, modulus: int) -> np.ndarray:
+    """a(k) = sum_{d | k} terms[d] mod modulus, in about 2*sqrt(n) slices:
+    one stride per divisor d <= sqrt(n), one per cofactor j for d > sqrt(n)."""
+    n = len(terms) - 1
+    table = np.zeros(n + 1, dtype=np.int64)
+    root = isqrt(n)
+    for d in range(1, root + 1):
+        table[d::d] += terms[d]
+    for j in range(1, n // (root + 1) + 1):
+        top = n // j
+        table[j * (root + 1) : j * top + 1 : j] += terms[root + 1 : top + 1]
+    table %= modulus
+    return table
+
+
 def sigma_table(m: int, n: int, ring: CoefficientRing) -> Series:
     """sigma_m(0..n): a(k) = sum_{d | k} d^m, with a(0) = 0."""
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    modulus = ring.modulus
-    if modulus is not None:
-        return _build_sigma(lambda d: pow(d, m, modulus), n, ring)
-    return _build_sigma(lambda d: d**m, n, ring)
+    return weighted_sigma_table(DivisorWeight(m), n, ring)
 
 
 def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -> Series:
-    """a(k) = sum_{d | k} w(d) * d^m for the given divisor weight."""
+    """a(k) = sum_{d | k} w(d) * d^m for the given divisor weight.
+
+    Over Z/N the table is built with int64 numpy slices when every product
+    of two residues and every sum of n residues fits in int64; otherwise,
+    and over Z and Q, one Python stride per divisor.
+    """
     if n < 0:
         raise ValueError("truncation must be >= 0")
     m = weight.exponent
     modulus = ring.modulus
+    if modulus is not None and fits_int64(1, modulus) and n * (modulus - 1) < 2**63:
+        table = _divisor_sums_mod(_weight_terms_mod(weight, n, modulus), modulus)
+        return Series(ring, tuple(table.tolist()))
 
     if modulus is not None:
         def term(d: int) -> int:

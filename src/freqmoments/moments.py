@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import factorize, is_prime
 from .divisorweights import DivisorWeight, weighted_sigma_table, sigma_table
 from .qseries import (
@@ -25,6 +23,7 @@ from .qseries import (
     Ensemble,
     RingMismatchError,
     Series,
+    _convolve_mod,
     companion_series,
     coloured_ensemble,
     euler_product_coefficients,
@@ -113,12 +112,8 @@ def master_transform(
         raise ValueError("companion series must have b(0) = 1")
     n = sigma.n_max
     modulus = ring.modulus
-    if modulus is not None and (modulus - 1) ** 2 * (n + 1) < 2**62:
-        arr = np.convolve(
-            np.array(sigma.coeffs, dtype=np.int64),
-            np.array(companion.coeffs, dtype=np.int64),
-        )
-        values = Series(ring, tuple(int(v) % modulus for v in arr[: n + 1]))
+    if modulus is not None:
+        values = Series(ring, tuple(_convolve_mod(sigma.coeffs, companion.coeffs, modulus).tolist()))
     else:
         out = [ring.zero] * (n + 1)
         comp = companion.coeffs
@@ -127,8 +122,7 @@ def master_transform(
             if sd == 0:
                 continue
             for t in range(d, n + 1):
-                v = out[t] + sd * comp[t - d]
-                out[t] = v % modulus if modulus is not None else v
+                out[t] += sd * comp[t - d]
         values = Series(ring, tuple(out))
     return MomentSeries(values, ensemble_name, weight_descriptor)
 

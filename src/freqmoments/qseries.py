@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log2, sqrt
 
 import numpy as np
 
@@ -358,20 +358,93 @@ def _indicator_decomposition(c: ExponentSequence) -> dict[int, int] | None:
     return {d: m for d, m in multiplicity.items() if m != 0}
 
 
+def _block_size(n: int) -> int:
+    """Block length of the Z/N kernel for truncation n: the power of two
+    nearest 4*sqrt(n+1), clamped to [128, 1024]."""
+    return min(1024, max(128, 1 << round(log2(4 * sqrt(n + 1)))))
+
+
+def fits_int64(terms: int, modulus: int) -> bool:
+    """True when a sum of `terms` products of two residues mod `modulus`
+    stays below 2**63, so int64 arithmetic on it is exact."""
+    return terms * (modulus - 1) ** 2 < 2**63
+
+
+def _divide_by_sparse_blocked(
+    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int, block: int
+) -> None:
+    """In place: coeffs /= S with S = 1 + sum sign*q^exp, `block` entries at a time.
+
+    On a block [start, end) the quotient f satisfies f[i] + sum sign*f[i-exp]
+    = coeffs[i].  Moving the terms whose f[i-exp] lies in a solved block to
+    the right (one slice per term of S) leaves a block that is the product
+    of what remains with the first `block` coefficients of 1/S, truncated.
+    Entries are residues in [0, modulus) between blocks, so a slice sum stays
+    below (len(terms) + 1) * modulus and a convolution sum below
+    block * (modulus - 1)**2; the caller checks the latter against 2**63.
+    """
+    n1 = len(coeffs)
+    width = min(block, n1)
+    inverse = [1] + [0] * (width - 1)
+    _divide_by_sparse(inverse, terms, modulus)
+    inverse = np.array(inverse, dtype=np.int64)
+    for start in range(0, n1, width):
+        end = min(start + width, n1)
+        rest = coeffs[start:end].copy()
+        for e, sign in terms:
+            if e >= end:
+                break
+            lo, hi = max(start, e), min(end, start + e)
+            if lo >= hi:
+                continue
+            if sign > 0:
+                rest[lo - start : hi - start] -= coeffs[lo - e : hi - e]
+            else:
+                rest[lo - start : hi - start] += coeffs[lo - e : hi - e]
+        rest %= modulus
+        coeffs[start:end] = _convolve_mod(rest, inverse[: end - start], modulus)
+
+
+def _multiply_by_sparse_shifted(
+    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int
+) -> None:
+    """In place: coeffs *= S, one shifted-slice add per term of S."""
+    n1 = len(coeffs)
+    original = coeffs.copy()
+    for e, sign in terms:
+        if e >= n1:
+            break
+        if sign > 0:
+            coeffs[e:] += original[: n1 - e]
+        else:
+            coeffs[e:] -= original[: n1 - e]
+    coeffs %= modulus
+
+
 def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> list:
-    coeffs = [ring.zero] * (n + 1)
+    modulus = ring.modulus
+    block = _block_size(n)
+    blocked = modulus is not None and fits_int64(block, modulus)
+    if blocked:
+        coeffs = np.zeros(n + 1, dtype=np.int64)
+
+        def divide(c, terms, mod):
+            _divide_by_sparse_blocked(c, terms, mod, block)
+
+        multiply = _multiply_by_sparse_shifted
+    else:
+        coeffs = [ring.zero] * (n + 1)
+        divide, multiply = _divide_by_sparse, _multiply_by_sparse
     coeffs[0] = ring.one
     for d in sorted(decomp):
         if d > n:
             continue
         terms = _pentagonal_terms(d, n)
         mult = decomp[d]
+        step = divide if mult > 0 else multiply
         for _ in range(abs(mult)):
-            if mult > 0:
-                _divide_by_sparse(coeffs, terms, ring.modulus)
-            else:
-                _multiply_by_sparse(coeffs, terms, ring.modulus)
-    return coeffs
+            step(coeffs, terms, modulus)
+    return coeffs.tolist() if blocked else coeffs
 
 
 def _euler_product_factor_passes(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
@@ -435,10 +508,23 @@ def euler_product_coefficients(
     """Coefficients of prod_{r=1..n} (1 - q^r)^(-c(r)) through q^n.
 
     Rules whose value depends only on gcd(r, period) are grouped into
-    eta-type factors and expanded by sparse pentagonal passes in
-    O(n^1.5 * sum |m_d|); other periodic rules run the factor-at-a-time
+    eta-type factors (q^d; q^d)_inf^(-m_d), each expanded by sparse
+    pentagonal passes; other periodic rules run the factor-at-a-time
     reference passes.  Rules carrying the linear factor r grow
     quadratically expensive and are capped at n = 5000 unless allow_large.
+
+    Over Z/N the grouped passes run as a blocked int64 numpy kernel.  A
+    multiplication by a pentagonal factor is one shifted-slice add per
+    term.  A division solves blocks of K coefficients in turn (K is the
+    power of two nearest 4*sqrt(n+1), clamped to [128, 1024]): one slice per
+    term removes what the solved blocks contribute, and one convolution with
+    the first K coefficients of the factor's inverse solves the block.
+    Each convolution sum is below K * (N-1)**2 and each slice sum below
+    (number of terms + 1) * N, about 1.6 * sqrt(n) * N, so all arithmetic
+    is exact int64 whenever K * (N-1)**2 < 2**63, which is checked before
+    the kernel is used.  Nothing is rounded, so a certification built on it
+    remains a proof.  Larger moduli, and the Z and Q rings, take the scalar
+    Python recurrence, O(n^1.5 * sum |m_d|) ring operations.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -464,33 +550,8 @@ def euler_product_coefficients(
 
 
 def partition_counts(n: int, ring: CoefficientRing) -> Series:
-    """p(0..n) by Euler's pentagonal number recurrence."""
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    modulus = ring.modulus
-    p = [0] * (n + 1)
-    p[0] = 1
-    for i in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > i:
-                break
-            g2 = k * (3 * k + 1) // 2
-            if k % 2:
-                total += p[i - g1]
-                if g2 <= i:
-                    total += p[i - g2]
-            else:
-                total -= p[i - g1]
-                if g2 <= i:
-                    total -= p[i - g2]
-            k += 1
-        p[i] = total % modulus if modulus is not None else total
-    if ring.rational:
-        return make_series(ring, p)
-    return Series(ring, tuple(p))
+    """p(0..n), the ordinary-partition Euler product."""
+    return euler_product_coefficients(ordinary(), n, ring)
 
 
 def eta_power_coefficients(k: int, n: int, ring: CoefficientRing) -> Series:
@@ -536,19 +597,27 @@ def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow
 # ---------------------------------------------------------------------------
 
 
-def _convolve_mod(a: tuple, b: tuple, modulus: int) -> list:
-    """Truncated Cauchy product in Z/modulus via int64 convolution when safe."""
+def _convolve_mod(a, b, modulus: int) -> np.ndarray:
+    """The first len(a) coefficients of the product a*b, reduced mod modulus.
+
+    a and b hold residues in [0, modulus) (int64 arrays or integer
+    sequences).  An output coefficient sums at most min(len(a), len(b))
+    products, so np.convolve on int64 is exact while fits_int64 holds for
+    that count; otherwise the product runs over Python integers and comes
+    back as an object array.  Either result converts with .tolist().
+    """
     n = len(a)
-    if (modulus - 1) ** 2 * n < 2**62:
-        arr = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return [int(v) % modulus for v in arr[:n]]
+    if fits_int64(min(n, len(b)), modulus):
+        product = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return product[:n] % modulus
+    a, b = [int(v) for v in a], [int(v) for v in b]
     out = [0] * n
     for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j in range(n - i):
-            out[i + j] = (out[i + j] + ai * b[j]) % modulus
-    return out
+        for j in range(min(n - i, len(b))):
+            out[i + j] += ai * b[j]
+    return np.array([v % modulus for v in out], dtype=object)
 
 
 def series_multiply(a: Series, b: Series) -> Series:
@@ -556,7 +625,7 @@ def series_multiply(a: Series, b: Series) -> Series:
     _check_compatible(a, b)
     n = a.n_max
     if a.ring.modulus is not None:
-        return Series(a.ring, tuple(_convolve_mod(a.coeffs, b.coeffs, a.ring.modulus)))
+        return Series(a.ring, tuple(_convolve_mod(a.coeffs, b.coeffs, a.ring.modulus).tolist()))
     out = [a.ring.zero] * (n + 1)
     for i, ai in enumerate(a.coeffs):
         if ai == 0:

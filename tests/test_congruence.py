@@ -121,6 +121,23 @@ def test_certify_failure_with_nonzero_first_n():
     assert all(M[5 * i] == 0 for i in range(n))
 
 
+def test_certify_fail_stops_at_witness(monkeypatch):
+    from freqmoments import congruence
+
+    evaluated = []
+    original = congruence._projected_moment_values
+
+    def counting(*args):
+        for value in original(*args):
+            evaluated.append(value)
+            yield value
+
+    monkeypatch.setattr(congruence, "_projected_moment_values", counting)
+    rec = certify(ORDINARY, 3, Progression(5, 0), 5, SHARP_NATURAL)
+    assert rec.status == "FAIL"
+    assert len(evaluated) == rec.fail_witness[0] + 1 < rec.bound_b + 1
+
+
 def test_certify_monotone_in_evidence():
     # PASS at conservative12/safe implies PASS at sharp24/natural
     for (m, ell, r, prime) in [(3, 7, 5, 7), (3, 11, 6, 11), (5, 5, 4, 5)]:
@@ -136,6 +153,11 @@ def test_certify_validation():
         certify(ORDINARY, 4, Progression(7, 5), 7, SHARP_NATURAL)
     with pytest.raises(ValueError):
         certify(ORDINARY, 3, Progression(7, 5), 6, SHARP_NATURAL)
+
+
+def test_scan_resource_budget():
+    with pytest.raises(ResourceLimitError):
+        scan(ORDINARY, [3], [7], 2000, max_coeffs=2000)
 
 
 def test_certify_resource_budget():

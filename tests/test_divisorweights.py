@@ -17,7 +17,7 @@ from freqmoments.divisorweights import (
     sigma_table,
     weighted_sigma_table,
 )
-from freqmoments.qseries import CoefficientRing, overpartition
+from freqmoments.qseries import CoefficientRing, ORDINARY, overpartition, plane_partition, theta
 
 Z = CoefficientRing.exact_integers()
 
@@ -63,6 +63,37 @@ def test_sigma_mod_ring_matches_reduction():
     exact = sigma_table(7, 200, Z)
     modular = sigma_table(7, 200, mod)
     assert modular.coeffs == tuple(v % 13 for v in exact.coeffs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 99, 100, 101, 360])
+@pytest.mark.parametrize("modulus", [5, 12, 691])  # 12 is composite
+@pytest.mark.parametrize(
+    "selector",
+    [
+        None,
+        ORDINARY.exponents,
+        overpartition(),
+        theta(),
+        plane_partition(),
+        DirichletCharacterSpec.kronecker(5),
+        GlaisherFilter.residue_class(1, 4),
+    ],
+    ids=lambda s: "plain" if s is None else s.describe() if hasattr(s, "describe") else s.name,
+)
+def test_weighted_sigma_mod_matches_exact_reduction(selector, modulus, n):
+    for m in (0, 3, 11):
+        weight = DivisorWeight(m, selector)
+        exact = weighted_sigma_table(weight, n, Z)
+        modular = weighted_sigma_table(weight, n, CoefficientRing.integers_mod(modulus))
+        assert modular.coeffs == tuple(v % modulus for v in exact.coeffs)
+
+
+def test_weighted_sigma_beyond_int64_guard_is_exact():
+    modulus = 2**62 + 5
+    weight = DivisorWeight(5, theta())
+    exact = weighted_sigma_table(weight, 50, Z)
+    modular = weighted_sigma_table(weight, 50, CoefficientRing.integers_mod(modulus))
+    assert modular.coeffs == tuple(v % modulus for v in exact.coeffs)
 
 
 # --- characters -------------------------------------------------------------

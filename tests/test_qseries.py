@@ -30,7 +30,8 @@ from freqmoments.qseries import (
     OVERPARTITION,
     THETA,
 )
-from freqmoments.qseries import _euler_product_factor_passes  # reference algorithm
+from freqmoments import qseries
+from freqmoments.qseries import _block_size, _euler_product_factor_passes  # reference algorithm
 
 Z = CoefficientRing.exact_integers()
 Q = CoefficientRing.exact_rationals()
@@ -380,3 +381,73 @@ def test_coloured_ensemble_large_truncation_consistency():
     got = euler_product_coefficients(coloured(24), 40, mod11)
     want = slow_euler_product(coloured(24).value_at, 40)
     assert list(got.coeffs) == [v % 11 for v in want]
+
+
+# --- blocked Z/N kernel -----------------------------------------------------
+
+K = _block_size(0)  # 128, the block length for every n below ~2000
+ABOVE_INT64_GUARD = 2**28 + 3  # K * (N - 1)**2 >= 2**63
+
+
+def exact_reduced(series: Series, modulus: int) -> tuple:
+    return tuple(v % modulus for v in series.coeffs)
+
+
+@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+@pytest.mark.parametrize("rule", [ordinary(), overpartition(), coloured(3)], ids=lambda r: r.name)
+# 12 is composite; 2**28 - 1 is odd and just inside the int64 guard at K = 128
+@pytest.mark.parametrize("modulus", [11, 691, 12, 2**28 - 1])
+def test_blocked_kernel_matches_exact_path(rule, n, modulus):
+    assert _block_size(n) == K
+    got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
+    assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
+
+
+@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+def test_blocked_kernel_eta24_mod_691(n):
+    # (q;q)^24 only multiplies, so this exercises the shifted-slice path alone
+    mod691 = CoefficientRing.integers_mod(691)
+    got = eta_power_coefficients(24, n, mod691)
+    assert got.coeffs == exact_reduced(eta_power_coefficients(24, n, Z), 691)
+
+
+def test_blocked_kernel_is_taken_below_int64_guard(monkeypatch):
+    calls = []
+    original = qseries._divide_by_sparse_blocked
+    monkeypatch.setattr(
+        qseries, "_divide_by_sparse_blocked", lambda *a: calls.append(a[3]) or original(*a)
+    )
+    euler_product_coefficients(overpartition(), 3 * K, CoefficientRing.integers_mod(97))
+    assert calls == [K, K]  # two divisions by (q;q)_inf
+
+
+def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("blocked kernel used beyond its int64 guard")
+
+    monkeypatch.setattr(qseries, "_divide_by_sparse_blocked", refuse)
+    monkeypatch.setattr(qseries, "_multiply_by_sparse_shifted", refuse)
+    ring = CoefficientRing.integers_mod(ABOVE_INT64_GUARD)
+    for rule in (ordinary(), overpartition()):
+        got = euler_product_coefficients(rule, K + 1, ring)
+        assert got.coeffs == exact_reduced(euler_product_coefficients(rule, K + 1, Z), ABOVE_INT64_GUARD)
+
+
+def test_multiply_beyond_int64_guard_is_exact():
+    modulus = 2**61 - 1
+    ring = CoefficientRing.integers_mod(modulus)
+    a = make_series(ring, [modulus - 1, modulus - 2, 3])
+    b = make_series(ring, [modulus - 5, 7, modulus - 1])
+    want = [v % modulus for v in slow_poly_mult(list(a.coeffs), list(b.coeffs), 2)]
+    assert list(series_multiply(a, b).coeffs) == want
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from([ordinary(), overpartition(), theta(), coloured(3)]),
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=0, max_value=700),
+)
+def test_blocked_kernel_property(rule, modulus, n):
+    got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
+    assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)

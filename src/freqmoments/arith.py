@@ -38,9 +38,6 @@ class PrimeTable:
     limit: int
     primes: tuple[int, ...]
 
-    def __contains__(self, n: object) -> bool:
-        return n in set(self.primes)
-
     def __iter__(self):
         return iter(self.primes)
 
@@ -60,15 +57,37 @@ def primes_up_to(limit: int) -> PrimeTable:
     return PrimeTable(limit, tuple(i for i, flag in enumerate(sieve) if flag))
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; adequate for the scan ranges used here."""
+    """Exact primality: deterministic Miller-Rabin below _MR_LIMIT, trial
+    division at and above it."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_LIMIT:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False

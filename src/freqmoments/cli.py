@@ -19,7 +19,7 @@ from .congruence import (
     Progression,
     ResourceLimitError,
     certify,
-    certify_filtered,
+    certify_filtered,  # unused here; perfbench/tracing.py wraps this name
     records_to_csv,
     records_to_json,
     records_to_text,
@@ -39,6 +39,8 @@ from .moments import (
     ORACLE_GUARD,
 )
 from .qseries import (
+    ORDINARY,
+    OVERPARTITION,
     CoefficientRing,
     companion_series,
     dump_series,
@@ -254,83 +256,73 @@ def _run_certify(args) -> int:
     ensemble = ensemble_by_name(args.ensemble)
     if args.weight:
         parsed = parse_weight_spec(args.weight)
-        m = parsed.exponent
-        # a bare "m=<k>" spec means the ensemble's canonical weights
-        weight = parsed if parsed.selector is not None else None
+        m, selector = parsed.exponent, parsed.selector
+    elif args.m is None:
+        raise ValueError("certify needs --m or --weight")
     else:
-        if args.m is None:
-            raise ValueError("certify needs --m or --weight")
-        weight = None
-        m = args.m
+        m, selector = args.m, None
+    # no twist or filter means the ensemble's canonical weights c(d) * d^m
+    weight = DivisorWeight(m, selector or ensemble.exponents)
     prog = Progression(args.ell, args.r)
     levels = ["natural", "safe"] if args.both_levels else [args.level]
     budget = _coefficient_budget()
-    tasks = []
-    for level_model in levels:
-        config = _config_from_args(args, level_model)
-        tasks.append((ensemble, m, prog, args.prime, config, weight))
-    _progress(f"certifying {len(tasks)} task(s) for (m={m}, ell={prog.ell}, r={prog.r})")
-    records = []
-    for ens, mm, pg, modulus, config, w in tasks:
-        if w is not None and w.selector is not None:
-            records.append(
-                certify_filtered(w, mm, pg, modulus, config, ensemble=ens, max_coeffs=budget)
-            )
-        else:
-            records.append(
-                certify(ens, mm, pg, modulus, config, weight=w, max_coeffs=budget)
-            )
+    _progress(f"certifying {len(levels)} task(s) for (m={m}, ell={prog.ell}, r={prog.r})")
+    records = [
+        certify(
+            ensemble, m, prog, args.prime, _config_from_args(args, level_model),
+            weight=weight, max_coeffs=budget,
+        )
+        for level_model in levels
+    ]
     _emit(args, _render_records(args, records))
     return 0 if all(rec.status == "PASS" for rec in records) else 1
 
 
+def _published_tables() -> dict:
+    """name -> (heading, rows).  Each row is the certify arguments (ensemble,
+    m, progression, prime, config, weight) then the expected B and max index."""
+    return {
+        "ordinary": ("ordinary-partition table (sharp24, both level models):", [
+            (ORDINARY, m, Progression(ell, r), prime, SturmConfig(SHARP24, model), None, b, top)
+            for m, ell, r, prime, model, b, top in ORDINARY_TABLE
+        ]),
+        "overpartition": ("overpartition table (conservative12, safe level):", [
+            (OVERPARTITION, m, Progression(ell, 0), ell, SturmConfig(CONSERVATIVE12, "safe"),
+             None, b, top)
+            for m, ell, b, top in OVERPARTITION_TABLE
+        ]),
+        "filtered": ("filtered propositions (chi5 twist, sharp24, level 100):", [
+            (ORDINARY, m, Progression(ell, r), prime, SturmConfig(SHARP24, "safe"),
+             DivisorWeight(m, DirichletCharacterSpec.kronecker(5)), b, ell * b + r)
+            for m, ell, r, prime, b in FILTERED_TABLE
+        ]),
+    }
+
+
 def _run_tables(args) -> int:
-    which = args.which
     budget = _coefficient_budget()
     records: list[CertificationRecord] = []
     mismatches: list[str] = []
-
-    def check(record: CertificationRecord, expect_b: int, expect_max: int) -> None:
-        records.append(record)
-        label = f"(m={record.m}, ell={record.ell}, r={record.r}, {record.level_model})"
-        problems = []
-        if record.bound_b != expect_b:
-            problems.append(f"B={record.bound_b} expected {expect_b}")
-        if record.max_index_checked != expect_max:
-            problems.append(f"max={record.max_index_checked} expected {expect_max}")
-        if record.status != "PASS":
-            problems.append(f"status={record.status}")
-        if problems:
-            mismatches.append(f"{label}: " + "; ".join(problems))
-            _progress(f"  MISMATCH {label}: " + "; ".join(problems))
-        else:
-            _progress(f"  ok {label}: B={record.bound_b}, max={record.max_index_checked}, PASS")
-
-    if which in ("ordinary", "all"):
-        _progress("ordinary-partition table (sharp24, both level models):")
-        ensemble = ensemble_by_name("ordinary")
-        for m, ell, r, prime, level_model, exp_b, exp_max in ORDINARY_TABLE:
-            config = SturmConfig(mode=SHARP24, level_model=level_model)
-            rec = certify(ensemble, m, Progression(ell, r), prime, config, max_coeffs=budget)
-            check(rec, exp_b, exp_max)
-    if which in ("overpartition", "all"):
-        _progress("overpartition table (conservative12, safe level):")
-        ensemble = ensemble_by_name("overpartition")
-        for m, ell, exp_b, exp_max in OVERPARTITION_TABLE:
-            config = SturmConfig(mode=CONSERVATIVE12, level_model="safe")
-            rec = certify(ensemble, m, Progression(ell, 0), ell, config, max_coeffs=budget)
-            check(rec, exp_b, exp_max)
-    if which in ("filtered", "all"):
-        _progress("filtered propositions (chi5 twist, sharp24, level 100):")
-        ensemble = ensemble_by_name("ordinary")
-        for m, ell, r, prime, exp_b in FILTERED_TABLE:
-            weight = DivisorWeight(m, DirichletCharacterSpec.kronecker(5))
-            config = SturmConfig(mode=SHARP24, level_model="safe")
-            rec = certify_filtered(
-                weight, m, Progression(ell, r), prime, config,
-                ensemble=ensemble, max_coeffs=budget,
-            )
-            check(rec, exp_b, ell * exp_b + r)
+    for name, (heading, rows) in _published_tables().items():
+        if args.which not in (name, "all"):
+            continue
+        _progress(heading)
+        for ensemble, m, prog, prime, config, weight, expect_b, expect_max in rows:
+            record = certify(ensemble, m, prog, prime, config, weight=weight, max_coeffs=budget)
+            records.append(record)
+            label = f"(m={m}, ell={prog.ell}, r={prog.r}, {config.level_model})"
+            problems = []
+            if record.bound_b != expect_b:
+                problems.append(f"B={record.bound_b} expected {expect_b}")
+            if record.max_index_checked != expect_max:
+                problems.append(f"max={record.max_index_checked} expected {expect_max}")
+            if record.status != "PASS":
+                problems.append(f"status={record.status}")
+            if problems:
+                mismatches.append(f"{label}: " + "; ".join(problems))
+                _progress(f"  MISMATCH {mismatches[-1]}")
+            else:
+                _progress(f"  ok {label}: B={record.bound_b}, max={record.max_index_checked}, PASS")
 
     _emit(args, _render_records(args, records))
     if mismatches:

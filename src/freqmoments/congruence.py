@@ -12,13 +12,14 @@ refutes the congruence outright.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import lcm
 
 import numpy as np
 
-from .arith import SturmConfig, is_prime, sturm_bound, sturm_bound_for_level
+from .arith import SturmConfig, is_prime, sturm_bound_for_level
 from .divisorweights import (
     DirichletCharacterSpec,
     DivisorWeight,
@@ -160,54 +161,26 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
         yield int(np.dot(sig[: t + 1], rev[n_max - t :])) % modulus
 
 
-def _certification_inputs(
-    ensemble: Ensemble,
-    m: int,
-    weight: DivisorWeight | None,
-    n_max: int,
-    modulus: int,
-    max_coeffs: int,
-) -> tuple[Series, Series, str]:
-    if n_max + 1 > max_coeffs:
-        raise ResourceLimitError(
-            f"certification needs {n_max + 1} coefficients, over the budget of {max_coeffs}"
-        )
-    ring = CoefficientRing.integers_mod(modulus)
-    if weight is None:
-        weight = DivisorWeight(m, ensemble.exponents)
-    sigma = weighted_sigma_table(weight, n_max, ring)
-    comp = companion_series(ensemble, n_max, ring)
-    return sigma, comp, weight.describe()
+def filtered_safe_level(ell: int, conductor: int, level_model: str) -> int:
+    """Level parameter L for a twisted certification: lcm(ell, conductor),
+    squared in the safe model.  Generalizes the single published instance
+    4 * 5^2 where conductor = ell = 5."""
+    base = lcm(ell, conductor)
+    return base * base if level_model == "safe" else base
 
 
-def _finish_certification(
-    sigma: Series,
-    comp: Series,
-    ensemble_name: str,
-    weight_desc: str,
-    m: int,
-    prog: Progression,
-    modulus: int,
-    mode: str,
-    level_model: str,
-    level4: int,
-    bound: int,
-) -> CertificationRecord:
-    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
-    # the generator stops at the first nonzero value: a FAIL costs its witness
-    for n, value in enumerate(values):
-        if value != 0:
-            t = prog.ell * n + prog.r
-            return CertificationRecord(
-                ensemble_name, weight_desc, m, prog.ell, prog.r, modulus,
-                mode, level_model, level4, bound,
-                max_index_checked=t, status="FAIL", fail_witness=(n, t, value),
-            )
-    return CertificationRecord(
-        ensemble_name, weight_desc, m, prog.ell, prog.r, modulus,
-        mode, level_model, level4, bound,
-        max_index_checked=prog.ell * bound + prog.r, status="PASS",
-    )
+def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
+    """The L of Gamma0(4L) a certification of this weight runs at."""
+    sel = weight.selector
+    if config.level_model == "custom" or not isinstance(
+        sel, (DirichletCharacterSpec, GlaisherFilter)
+    ):
+        return config.resolve_level(ell)
+    if isinstance(sel, DirichletCharacterSpec):
+        conductor = sel.level_factor
+    else:
+        conductor = filter_modular_data(sel, weight.exponent).level // 4
+    return filtered_safe_level(ell, conductor, config.level_model)
 
 
 def certify(
@@ -221,30 +194,51 @@ def certify(
     max_coeffs: int = DEFAULT_COEFF_BUDGET,
 ) -> CertificationRecord:
     """Check M(ell*n + r) = 0 (mod modulus) for 0 <= n <= B, where B is the
-    Sturm bound the config resolves.  A PASS proves the congruence for all
-    n >= 0; a FAIL refutes it with the first bad coefficient."""
+    Sturm bound for weight m + 1/2 on Gamma0(4L).  A PASS proves the
+    congruence for all n >= 0; a FAIL refutes it with the first bad
+    coefficient.
+
+    weight defaults to the ensemble's canonical c(d) * d^m; its exponent
+    must equal m.  The level rule: a custom level model takes L as given;
+    plain and canonical weights take L = ell (natural) or ell^2 (safe); a
+    character or filter weight takes L = lcm(ell, conductor) (natural) or
+    its square (safe), where the conductor is the character's level factor
+    or the filter's level over 4.  The record stores 4L, so the rule is
+    auditable.
+    """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
         raise ValueError("modulus must be prime")
-    bound = sturm_bound(m, config, prog.ell)
+    if weight is None:
+        weight = DivisorWeight(m, ensemble.exponents)
+    elif weight.exponent != m:
+        raise ValueError("weight exponent disagrees with m")
+    level = _level(weight, prog.ell, config)
+    bound = sturm_bound_for_level(m, config.mode, level)
     n_max = prog.ell * bound + prog.r
-    sigma, comp, weight_desc = _certification_inputs(
-        ensemble, m, weight, n_max, modulus, max_coeffs
+    if n_max + 1 > max_coeffs:
+        raise ResourceLimitError(
+            f"certification needs {n_max + 1} coefficients, over the budget of {max_coeffs}"
+        )
+    ring = CoefficientRing.integers_mod(modulus)
+    sigma = weighted_sigma_table(weight, n_max, ring)
+    comp = companion_series(ensemble, n_max, ring)
+    max_index, witness = n_max, None
+    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
+    # the generator stops at the first nonzero value: a FAIL costs its witness
+    for n, value in enumerate(values):
+        if value != 0:
+            max_index = prog.ell * n + prog.r
+            witness = (n, max_index, value)
+            break
+    return CertificationRecord(
+        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * level, bound,
+        max_index_checked=max_index,
+        status="PASS" if witness is None else "FAIL",
+        fail_witness=witness,
     )
-    level4 = 4 * config.resolve_level(prog.ell)
-    return _finish_certification(
-        sigma, comp, ensemble.name, weight_desc, m, prog, modulus,
-        config.mode, config.level_model, level4, bound,
-    )
-
-
-def filtered_safe_level(ell: int, conductor: int, level_model: str) -> int:
-    """Level parameter L for a twisted certification: lcm(ell, conductor),
-    squared in the safe model.  Generalizes the single published instance
-    4 * 5^2 where conductor = ell = 5."""
-    base = lcm(ell, conductor)
-    return base * base if level_model == "safe" else base
 
 
 def certify_filtered(
@@ -257,38 +251,11 @@ def certify_filtered(
     ensemble: Ensemble = ORDINARY,
     max_coeffs: int = DEFAULT_COEFF_BUDGET,
 ) -> CertificationRecord:
-    """Certification for a character-twisted or filtered weight.
-
-    The level is derived from the twist: L = lcm(ell, conductor) in the
-    natural model and its square in the safe model; a custom level is used
-    as given.  The record stores the level so the rule is auditable.
-    """
+    """certify() for a character-twisted or filtered weight; any other
+    weight is refused."""
     if not isinstance(weight.selector, (DirichletCharacterSpec, GlaisherFilter)):
         raise ValueError("filtered certification needs a character or filter weight")
-    if m < 1 or m % 2 == 0:
-        raise ValueError("m must be odd and >= 1")
-    if not is_prime(modulus):
-        raise ValueError("modulus must be prime")
-    if weight.exponent != m:
-        raise ValueError("weight exponent disagrees with m")
-    if config.level_model == "custom":
-        assert config.custom_level is not None
-        level = config.custom_level
-    else:
-        if isinstance(weight.selector, DirichletCharacterSpec):
-            conductor = weight.selector.level_factor
-        else:
-            conductor = filter_modular_data(weight.selector, m).level // 4
-        level = filtered_safe_level(prog.ell, conductor, config.level_model)
-    bound = sturm_bound_for_level(m, config.mode, level)
-    n_max = prog.ell * bound + prog.r
-    sigma, comp, weight_desc = _certification_inputs(
-        ensemble, m, weight, n_max, modulus, max_coeffs
-    )
-    return _finish_certification(
-        sigma, comp, ensemble.name, weight_desc, m, prog, modulus,
-        config.mode, config.level_model, 4 * level, bound,
-    )
+    return certify(ensemble, m, prog, modulus, config, weight=weight, max_coeffs=max_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +289,12 @@ class ScanReport:
         return frozenset(
             (m, ell, r) for (ell, r), ms in self.hits for m in ms
         )
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a pool: never more than the tasks to run or the
+    CPUs to run them on.  1 means run in this process."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def _scan_task(args) -> tuple[int, int, tuple[int, ...]]:
@@ -378,8 +351,9 @@ def scan(
             f"scan needs {n_scan + 1} coefficients, over the budget of {max_coeffs}"
         )
     tasks = [(ensemble, weight_selector, m, ell, n_scan, include_r0) for m in ms for ell in ells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_task, tasks))
     else:
         results = [_scan_task(t) for t in tasks]
@@ -405,26 +379,16 @@ def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
     Each task is (ensemble, m, prog, modulus, config) or the same with a
     weight appended.  Results come back in task order regardless of jobs.
     """
-    normalized = []
-    for task in tasks:
-        if len(task) == 5:
-            ensemble, m, prog, modulus, config = task
-            weight = None
-        else:
-            ensemble, m, prog, modulus, config, weight = task
-        normalized.append((ensemble, m, prog, modulus, config, weight))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
+    workers = _pool_size(jobs, len(normalized))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_certify_task, normalized))
     return [_certify_task(t) for t in normalized]
 
 
 def _certify_task(task) -> CertificationRecord:
     ensemble, m, prog, modulus, config, weight = task
-    if weight is not None and isinstance(
-        weight.selector, (DirichletCharacterSpec, GlaisherFilter)
-    ):
-        return certify_filtered(weight, m, prog, modulus, config, ensemble=ensemble)
     return certify(ensemble, m, prog, modulus, config, weight=weight)
 
 

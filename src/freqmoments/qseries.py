@@ -226,14 +226,11 @@ class Ensemble:
 
     companion "self" means the companion coefficients b(n) are those of the
     product itself; "r2" supplies the explicit theta companion b(n) = r2(n).
-    prefactor_alpha records the q^alpha normalization exponent for bookkeeping
-    only; it never enters coefficient arithmetic.
     """
 
     name: str
     exponents: ExponentSequence
     companion: str = "self"
-    prefactor_alpha: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         if self.companion not in ("self", "r2"):

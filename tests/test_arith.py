@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,29 @@ def test_primes_match_trial_division():
 def test_primes_rejects_negative_limit():
     with pytest.raises(ValueError):
         primes_up_to(-1)
+
+
+def test_is_prime_agrees_with_sieve():
+    primes = set(primes_up_to(10**5).primes)
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_pseudoprimes(n):
+    # Carmichael numbers and strong pseudoprimes to the smallest bases
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_mersenne_61_quickly():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**13 - 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_table_membership():
+    table = primes_up_to(30)
+    assert 29 in table and 27 not in table
 
 
 @pytest.mark.parametrize(

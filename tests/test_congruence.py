@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,7 @@ from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
+    _pool_size,
     certify,
     certify_batch,
     certify_filtered,
@@ -220,6 +222,21 @@ def test_certify_filtered_validation():
         certify_filtered(weight, 5, Progression(5, 4), 5, SHARP_SAFE)
 
 
+def test_certify_twisted_weight_takes_the_twisted_level():
+    # L = lcm(7, 5)^2 = 1225, not the ell^2 = 49 of canonical weights
+    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    rec = certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
+    assert (rec.level, rec.bound_b) == (4900, 2940)
+    assert rec == certify_filtered(weight, 3, Progression(7, 0), 7, SHARP_SAFE)
+
+
+def test_certify_rejects_weight_exponent_mismatch():
+    for selector in (DirichletCharacterSpec.kronecker(5), ORDINARY.exponents, None):
+        weight = DivisorWeight(5, selector)
+        with pytest.raises(ValueError, match="disagrees"):
+            certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
+
+
 # --- scanning ---------------------------------------------------------------
 
 
@@ -330,6 +347,14 @@ def test_certify_batch_order_and_parallel_determinism():
     assert [r.m for r in serial] == [3, 3, 3, 5]
     assert records_to_json(serial) == records_to_json(parallel)
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+def test_pool_size_clamps_to_tasks_and_cpus():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 10**6) == 1
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(2, 1150) == min(2, cpus)
 
 
 def test_record_json_fields():

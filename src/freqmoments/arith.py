@@ -64,34 +64,33 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below _MR_LIMIT, trial
-    division at and above it."""
+    """Exact primality by deterministic Miller-Rabin.
+
+    A witness proves n composite at any size, but passing every base proves
+    n prime only below _MR_LIMIT; at and above it such an n raises
+    ValueError rather than be answered without proof.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < _MR_LIMIT:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        for a in _MR_BASES:
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality not proven above {_MR_LIMIT}: {n}")
     return True
 
 

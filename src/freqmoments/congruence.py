@@ -28,7 +28,15 @@ from .divisorweights import (
     weighted_sigma_table,
 )
 from .moments import MomentSeries, fermat_reduce, master_transform
-from .qseries import CoefficientRing, Ensemble, Series, companion_series, fits_int64, ORDINARY
+from .qseries import (
+    CoefficientRing,
+    Ensemble,
+    Series,
+    companion_series,
+    fits_float64,
+    fits_int64,
+    ORDINARY,
+)
 
 __all__ = [
     "CertificationRecord",
@@ -141,24 +149,32 @@ CSV_HEADER = "m,ell,r,prime,L,model,sturm_B,max_index,status"
 
 def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, count: int):
     """Yield M(ell*n + r) mod modulus for n = 0..count-1 in order, each
-    evaluated on its own (one integer dot product), so a caller that stops
-    early pays only for the values it read."""
+    evaluated on its own (one dot product), so a caller that stops early
+    pays only for the values it read.  The dots run in float64 or int64
+    under the same guards, and so with the same exactness, as
+    qseries._convolve_mod, and over Python integers above both.  They use
+    einsum, not np.dot: a float64 np.dot is a BLAS call, which may split a
+    long dot over threads that then contend with the process pool."""
     modulus = sigma.ring.modulus
     assert modulus is not None
     n_max = sigma.n_max
-    if not fits_int64(n_max + 1, modulus):
+    if fits_float64(n_max + 1, modulus):
+        dtype = np.float64
+    elif fits_int64(n_max + 1, modulus):
+        dtype = np.int64
+    else:
         # exact big-int fallback for moduli too large for int64 dots
         for n in range(count):
             t = ell * n + r
             total = sum(sigma.coeffs[d] * comp.coeffs[t - d] for d in range(1, t + 1))
             yield total % modulus
         return
-    sig = np.array(sigma.coeffs, dtype=np.int64)
-    rev = np.array(comp.coeffs[::-1], dtype=np.int64)
+    sig = np.array(sigma.coeffs, dtype=dtype)
+    rev = np.array(comp.coeffs[::-1], dtype=dtype)
     for n in range(count):
         t = ell * n + r
         # sum_{d=0..t} sigma(d) comp(t-d); sigma(0) = 0 keeps this the transform
-        yield int(np.dot(sig[: t + 1], rev[n_max - t :])) % modulus
+        yield int(np.einsum("i,i->", sig[: t + 1], rev[n_max - t :])) % modulus
 
 
 def filtered_safe_level(ell: int, conductor: int, level_model: str) -> int:
@@ -297,23 +313,35 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _scan_task(args) -> tuple[int, int, tuple[int, ...]]:
-    ensemble, weight_selector, m, ell, n_scan, include_r0 = args
+def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Scan every requested m at one prime ell: one companion, then one
+    sigma table and transform per Fermat class of m.
+
+    d^m = d^mbar (mod ell) for every d >= 1 when m = mbar (mod ell - 1) and
+    m, mbar >= 1, for canonical, twisted and filtered weights alike, so all
+    m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
+    is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
+    """
+    ensemble, weight_selector, ms, ell, n_scan, include_r0 = args
     ring = CoefficientRing.integers_mod(ell)
-    if weight_selector is None:
-        weight = DivisorWeight(m, ensemble.exponents)
-    else:
-        weight = DivisorWeight(m, weight_selector)
-    sigma = weighted_sigma_table(weight, n_scan, ring)
+    selector = ensemble.exponents if weight_selector is None else weight_selector
     comp = companion_series(ensemble, n_scan, ring)
-    values = master_transform(sigma, comp).values
-    good: list[int] = []
-    start = 0 if include_r0 else 1
-    for r in range(start, ell):
-        first = r if r else ell
-        if all(values[t] == 0 for t in range(first, n_scan + 1, ell)):
-            good.append(r)
-    return m, ell, tuple(good)
+    classes: dict[int, list[int]] = {}
+    for m in ms:
+        classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
+    rows = -(-(n_scan + 1) // ell)
+    out = []
+    for mbar, members in classes.items():
+        sigma = weighted_sigma_table(DivisorWeight(mbar, selector), n_scan, ring)
+        values = np.zeros(rows * ell, dtype=bool)
+        values[: n_scan + 1] = np.array(master_transform(sigma, comp).values.coeffs) != 0
+        values[0] = False  # the r = 0 class starts at t = ell
+        vanishing = ~values.reshape(rows, ell).any(axis=0)
+        if not include_r0:
+            vanishing[0] = False
+        good = tuple(int(r) for r in np.flatnonzero(vanishing))
+        out.extend((m, ell, good) for m in members)
+    return out
 
 
 def scan(
@@ -350,7 +378,8 @@ def scan(
         raise ResourceLimitError(
             f"scan needs {n_scan + 1} coefficients, over the budget of {max_coeffs}"
         )
-    tasks = [(ensemble, weight_selector, m, ell, n_scan, include_r0) for m in ms for ell in ells]
+    # one task per ell, largest first: it has the most Fermat classes
+    tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -358,7 +387,7 @@ def scan(
     else:
         results = [_scan_task(t) for t in tasks]
     grouped: dict[tuple[int, int], list[int]] = {}
-    for m, ell, residues in results:
+    for m, ell, residues in (row for rows in results for row in rows):
         for r in residues:
             grouped.setdefault((ell, r), []).append(m)
     hits = tuple(

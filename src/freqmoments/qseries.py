@@ -367,6 +367,13 @@ def fits_int64(terms: int, modulus: int) -> bool:
     return terms * (modulus - 1) ** 2 < 2**63
 
 
+def fits_float64(terms: int, modulus: int) -> bool:
+    """True when a sum of `terms` products of two residues mod `modulus`
+    stays below 2**53, so every partial sum is an integer float64 holds
+    exactly."""
+    return terms * (modulus - 1) ** 2 < 2**53
+
+
 def _divide_by_sparse_blocked(
     coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int, block: int
 ) -> None:
@@ -598,15 +605,26 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     """The first len(a) coefficients of the product a*b, reduced mod modulus.
 
     a and b hold residues in [0, modulus) (int64 arrays or integer
-    sequences).  An output coefficient sums at most min(len(a), len(b))
-    products, so np.convolve on int64 is exact while fits_int64 holds for
-    that count; otherwise the product runs over Python integers and comes
-    back as an object array.  Either result converts with .tolist().
+    sequences).  An output coefficient sums at most terms = min(len(a),
+    len(b)) non-negative products, each at most (modulus - 1)**2, so every
+    product and every partial sum lies in [0, terms * (modulus - 1)**2].
+    Three tiers, the first whose guard holds:
+
+    - float64 (fits_float64): the bound is below 2**53, so each of those
+      values is an integer float64 represents exactly and no operation
+      rounds, under any summation order and with or without FMA;
+    - int64 (fits_int64): the bound is below 2**63, so nothing overflows;
+    - Python integers, returned as an object array.
+
+    Every tier is exact and returns values in [0, modulus); the first two
+    return int64.  Either result converts with .tolist().
     """
     n = len(a)
-    if fits_int64(min(n, len(b)), modulus):
-        product = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return product[:n] % modulus
+    terms = min(n, len(b))
+    if fits_int64(terms, modulus):
+        dtype = np.float64 if fits_float64(terms, modulus) else np.int64
+        product = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+        return product[:n].astype(np.int64, copy=False) % modulus
     a, b = [int(v) for v in a], [int(v) for v in b]
     out = [0] * n
     for i, ai in enumerate(a):

@@ -62,6 +62,18 @@ def test_is_prime_accepts_mersenne_61_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_is_prime_refuses_unproven_primes_above_the_miller_rabin_limit():
+    with pytest.raises(ValueError, match="primality not proven"):
+        is_prime(2**89 - 1)
+
+
+def test_is_prime_still_proves_composites_above_the_miller_rabin_limit():
+    start = time.perf_counter()
+    assert not is_prime(2**90)
+    assert not is_prime((2**61 - 1) * (2**31 - 1) * (2**13 - 1))  # no factor below 43
+    assert time.perf_counter() - start < 1.0
+
+
 def test_prime_table_membership():
     table = primes_up_to(30)
     assert 29 in table and 27 not in table

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -249,6 +250,21 @@ def test_cli_entry_point_subprocess():
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
     assert "certifying" in proc.stderr  # progress goes to stderr only
+
+
+def test_certify_refuses_an_unprovable_prime_promptly():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqmoments.cli", "certify", "--m", "3", "--ell", "7",
+         "--r", "5", "--prime", str(2**89 - 1)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "primality not proven" in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 10.0
 
 
 def test_stdout_payload_identical_across_jobs():

@@ -10,6 +10,7 @@ from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
     _pool_size,
+    _projected_moment_values,
     certify,
     certify_batch,
     certify_filtered,
@@ -23,9 +24,21 @@ from freqmoments.congruence import (
     scan_report_to_json,
     scan_report_to_text,
 )
-from freqmoments.divisorweights import DirichletCharacterSpec, DivisorWeight
+from freqmoments.divisorweights import (
+    DirichletCharacterSpec,
+    DivisorWeight,
+    GlaisherFilter,
+    weighted_sigma_table,
+)
 from freqmoments.moments import ensemble_moments
-from freqmoments.qseries import CoefficientRing, ORDINARY, OVERPARTITION
+from freqmoments.qseries import (
+    CoefficientRing,
+    ORDINARY,
+    OVERPARTITION,
+    companion_series,
+    fits_float64,
+    fits_int64,
+)
 
 Z = CoefficientRing.exact_integers()
 SHARP_NATURAL = SturmConfig(SHARP24, "natural")
@@ -148,6 +161,21 @@ def test_certify_monotone_in_evidence():
         if big.status == "PASS":
             assert small.status == "PASS"
             assert small.bound_b <= big.bound_b
+
+
+# 97: float64 dots; 10**8 + 7: int64 only; 2**61 - 1: Python integers
+@pytest.mark.parametrize("modulus", [97, 10**8 + 7, 2**61 - 1])
+def test_projected_values_exact_in_every_dot_tier(modulus):
+    n, ell, r = 120, 7, 5
+    assert fits_float64(n + 1, modulus) == (modulus == 97)
+    assert fits_int64(n + 1, modulus) == (modulus != 2**61 - 1)
+    ring = CoefficientRing.integers_mod(modulus)
+    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY.exponents), n, ring)
+    comp = companion_series(ORDINARY, n, ring)
+    count = (n - r) // ell + 1
+    got = list(_projected_moment_values(sigma, comp, ell, r, count))
+    exact = ensemble_moments(ORDINARY, 3, n, Z).values
+    assert got == [exact[ell * k + r] % modulus for k in range(count)]
 
 
 def test_certify_validation():
@@ -284,6 +312,63 @@ def test_scan_parallel_matches_serial():
     parallel = scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=4)
     assert serial == parallel
     assert scan_report_to_json(serial) == scan_report_to_json(parallel)
+
+
+# Every ell below has m >= ell in the grid, and ell = 3 exercises the class
+# representative (m - 1) % (ell - 1) + 1 where fermat_reduce does not apply.
+GRID_MS = (1, 3, 5, 7, 9, 11, 13, 15, 17, 25)
+GRID_ELLS = (3, 5, 7, 11, 13)
+GRID_CASES = [
+    (ORDINARY, None),
+    (OVERPARTITION, None),
+    (ORDINARY, DirichletCharacterSpec.kronecker(5)),
+    (ORDINARY, GlaisherFilter.odd_divisors()),
+]
+
+
+def scan_reference(ensemble, selector, n_scan, include_r0):
+    """Hits found one (m, ell) at a time from each m's own moment series."""
+    hits: dict[tuple[int, int], list[int]] = {}
+    for ell in GRID_ELLS:
+        ring = CoefficientRing.integers_mod(ell)
+        for m in GRID_MS:
+            weight = DivisorWeight(m, ensemble.exponents if selector is None else selector)
+            values = ensemble_moments(ensemble, m, n_scan, ring, weight=weight).values
+            for r in range(0 if include_r0 else 1, ell):
+                if all(values[t] == 0 for t in range(r or ell, n_scan + 1, ell)):
+                    hits.setdefault((ell, r), []).append(m)
+    return {key: tuple(ms) for key, ms in hits.items()}
+
+
+@pytest.mark.parametrize("include_r0", [True, False])
+@pytest.mark.parametrize(
+    "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
+)
+def test_scan_per_ell_matches_per_m_reference(ensemble, selector, include_r0):
+    report = scan(
+        ensemble, GRID_MS, GRID_ELLS, 300, include_r0=include_r0, weight_selector=selector
+    )
+    want = scan_reference(ensemble, selector, 300, include_r0)
+    assert report.hit_map() == want
+
+
+def test_scan_per_ell_reference_sees_the_ramanujan_classes():
+    want = scan_reference(ORDINARY, None, 300, True)
+    assert want[(5, 4)] == (1, 5, 9, 13, 17, 25)
+    assert want[(7, 5)] == (1, 3, 7, 9, 13, 15, 25)
+
+
+@pytest.mark.parametrize(
+    "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
+)
+def test_scan_per_ell_reports_identical_across_jobs(ensemble, selector):
+    runs = [
+        scan(ensemble, GRID_MS, GRID_ELLS, 300, weight_selector=selector, jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert runs[0] == runs[1]
+    for render in (scan_report_to_json, scan_report_to_csv, scan_report_to_text):
+        assert render(runs[0]) == render(runs[1])
 
 
 # --- predictions ------------------------------------------------------------

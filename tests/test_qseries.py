@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freqmoments.qseries import (
     CoefficientRing,
@@ -32,6 +34,7 @@ from freqmoments.qseries import (
 )
 from freqmoments import qseries
 from freqmoments.qseries import _block_size, _euler_product_factor_passes  # reference algorithm
+from freqmoments.qseries import _convolve_mod, fits_float64, fits_int64
 
 Z = CoefficientRing.exact_integers()
 Q = CoefficientRing.exact_rationals()
@@ -451,3 +454,73 @@ def test_multiply_beyond_int64_guard_is_exact():
 def test_blocked_kernel_property(rule, modulus, n):
     got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
     assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
+
+
+# --- convolution tiers --------------------------------------------------------
+
+
+def largest_modulus_under(bound: int, terms: int) -> int:
+    """The largest modulus p with terms * (p - 1)**2 < bound."""
+    return isqrt((bound - 1) // terms) + 1
+
+
+def exact_convolution(a: list[int], b: list[int], modulus: int) -> list[int]:
+    return [v % modulus for v in slow_poly_mult(a, b, len(a) - 1)]
+
+
+def convolve_with_tier(monkeypatch, a, b, modulus):
+    """_convolve_mod(a, b, modulus) and the tier that computed it: the dtype
+    np.convolve ran in, or "python" when it was not called."""
+    dtypes = []
+    original = np.convolve
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "convolve", lambda x, y: dtypes.append(str(x.dtype)) or original(x, y))
+        out = _convolve_mod(a, b, modulus)
+    return out, dtypes[0] if dtypes else "python"
+
+
+GUARD_CASES = []
+for _length in (128, 600):
+    _top53 = largest_modulus_under(2**53, _length)
+    _top63 = largest_modulus_under(2**63, _length)
+    GUARD_CASES += [
+        (_length, _top53, "float64"),
+        (_length, _top53 + 1, "int64"),
+        (_length, _top63, "int64"),
+        (_length, _top63 + 1, "python"),
+    ]
+
+
+@pytest.mark.parametrize("length,modulus,tier", GUARD_CASES)
+def test_convolve_tiers_at_their_guards(monkeypatch, length, modulus, tier):
+    assert fits_float64(length, modulus) == (tier == "float64")
+    assert fits_int64(length, modulus) == (tier != "python")
+    # all entries modulus - 1: the last output sums length products of
+    # (modulus - 1)**2, the largest value the guard admits
+    worst = [modulus - 1] * length
+    mixed = [(7 * i + 3) ** 5 % modulus for i in range(length)]
+    for a, b in ((worst, worst), (mixed, worst[::-1]), (worst, mixed)):
+        out, ran = convolve_with_tier(monkeypatch, a, b, modulus)
+        assert ran == tier
+        assert out.tolist() == exact_convolution(a, b, modulus)
+        assert out.dtype == (object if tier == "python" else np.int64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_convolve_mod_property(data):
+    # a tier first, then a modulus up to 2**31 inside its guard, so that every
+    # tier is drawn about as often
+    len_a = data.draw(st.integers(min_value=1, max_value=600))
+    len_b = data.draw(st.integers(min_value=1, max_value=600))
+    terms = min(len_a, len_b)
+    top53 = largest_modulus_under(2**53, terms)
+    top63 = largest_modulus_under(2**63, terms)
+    tiers = {"float64": (2, top53), "int64": (top53 + 1, top63), "python": (top63 + 1, 2**31)}
+    lo, hi = tiers[data.draw(st.sampled_from(sorted(tiers)))]
+    assume(lo <= min(hi, 2**31))
+    modulus = data.draw(st.integers(min_value=lo, max_value=min(hi, 2**31)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_a)]
+    b = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_b)]
+    assert _convolve_mod(a, b, modulus).tolist() == exact_convolution(a, b, modulus)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import lcm
 
@@ -32,9 +31,8 @@ from .qseries import (
     CoefficientRing,
     Ensemble,
     Series,
+    _convolve_mod,
     companion_series,
-    fits_float64,
-    fits_int64,
     ORDINARY,
 )
 
@@ -59,6 +57,10 @@ __all__ = [
 ]
 
 DEFAULT_COEFF_BUDGET = 1 << 25
+
+# certify checks projected rows 0..min(B, _PROBE_ROWS) before building the
+# series for all B + 1 rows
+_PROBE_ROWS = 64
 
 
 class ResourceLimitError(RuntimeError):
@@ -148,33 +150,39 @@ CSV_HEADER = "m,ell,r,prime,L,model,sturm_B,max_index,status"
 
 
 def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, count: int):
-    """Yield M(ell*n + r) mod modulus for n = 0..count-1 in order, each
-    evaluated on its own (one dot product), so a caller that stops early
-    pays only for the values it read.  The dots run in float64 or int64
-    under the same guards, and so with the same exactness, as
-    qseries._convolve_mod, and over Python integers above both.  They use
-    einsum, not np.dot: a float64 np.dot is a BLAS call, which may split a
-    long dot over threads that then contend with the process pool."""
+    """Yield M(ell*n + r) mod modulus for n = 0..count-1 in order.
+
+    With t = ell*n + r and d = ell*i + j (0 <= j < ell), the term
+    sigma(d) comp(t - d) of M(t) has t - d = ell*(n - i) + (r - j) when
+    j <= r and ell*(n - i - 1) + (ell + r - j) when j > r.  So, writing
+    x_j for the phase x[j::ell], the projection is the polyphase sum
+
+        M(ell*n + r) = sum_{j <= r} (sigma_j * comp_{r-j})[n]
+                     + sum_{j > r} (sigma_j * comp_{ell+r-j})[n - 1]
+
+    of ell truncated products of about count terms each, every one a
+    qseries._convolve_mod with its exactness.  Besides int64 copies of the
+    two series, each product needs memory O(count), not O(ell * count) as
+    one product over the whole series would.  sigma(0) = 0, so the d = 0
+    term adds nothing and this is the transform.
+    """
     modulus = sigma.ring.modulus
     assert modulus is not None
-    n_max = sigma.n_max
-    if fits_float64(n_max + 1, modulus):
-        dtype = np.float64
-    elif fits_int64(n_max + 1, modulus):
-        dtype = np.int64
+    top = ell * (count - 1) + r + 1
+    if modulus < 2**63:
+        sig = np.array(sigma.coeffs[:top], dtype=np.int64)
+        cmp = np.array(comp.coeffs[:top], dtype=np.int64)
     else:
-        # exact big-int fallback for moduli too large for int64 dots
-        for n in range(count):
-            t = ell * n + r
-            total = sum(sigma.coeffs[d] * comp.coeffs[t - d] for d in range(1, t + 1))
-            yield total % modulus
-        return
-    sig = np.array(sigma.coeffs, dtype=dtype)
-    rev = np.array(comp.coeffs[::-1], dtype=dtype)
-    for n in range(count):
-        t = ell * n + r
-        # sum_{d=0..t} sigma(d) comp(t-d); sigma(0) = 0 keeps this the transform
-        yield int(np.einsum("i,i->", sig[: t + 1], rev[n_max - t :])) % modulus
+        sig, cmp = sigma.coeffs[:top], comp.coeffs[:top]
+    # each product is reduced, so the sum of ell of them stays below ell * modulus
+    total = np.zeros(count, dtype=np.int64 if ell * modulus < 2**63 else object)
+    for j in range(ell):
+        shift = 0 if j <= r else 1
+        rows = count - shift
+        if rows > 0:
+            part = _convolve_mod(sig[j::ell][:rows], cmp[(r - j) % ell :: ell][:rows], modulus)
+            total[shift:] += part.astype(total.dtype, copy=False)
+    yield from (total % modulus).tolist()
 
 
 def filtered_safe_level(ell: int, conductor: int, level_model: str) -> int:
@@ -238,16 +246,21 @@ def certify(
             f"certification needs {n_max + 1} coefficients, over the budget of {max_coeffs}"
         )
     ring = CoefficientRing.integers_mod(modulus)
-    sigma = weighted_sigma_table(weight, n_max, ring)
-    comp = companion_series(ensemble, n_max, ring)
-    max_index, witness = n_max, None
-    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
-    # the generator stops at the first nonzero value: a FAIL costs its witness
-    for n, value in enumerate(values):
-        if value != 0:
-            max_index = prog.ell * n + prog.r
-            witness = (n, max_index, value)
+    witness = None
+    # a short probe first: a FAIL usually shows in its first rows, and then
+    # the series up to n_max are never built
+    for rows in sorted({min(bound, _PROBE_ROWS), bound}):
+        top = prog.ell * rows + prog.r
+        sigma = weighted_sigma_table(weight, top, ring)
+        comp = companion_series(ensemble, top, ring)
+        values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
+        for n, value in enumerate(values):
+            if value != 0:
+                witness = (n, prog.ell * n + prog.r, value)
+                break
+        if witness is not None:
             break
+    max_index = n_max if witness is None else witness[1]
     return CertificationRecord(
         ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
         config.mode, config.level_model, 4 * level, bound,
@@ -382,6 +395,8 @@ def scan(
     tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_task, tasks))
     else:
@@ -411,6 +426,8 @@ def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
     normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
     workers = _pool_size(jobs, len(normalized))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_certify_task, normalized))
     return [_certify_task(t) for t in normalized]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log2, sqrt
+from math import expm1, gcd, isqrt, log1p, log2, sqrt
 
 import numpy as np
 
@@ -601,36 +601,103 @@ def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow
 # ---------------------------------------------------------------------------
 
 
+# The FFT tier of _convolve_mod runs when both operands have at least
+# FFT_MIN_TERMS terms (below that the direct product is faster), and the
+# direct float64 tier only up to FLOAT64_DIRECT_MAX_TERMS terms: a float64
+# np.convolve is a series of BLAS dot products, which OpenBLAS splits over
+# threads above about 10**4 elements; the int64 tier calls no BLAS.
+FFT_MIN_TERMS = 512
+FLOAT64_DIRECT_MAX_TERMS = 10_000
+
+# Percival's error bound for a float64 FFT product: the unit roundoff of
+# float64 arithmetic, and the error assumed for each computed twiddle factor
+# (pocketfft's are within about an ulp of exp(2*pi*i*k/n); 2**-50 leaves a
+# factor of 8 to spare).
+_UNIT_ROUNDOFF = 2.0**-53
+_TWIDDLE_ERROR = 2.0**-50
+
+
+def fits_fft(len_a: int, len_b: int, modulus: int) -> bool:
+    """True when the float64 FFT product of residue vectors of these lengths
+    errs by less than 1/4 in every coefficient, by Percival's bound.
+
+    For an FFT of size 2**k the computed cyclic product z' of x and y obeys
+    ||z' - z||_inf <= ||x||_2 ||y||_2 ((1+e)**3k (1+e*sqrt5)**(3k+1)
+    (1+b)**3k - 1) with e the unit roundoff and b the twiddle error
+    (C. Percival, Rapid multiplication modulo the sum and difference of
+    highly composite numbers, Math. Comp. 72 (2003), Theorem 5.1).  A
+    vector of n residues has ||x||_2 <= sqrt(n) * (modulus - 1).
+    """
+    k = (len_a + len_b - 2).bit_length()  # FFT size 2**k >= len_a + len_b - 1
+    growth = expm1(
+        3 * k * log1p(_UNIT_ROUNDOFF)
+        + (3 * k + 1) * log1p(_UNIT_ROUNDOFF * sqrt(5))
+        + 3 * k * log1p(_TWIDDLE_ERROR)
+    )
+    return (modulus - 1) ** 2 < 0.25 / (sqrt(len_a * len_b) * growth)
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The first len(a) coefficients of a*b by a float64 FFT, rounded to
+    integers, or None when some coefficient is not within 1/4 of one."""
+    n = len(a)
+    size = 1 << (n + len(b) - 2).bit_length()
+    product = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    rounded = np.rint(product)
+    if np.abs(product - rounded).max() > 0.25:
+        return None
+    return rounded.astype(np.int64)
+
+
 def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     """The first len(a) coefficients of the product a*b, reduced mod modulus.
 
     a and b hold residues in [0, modulus) (int64 arrays or integer
-    sequences).  An output coefficient sums at most terms = min(len(a),
-    len(b)) non-negative products, each at most (modulus - 1)**2, so every
-    product and every partial sum lies in [0, terms * (modulus - 1)**2].
-    Three tiers, the first whose guard holds:
+    sequences); only the first len(a) terms of b take part.  An output
+    coefficient sums at most terms = min(len(a), len(b)) non-negative
+    products, each at most (modulus - 1)**2, so every product and every
+    partial sum lies in [0, terms * (modulus - 1)**2].  Four tiers, the
+    first that applies:
 
-    - float64 (fits_float64): the bound is below 2**53, so each of those
-      values is an integer float64 represents exactly and no operation
-      rounds, under any summation order and with or without FMA;
-    - int64 (fits_int64): the bound is below 2**63, so nothing overflows;
+    - FFT (both operands at least FFT_MIN_TERMS terms and fits_fft): a
+      float64 rfft/irfft product of power-of-two size.  fits_fft holds
+      only when Percival's a-priori bound (Math. Comp. 72, 2003; see
+      fits_fft; unit roundoff 2**-53, twiddle error 2**-50) puts every
+      coefficient within 1/4 of the exact integer, which is then below
+      2**53, so rounding recovers it.  Each coefficient is also checked to
+      lie within 1/4 of an integer; if one does not, the result is dropped
+      and the next tier runs;
+    - float64 direct (fits_float64, at most FLOAT64_DIRECT_MAX_TERMS terms):
+      the bound is below 2**53, so each of those values is an integer
+      float64 represents exactly and no operation rounds, under any
+      summation order and with or without FMA;
+    - int64 direct (fits_int64): the bound is below 2**63, so nothing
+      overflows;
     - Python integers, returned as an object array.
 
-    Every tier is exact and returns values in [0, modulus); the first two
+    Every tier is exact and returns values in [0, modulus); the first three
     return int64.  Either result converts with .tolist().
     """
     n = len(a)
-    terms = min(n, len(b))
+    b = b[:n]
+    terms = len(b)
+    if fits_float64(terms, modulus):
+        fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
+            product = _fft_product(fa, fb)
+            if product is not None:
+                return product % modulus
+        if terms <= FLOAT64_DIRECT_MAX_TERMS:
+            return np.convolve(fa, fb)[:n].astype(np.int64) % modulus
     if fits_int64(terms, modulus):
-        dtype = np.float64 if fits_float64(terms, modulus) else np.int64
-        product = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
-        return product[:n].astype(np.int64, copy=False) % modulus
+        product = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return product[:n] % modulus
     a, b = [int(v) for v in a], [int(v) for v in b]
     out = [0] * n
     for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j in range(min(n - i, len(b))):
+        for j in range(min(n - i, terms)):
             out[i + j] += ai * b[j]
     return np.array([v % modulus for v in out], dtype=object)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
@@ -176,6 +177,107 @@ def test_projected_values_exact_in_every_dot_tier(modulus):
     got = list(_projected_moment_values(sigma, comp, ell, r, count))
     exact = ensemble_moments(ORDINARY, 3, n, Z).values
     assert got == [exact[ell * k + r] % modulus for k in range(count)]
+
+
+# --- polyphase projection and the certify probe ------------------------------
+
+
+@pytest.fixture(scope="module")
+def exact_third_moments():
+    return ensemble_moments(ORDINARY, 3, 1100, Z).values
+
+
+# (7, 3): a modulus other than ell; 2**61 - 1: Python-integer products.
+# At ell = 2 the phases have about 550 terms, so their products take the FFT
+# tier; the other cases take direct products.
+@pytest.mark.parametrize(
+    "ell,modulus", [(2, 2), (3, 3), (5, 5), (7, 7), (11, 11), (7, 3), (5, 2**61 - 1)]
+)
+def test_polyphase_projection_matches_exact_moments_for_every_r(
+    monkeypatch, exact_third_moments, ell, modulus
+):
+    n = 1100
+    ring = CoefficientRing.integers_mod(modulus)
+    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY.exponents), n, ring)
+    comp = companion_series(ORDINARY, n, ring)
+    fft_ran = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: fft_ran.append(1) or irfft(*a, **kw))
+    for r in range(ell):
+        count = (n - r) // ell + 1
+        got = list(_projected_moment_values(sigma, comp, ell, r, count))
+        assert got == [exact_third_moments[ell * k + r] % modulus for k in range(count)]
+    assert bool(fft_ran) == (ell == 2)
+
+
+def record_companion_sizes(monkeypatch) -> list[int]:
+    """The truncation n of every companion series certify builds."""
+    from freqmoments import congruence
+
+    sizes = []
+    original = congruence.companion_series
+
+    def recording(ensemble, n, ring, **kwargs):
+        sizes.append(n)
+        return original(ensemble, n, ring, **kwargs)
+
+    monkeypatch.setattr(congruence, "companion_series", recording)
+    return sizes
+
+
+def test_certify_fail_inside_the_probe_builds_only_the_probe(monkeypatch):
+    from freqmoments import congruence
+
+    sizes = record_companion_sizes(monkeypatch)
+    rec = certify(ORDINARY, 69, Progression(11, 0), 11, SturmConfig(CONSERVATIVE12, "safe"))
+    assert rec.status == "FAIL"
+    assert rec.fail_witness[0] <= congruence._PROBE_ROWS < rec.bound_b
+    assert sizes == [11 * congruence._PROBE_ROWS]
+
+
+def test_certify_pass_builds_the_probe_then_the_full_series(monkeypatch):
+    from freqmoments import congruence
+
+    sizes = record_companion_sizes(monkeypatch)
+    counts = []
+    original = congruence._projected_moment_values
+
+    def counting(sigma, comp, ell, r, count):
+        counts.append(count)
+        return original(sigma, comp, ell, r, count)
+
+    monkeypatch.setattr(congruence, "_projected_moment_values", counting)
+    rec = certify(ORDINARY, 3, Progression(7, 5), 7, SturmConfig(CONSERVATIVE12, "safe"))
+    assert rec.status == "PASS" and rec.bound_b > congruence._PROBE_ROWS
+    assert sizes == [7 * congruence._PROBE_ROWS + 5, rec.max_index_checked]
+    assert counts == [congruence._PROBE_ROWS + 1, rec.bound_b + 1]
+
+
+def test_certify_fail_beyond_the_probe_matches_one_stage(monkeypatch):
+    from freqmoments import congruence
+
+    # M_1(5n + 4) mod 2 first fails at n = 5
+    args = (ORDINARY, 1, Progression(5, 4), 2, SturmConfig(CONSERVATIVE12, "safe"))
+    monkeypatch.setattr(congruence, "_PROBE_ROWS", 10**9)
+    one_stage = certify(*args)
+    monkeypatch.setattr(congruence, "_PROBE_ROWS", 1)
+    sizes = record_companion_sizes(monkeypatch)
+    two_stage = certify(*args)
+    assert one_stage.status == "FAIL" and one_stage.fail_witness[0] > 1
+    assert two_stage == one_stage
+    assert sizes == [5 * 1 + 4, 5 * one_stage.bound_b + 4]
+
+
+def test_scan_makes_no_long_direct_convolution(monkeypatch):
+    # a float64 np.convolve is a series of BLAS dots, which OpenBLAS splits
+    # over threads above about 10**4 elements
+    lengths = []
+    convolve = np.convolve
+    monkeypatch.setattr(
+        np, "convolve", lambda x, y: lengths.append(max(len(x), len(y))) or convolve(x, y)
+    )
+    scan(ORDINARY, [3], [97], 20000)
+    assert all(n <= 10**4 for n in lengths)
 
 
 def test_certify_validation():

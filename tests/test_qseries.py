@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -34,7 +35,8 @@ from freqmoments.qseries import (
 )
 from freqmoments import qseries
 from freqmoments.qseries import _block_size, _euler_product_factor_passes  # reference algorithm
-from freqmoments.qseries import _convolve_mod, fits_float64, fits_int64
+from freqmoments.qseries import _convolve_mod, fits_fft, fits_float64, fits_int64
+from freqmoments.qseries import FFT_MIN_TERMS, FLOAT64_DIRECT_MAX_TERMS
 
 Z = CoefficientRing.exact_integers()
 Q = CoefficientRing.exact_rationals()
@@ -524,3 +526,140 @@ def test_convolve_mod_property(data):
     a = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_a)]
     b = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_b)]
     assert _convolve_mod(a, b, modulus).tolist() == exact_convolution(a, b, modulus)
+
+
+# --- FFT tier -----------------------------------------------------------------
+
+
+def kronecker_convolution(a: list[int], b: list[int], modulus: int) -> list[int]:
+    """The first len(a) coefficients of a*b mod modulus, from one exact
+    product of big integers (Kronecker substitution): fast enough to check
+    products of 2**15 terms that slow_poly_mult cannot."""
+    n = len(a)
+    b = b[:n]
+    width = (min(n, len(b)) * (modulus - 1) ** 2).bit_length() // 8 + 1
+
+    def pack(values):
+        return int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in values), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes((n + len(b)) * width, "little")
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % modulus for i in range(n)]
+
+
+def largest_fft_modulus(len_a: int, len_b: int) -> int:
+    """The largest modulus fits_fft admits for operands of these lengths."""
+    lo, hi = 2, 2**32
+    assert fits_fft(len_a, len_b, lo) and not fits_fft(len_a, len_b, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits_fft(len_a, len_b, mid) else (lo, mid)
+    return lo
+
+
+def convolve_recording_tiers(monkeypatch, a, b, modulus, *, perturb=0.0):
+    """_convolve_mod(a, b, modulus) and the tiers that ran, in order: "fft"
+    for each irfft, the dtype for each np.convolve.  perturb is added to
+    every irfft output."""
+    ran = []
+    convolve, irfft = np.convolve, np.fft.irfft
+
+    def recording_convolve(x, y):
+        ran.append(str(x.dtype))
+        return convolve(x, y)
+
+    def recording_irfft(*args, **kwargs):
+        ran.append("fft")
+        return irfft(*args, **kwargs) + perturb
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "convolve", recording_convolve)
+        patch.setattr(np.fft, "irfft", recording_irfft)
+        out = _convolve_mod(a, b, modulus)
+    return out, ran
+
+
+def test_kronecker_reference_matches_slow_poly_mult():
+    for modulus in (2, 97, 2**61 - 1):
+        a = [(5 * i + 1) ** 3 % modulus for i in range(40)]
+        b = [modulus - 1] * 25
+        assert kronecker_convolution(a, b, modulus) == exact_convolution(a, b, modulus)
+        assert kronecker_convolution(b, a, modulus) == exact_convolution(b, a, modulus)
+
+
+def percival_bound(len_a: int, len_b: int, modulus: int) -> Decimal:
+    """Percival's bound for residue vectors, evaluated in 60-digit decimal
+    arithmetic with the unit roundoff 2**-53 and twiddle error 2**-50."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k = (len_a + len_b - 2).bit_length()
+        eps, beta = Decimal(2) ** -53, Decimal(2) ** -50
+        growth = (1 + eps) ** (3 * k) * (1 + eps * Decimal(5).sqrt()) ** (3 * k + 1) * (1 + beta) ** (3 * k) - 1
+        return (modulus - 1) ** 2 * Decimal(len_a * len_b).sqrt() * growth
+
+
+@pytest.mark.parametrize("len_a,len_b", [(512, 512), (2001, 2001), (9438, 9437), (2**15 + 1, 2**15 + 1), (100001, 300)])
+def test_fits_fft_is_percivals_bound_below_a_quarter(len_a, len_b):
+    top = largest_fft_modulus(len_a, len_b)
+    assert percival_bound(len_a, len_b, top) < Decimal("0.25") <= percival_bound(len_a, len_b, top + 1)
+    # the bound caps every coefficient below 2**53, so fits_fft implies fits_float64
+    assert fits_float64(min(len_a, len_b), top)
+
+
+FFT_CASES = []
+for _length in (511, 512, 513, 4096, 2**15 + 1):
+    _top = largest_fft_modulus(_length, _length)
+    for _modulus in (2, 11, 97, 691, _top, _top + 1):
+        if _length < FFT_MIN_TERMS:
+            _tier = "float64"
+        elif _modulus <= _top:
+            _tier = "fft"
+        else:
+            _tier = "float64" if _length <= FLOAT64_DIRECT_MAX_TERMS else "int64"
+        FFT_CASES.append((_length, _modulus, _tier))
+
+
+@pytest.mark.parametrize("length,modulus,tier", FFT_CASES)
+def test_fft_tier_is_exact_at_its_guard(monkeypatch, length, modulus, tier):
+    # all entries modulus - 1 give the largest coefficients; the mixed
+    # operand spreads residues over the whole range
+    worst = [modulus - 1] * length
+    mixed = [(7 * i + 3) ** 5 % modulus for i in range(length)]
+    for a, b in ((worst, worst), (mixed, worst[::-1])):
+        out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus)
+        assert ran == [tier]
+        assert out.dtype == np.int64
+        assert out.tolist() == kronecker_convolution(a, b, modulus)
+
+
+@pytest.mark.parametrize("length,modulus,fallback", [(4096, 97, "float64"), (2**15 + 1, 691, "int64")])
+def test_fft_tier_falls_back_when_an_output_is_off_an_integer(monkeypatch, length, modulus, fallback):
+    a = [(7 * i + 3) ** 5 % modulus for i in range(length)]
+    b = [modulus - 1] * length
+    out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus, perturb=0.3)
+    assert ran == ["fft", fallback]
+    assert out.tolist() == kronecker_convolution(a, b, modulus)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_fft_tier_property(data):
+    # lengths on both sides of FFT_MIN_TERMS, moduli on both sides of the
+    # FFT guard for the lengths drawn
+    len_a = data.draw(st.integers(min_value=1, max_value=5000))
+    len_b = data.draw(st.integers(min_value=1, max_value=5000))
+    top = largest_fft_modulus(len_a, min(len_a, len_b))
+    below = data.draw(st.booleans())
+    modulus = data.draw(
+        st.integers(min_value=2, max_value=top) if below
+        else st.integers(min_value=top + 1, max_value=4 * top)
+    )
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_a)]
+    b = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(len_b)]
+    fft_ran = []
+    irfft = np.fft.irfft
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.fft, "irfft", lambda *args, **kw: fft_ran.append(1) or irfft(*args, **kw))
+        out = _convolve_mod(a, b, modulus)
+    assert bool(fft_ran) == (below and min(len_a, len_b) >= FFT_MIN_TERMS)
+    assert out.tolist() == kronecker_convolution(a, b, modulus)

@@ -251,8 +251,10 @@ def certify(
     # the series up to n_max are never built
     for rows in sorted({min(bound, _PROBE_ROWS), bound}):
         top = prog.ell * rows + prog.r
-        sigma = weighted_sigma_table(weight, top, ring)
+        # the companion first, so that its FFT workspace is freed before
+        # sigma's table is built
         comp = companion_series(ensemble, top, ring)
+        sigma = weighted_sigma_table(weight, top, ring)
         values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
         for n, value in enumerate(values):
             if value != 0:

@@ -425,8 +425,39 @@ def _multiply_by_sparse_shifted(
     coeffs %= modulus
 
 
+def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
+    """The product of the pentagonal factors 1 + sum sign*q^exp in `factors`
+    to n1 terms, as an int32 array mod modulus.
+
+    Only the Newton path calls this, whose guard fits_fft(n1, n1, modulus)
+    with n1 >= FFT_MIN_TERMS admits no modulus above 113,849; a slice sum of
+    _multiply_by_sparse_shifted, below (number of terms + 1) * modulus, then
+    stays below 5 * 10**6 at every n1, far inside int32.
+    """
+    coeffs = np.zeros(n1, dtype=np.int32)
+    coeffs[0] = 1
+    if factors:
+        # the first factor times 1 is that factor: place its terms directly
+        for e, sign in factors[0]:
+            coeffs[e] = sign % modulus
+        for terms in factors[1:]:
+            _multiply_by_sparse_shifted(coeffs, terms, modulus)
+    return coeffs
+
+
 def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> list:
     modulus = ring.modulus
+    factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
+    if modulus is not None and n + 1 >= FFT_MIN_TERMS and fits_fft(n + 1, n + 1, modulus):
+        # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
+        denominator = [terms for terms, mult in factors for _ in range(mult)]
+        numerator = [terms for terms, mult in factors for _ in range(-mult)]
+        if not denominator:
+            return _pentagonal_product(numerator, n + 1, modulus).tolist()
+        coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
+        for terms in numerator:
+            _multiply_by_sparse_shifted(coeffs, terms, modulus)
+        return coeffs.tolist()
     block = _block_size(n)
     blocked = modulus is not None and fits_int64(block, modulus)
     if blocked:
@@ -440,11 +471,7 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
         coeffs = [ring.zero] * (n + 1)
         divide, multiply = _divide_by_sparse, _multiply_by_sparse
     coeffs[0] = ring.one
-    for d in sorted(decomp):
-        if d > n:
-            continue
-        terms = _pentagonal_terms(d, n)
-        mult = decomp[d]
+    for terms, mult in factors:
         step = divide if mult > 0 else multiply
         for _ in range(abs(mult)):
             step(coeffs, terms, modulus)
@@ -517,18 +544,40 @@ def euler_product_coefficients(
     reference passes.  Rules carrying the linear factor r grow
     quadratically expensive and are capped at n = 5000 unless allow_large.
 
-    Over Z/N the grouped passes run as a blocked int64 numpy kernel.  A
-    multiplication by a pentagonal factor is one shifted-slice add per
-    term.  A division solves blocks of K coefficients in turn (K is the
-    power of two nearest 4*sqrt(n+1), clamped to [128, 1024]): one slice per
-    term removes what the solved blocks contribute, and one convolution with
-    the first K coefficients of the factor's inverse solves the block.
+    Over Z/N, when the product of two series of n+1 terms would take the
+    FFT tier of _convolve_mod (n + 1 >= FFT_MIN_TERMS and
+    fits_fft(n+1, n+1, N)), the grouped product runs by Newton inversion:
+    A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
+    f = (q;q)_inf.  The denominator is built densely by shifted-slice
+    multiplications, inverted once by Newton's iteration
+    g <- g - g*(f*g - 1) at doubling precision, and the numerator's
+    pentagonal factors are multiplied in the same way (eta powers have no
+    denominator and need no inverse).  A Newton step from k to k2 <= 2k
+    terms runs as two float64 FFT products of size S = 2**ceil(log2 k2)
+    sharing one transform of g: the error f*g - 1 is a cyclic middle
+    product whose wrapped terms land below k, where it is already known to
+    vanish, and the correction has degree below S.  Exactness: the step
+    runs only under fits_fft(k2, k, N), which is conservative here (S is at
+    most the size it assumes, and a cyclic coefficient sums at most k
+    products), so Percival's bound puts every output within 1/4 of the
+    exact integer; each output is also checked to lie within 1/4 of an
+    integer, and if one does not, the step is recomputed by two exact
+    _convolve_mod products.  The whole costs O(n log n) plus
+    O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
+
+    Otherwise over Z/N the grouped passes run as a blocked int64 numpy
+    kernel.  A multiplication by a pentagonal factor is one shifted-slice
+    add per term.  A division solves blocks of K coefficients in turn (K is
+    the power of two nearest 4*sqrt(n+1), clamped to [128, 1024]): one slice
+    per term removes what the solved blocks contribute, and one convolution
+    with the first K coefficients of the factor's inverse solves the block.
     Each convolution sum is below K * (N-1)**2 and each slice sum below
     (number of terms + 1) * N, about 1.6 * sqrt(n) * N, so all arithmetic
     is exact int64 whenever K * (N-1)**2 < 2**63, which is checked before
-    the kernel is used.  Nothing is rounded, so a certification built on it
-    remains a proof.  Larger moduli, and the Z and Q rings, take the scalar
-    Python recurrence, O(n^1.5 * sum |m_d|) ring operations.
+    the kernel is used.  Nothing is rounded unchecked on either path, so a
+    certification built on them remains a proof.  Larger moduli, and the Z
+    and Q rings, take the scalar Python recurrence, O(n^1.5 * sum |m_d|)
+    ring operations.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -637,16 +686,94 @@ def fits_fft(len_a: int, len_b: int, modulus: int) -> bool:
     return (modulus - 1) ** 2 < 0.25 / (sqrt(len_a * len_b) * growth)
 
 
-def _fft_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The first len(a) coefficients of a*b by a float64 FFT, rounded to
-    integers, or None when some coefficient is not within 1/4 of one."""
+def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
+    """values rounded to integers and reduced mod modulus, as int64, or None
+    when some value is not within 1/4 of an integer.  Overwrites values."""
+    rounded = np.rint(values)
+    values -= rounded
+    np.abs(values, out=values)
+    if values.max() > 0.25:
+        return None
+    out = rounded.astype(np.int64)
+    out %= modulus
+    return out
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray | None:
+    """The first len(a) coefficients of a*b mod modulus by a float64 FFT, or
+    None when some coefficient is not within 1/4 of an integer."""
     n = len(a)
     size = 1 << (n + len(b) - 2).bit_length()
-    product = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-    rounded = np.rint(product)
-    if np.abs(product - rounded).max() > 0.25:
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= np.fft.rfft(b, size)
+    return _rounded_mod(np.fft.irfft(spectrum, size)[:n], modulus)
+
+
+def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray | None:
+    """Coefficients k..k2-1 of 1/a mod modulus, given a to k2 <= 2k terms
+    and g = 1/a to k terms; None when a rounding check fails.
+
+    One Newton step g - g*(a*g - 1), as two float64 FFT products of size
+    S = 2**ceil(log2 k2) that share the transform of g.  a*g - 1 vanishes
+    below q^k, and its cyclic product of size S wraps the linear terms
+    S..k2+k-2 onto indices below k2+k-1-S <= k - 1, so its terms k..k2-1,
+    the error e, are exact (a middle product).  g*e has degree below
+    k2 - 1 < S and does not wrap.  Every cyclic coefficient sums at most k
+    products of residues, and S is at most the size fits_fft(k2, k, modulus)
+    assumes, so under that guard Percival's bound puts every output within
+    1/4 of the exact integer; each is also checked as in _fft_product.
+    """
+    k, k2 = len(g), len(a)
+    size = 1 << (k2 - 1).bit_length()
+    g_hat = np.fft.rfft(g, size)
+    # each transform is released once used, so that no more than a, g,
+    # g_hat, one spectrum and one product are live at once
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= g_hat
+    product = np.fft.irfft(spectrum, size)
+    del spectrum
+    error = _rounded_mod(product[k:k2], modulus)
+    del product
+    if error is None:
         return None
-    return rounded.astype(np.int64)
+    spectrum = np.fft.rfft(error, size)
+    del error
+    spectrum *= g_hat
+    del g_hat
+    product = np.fft.irfft(spectrum, size)
+    del spectrum
+    correction = _rounded_mod(product[: k2 - k], modulus)
+    if correction is None:
+        return None
+    np.negative(correction, out=correction)
+    correction %= modulus
+    return correction
+
+
+def _newton_inverse(a: np.ndarray, modulus: int) -> np.ndarray:
+    """1/a mod modulus to len(a) terms; a[0] must be a unit mod modulus.
+
+    From g = a[0]**-1, Newton's step g <- g - g*(a*g - 1) doubles the number
+    of correct terms.  A step from k >= FFT_MIN_TERMS terms under
+    fits_fft(k2, k, modulus) runs as _newton_step_fft; any other step, and
+    one whose rounding check fails, as two _convolve_mod products, which are
+    exact in every tier.  The result has a's dtype.
+    """
+    n1 = len(a)
+    g = np.zeros(n1, dtype=a.dtype)
+    g[0] = pow(int(a[0]), -1, modulus)
+    k = 1
+    while k < n1:
+        k2 = min(2 * k, n1)
+        tail = None
+        if k >= FFT_MIN_TERMS and fits_fft(k2, k, modulus):
+            tail = _newton_step_fft(a[:k2], g[:k], modulus)
+        if tail is None:
+            error = _convolve_mod(a[:k2], g[:k], modulus)[k:]
+            tail = -_convolve_mod(error, g[:k], modulus) % modulus
+        g[k:k2] = tail
+        k = k2
+    return g
 
 
 def _convolve_mod(a, b, modulus: int) -> np.ndarray:
@@ -684,9 +811,9 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     if fits_float64(terms, modulus):
         fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         if terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
-            product = _fft_product(fa, fb)
+            product = _fft_product(fa, fb, modulus)
             if product is not None:
-                return product % modulus
+                return product
         if terms <= FLOAT64_DIRECT_MAX_TERMS:
             return np.convolve(fa, fb)[:n].astype(np.int64) % modulus
     if fits_int64(terms, modulus):
@@ -722,26 +849,30 @@ def series_inverse(a: Series) -> Series:
     """Multiplicative inverse with a * a^-1 = 1 + O(q^(N+1)).
 
     The constant term must be a unit in the coefficient ring; otherwise the
-    series is not invertible there and we refuse.
+    series is not invertible there and we refuse.  Over Z/N this is
+    _newton_inverse, whose every product is exact; over Z and Q, the
+    O(N^2) recurrence.
     """
     ring = a.ring
     if not ring.is_unit(a.coeffs[0]):
         raise ValueError(
             f"constant term {a.coeffs[0]!r} is not a unit in {ring.describe()}; series not invertible"
         )
+    modulus = ring.modulus
+    if modulus is not None:
+        coeffs = np.array(a.coeffs, dtype=np.int64 if modulus < 2**63 else object)
+        return Series(ring, tuple(_newton_inverse(coeffs, modulus).tolist()))
     n = a.n_max
     inv0 = ring.invert(a.coeffs[0])
     out = [ring.zero] * (n + 1)
     out[0] = inv0
-    modulus = ring.modulus
     for i in range(1, n + 1):
         acc = ring.zero
         for j in range(1, i + 1):
             aj = a.coeffs[j]
             if aj != 0:
                 acc += aj * out[i - j]
-        v = -inv0 * acc
-        out[i] = v % modulus if modulus is not None else v
+        out[i] = -inv0 * acc
     return Series(ring, tuple(out))
 
 

@@ -663,3 +663,112 @@ def test_fft_tier_property(data):
         out = _convolve_mod(a, b, modulus)
     assert bool(fft_ran) == (below and min(len_a, len_b) >= FFT_MIN_TERMS)
     assert out.tolist() == kronecker_convolution(a, b, modulus)
+
+
+# --- Newton-inverted companion ------------------------------------------------
+
+ETA24 = ExponentSequence("eta-power(24)", 1, (-24,))
+NEWTON_RULES = [ordinary(), overpartition(), coloured(3), ETA24]
+NEWTON_MAX_N = 5000
+_EXACT_PREFIXES: dict[str, tuple] = {}
+
+
+def exact_mod(rule: ExponentSequence, n: int, modulus: int) -> tuple:
+    """The first n+1 coefficients mod modulus of the product over Z, which
+    runs the scalar Python recurrence; computed once per rule to
+    NEWTON_MAX_N (truncation is a prefix)."""
+    if rule.name not in _EXACT_PREFIXES:
+        _EXACT_PREFIXES[rule.name] = euler_product_coefficients(rule, NEWTON_MAX_N, Z).coeffs
+    return tuple(v % modulus for v in _EXACT_PREFIXES[rule.name][: n + 1])
+
+
+def grouped_with_path(patch, rule, n, modulus, *, newton_allowed=True):
+    """The product mod modulus and the paths that built it: "newton" when
+    the Newton path ran, "blocked" when the sparse passes did.  With
+    newton_allowed False, FFT_MIN_TERMS is raised out of reach, so the
+    blocked kernel runs at this very length and modulus."""
+    ran = []
+    pentagonal_product, block_size = qseries._pentagonal_product, qseries._block_size
+    if not newton_allowed:
+        patch.setattr(qseries, "FFT_MIN_TERMS", 2**62)
+    patch.setattr(qseries, "_pentagonal_product", lambda *a: ran.append("newton") or pentagonal_product(*a))
+    patch.setattr(qseries, "_block_size", lambda n: ran.append("blocked") or block_size(n))
+    out = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus)).coeffs
+    return out, ran
+
+
+# lengths n + 1 at and around FFT_MIN_TERMS and powers of two; 1500 has a
+# top Newton step from 1024 to 1500 terms, not a power of two
+NEWTON_LENGTHS = [511, 512, 513, 1023, 1024, 1025, 1500, 2047, 2049]
+
+
+@pytest.mark.parametrize("length", NEWTON_LENGTHS)
+@pytest.mark.parametrize("rule", NEWTON_RULES, ids=lambda r: r.name)
+def test_newton_path_matches_blocked_kernel_and_python_recurrence(monkeypatch, rule, length):
+    n = length - 1
+    for modulus in (2, 3, 11, 97, 691):
+        want = exact_mod(rule, n, modulus)
+        with monkeypatch.context() as patch:
+            got, ran = grouped_with_path(patch, rule, n, modulus)
+        assert ran == (["newton"] if length >= FFT_MIN_TERMS else ["blocked"])
+        assert got == want
+        with monkeypatch.context() as patch:
+            blocked, ran = grouped_with_path(patch, rule, n, modulus, newton_allowed=False)
+        assert ran == ["blocked"]
+        assert blocked == want
+
+
+@pytest.mark.parametrize("rule", NEWTON_RULES, ids=lambda r: r.name)
+def test_modulus_past_fits_fft_takes_the_blocked_kernel(monkeypatch, rule):
+    n = 1500
+    top = largest_fft_modulus(n + 1, n + 1)
+    for modulus, path in ((top, "newton"), (top + 1, "blocked")):
+        with monkeypatch.context() as patch:
+            got, ran = grouped_with_path(patch, rule, n, modulus)
+        assert ran == [path]
+        assert got == exact_mod(rule, n, modulus)
+
+
+def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch):
+    n, modulus = 4096, 97
+    want = exact_mod(ordinary(), n, modulus)
+    for perturb in (0.0, 0.3):
+        steps = []
+        step, irfft = qseries._newton_step_fft, np.fft.irfft
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + perturb)
+            patch.setattr(qseries, "_newton_step_fft", lambda *a: steps.append(step(*a)) or steps[-1])
+            got = euler_product_coefficients(ordinary(), n, CoefficientRing.integers_mod(modulus))
+        # steps from 512, 1024 and 2048 terms; 4096 -> 4097 is the fourth
+        assert len(steps) == 4
+        assert all((s is None) == (perturb > 0) for s in steps)
+        assert got.coeffs == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_newton_path_property(data):
+    # lengths on both sides of FFT_MIN_TERMS, moduli on both sides of the
+    # guard at the top length
+    rule = data.draw(st.sampled_from(NEWTON_RULES))
+    n = data.draw(st.integers(min_value=0, max_value=NEWTON_MAX_N))
+    top = largest_fft_modulus(n + 1, n + 1)
+    below = data.draw(st.booleans())
+    modulus = data.draw(
+        st.integers(min_value=2, max_value=top) if below
+        else st.integers(min_value=top + 1, max_value=4 * top)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        got, ran = grouped_with_path(patch, rule, n, modulus)
+    assert ran == (["newton"] if below and n + 1 >= FFT_MIN_TERMS else ["blocked"])
+    assert got == exact_mod(rule, n, modulus)
+
+
+@pytest.mark.parametrize("modulus,length", [(691, 3000), (12, 700), (2**61 - 1, 40)])
+def test_series_inverse_mod_n_with_a_unit_constant_term_other_than_one(modulus, length):
+    ring = CoefficientRing.integers_mod(modulus)
+    a = make_series(ring, [5] + [(7 * i + 3) ** 5 % modulus for i in range(1, length)])
+    inv = series_inverse(a)
+    assert inv.coeffs[0] == pow(5, -1, modulus)
+    product = kronecker_convolution(list(a.coeffs), list(inv.coeffs), modulus)
+    assert product == [1] + [0] * (length - 1)

@@ -23,10 +23,15 @@ from .divisorweights import (
     DirichletCharacterSpec,
     DivisorWeight,
     GlaisherFilter,
+    _divisor_sums_mod,
+    _weight_terms_mod,
+    _weight_values_mod,
     filter_modular_data,
     weighted_sigma_table,
 )
-from .moments import MomentSeries, fermat_reduce, master_transform
+# master_transform stays importable here: perfbench/tracing.py wraps
+# congruence.master_transform by name
+from .moments import MomentSeries, fermat_reduce, master_transform  # noqa: F401
 from .qseries import (
     CoefficientRing,
     Ensemble,
@@ -34,6 +39,7 @@ from .qseries import (
     _convolve_mod,
     companion_series,
     ORDINARY,
+    OVERPARTITION,
 )
 
 __all__ = [
@@ -324,38 +330,64 @@ class ScanReport:
 
 def _pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for a pool: never more than the tasks to run or the
-    CPUs to run them on.  1 means run in this process."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    CPUs this process may run on (its affinity set, or every CPU where the
+    platform cannot tell).  1 means run in this process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
+
+
+# A scan block holds at most max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes
+# at FFT size S, which bounds the FFT tier's workspace for the block.
+_SCAN_BLOCK_COEFFS = 1 << 16
 
 
 def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Scan every requested m at one prime ell: one companion, then one
-    sigma table and transform per Fermat class of m.
+    """Scan every requested m at one prime ell as one batch: one companion,
+    then the moments of all Fermat classes of m as (classes, n_scan + 1)
+    int64 blocks.
 
     d^m = d^mbar (mod ell) for every d >= 1 when m = mbar (mod ell - 1) and
     m, mbar >= 1, for canonical, twisted and filtered weights alike, so all
     m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
     is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
+
+    The weight w(d) mod ell does not depend on the class, so it is built
+    once per ell.  A block's sigma rows are its classes' terms w(d) * d^mbar
+    summed over divisors by the same slices for every row, and its moments
+    are one _convolve_mod of the block against the companion: the guards of
+    each tier hold per row, the FFT tier checks the 1/4 bound over the whole
+    block, and a failed check sends every row through the lower tiers.  A
+    block holds at most max(1, _SCAN_BLOCK_COEFFS // S) classes at FFT size
+    S.  The residue check reads each block as (classes, rows, ell).
     """
     ensemble, weight_selector, ms, ell, n_scan, include_r0 = args
     ring = CoefficientRing.integers_mod(ell)
-    selector = ensemble.exponents if weight_selector is None else weight_selector
-    comp = companion_series(ensemble, n_scan, ring)
+    comp = np.array(companion_series(ensemble, n_scan, ring).coeffs, dtype=np.int64)
     classes: dict[int, list[int]] = {}
     for m in ms:
         classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
+    mbars = list(classes)
+    selector = ensemble.exponents if weight_selector is None else weight_selector
+    w = _weight_values_mod(DivisorWeight(mbars[0], selector), n_scan, ell)
     rows = -(-(n_scan + 1) // ell)
+    size = 1 << (2 * n_scan).bit_length()  # _convolve_mod's FFT size
+    per_block = max(1, _SCAN_BLOCK_COEFFS // size)
     out = []
-    for mbar, members in classes.items():
-        sigma = weighted_sigma_table(DivisorWeight(mbar, selector), n_scan, ring)
-        values = np.zeros(rows * ell, dtype=bool)
-        values[: n_scan + 1] = np.array(master_transform(sigma, comp).values.coeffs) != 0
-        values[0] = False  # the r = 0 class starts at t = ell
-        vanishing = ~values.reshape(rows, ell).any(axis=0)
+    for start in range(0, len(mbars), per_block):
+        exponents = mbars[start : start + per_block]
+        sigma = _divisor_sums_mod(_weight_terms_mod(exponents, w, n_scan, ell), ell)
+        values = np.zeros((len(exponents), rows * ell), dtype=bool)
+        values[:, : n_scan + 1] = _convolve_mod(sigma, comp, ell) != 0
+        values[:, 0] = False  # the r = 0 class starts at t = ell
+        vanishing = ~values.reshape(len(exponents), rows, ell).any(axis=1)
         if not include_r0:
-            vanishing[0] = False
-        good = tuple(int(r) for r in np.flatnonzero(vanishing))
-        out.extend((m, ell, good) for m in members)
+            vanishing[:, 0] = False
+        for mbar, good in zip(exponents, vanishing):
+            residues = tuple(np.flatnonzero(good).tolist())
+            out.extend((m, ell, residues) for m in classes[mbar])
     return out
 
 
@@ -393,6 +425,8 @@ def scan(
         raise ResourceLimitError(
             f"scan needs {n_scan + 1} coefficients, over the budget of {max_coeffs}"
         )
+    if n_scan * (ells[-1] - 1) >= 2**63:
+        raise ResourceLimitError("scan divisor sums of n_scan residues would overflow int64")
     # one task per ell, largest first: it has the most Fermat classes
     tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
     workers = _pool_size(jobs, len(tasks))
@@ -451,15 +485,22 @@ _BASE_CASES = {
 }
 
 
-def predicted_hits(ms, ells) -> frozenset[tuple[int, int, int]]:
-    """The closed-form prediction for ordinary-partition progressions:
+def predicted_hits(ms, ells, *, ensemble: Ensemble = ORDINARY) -> frozenset[tuple[int, int, int]]:
+    """The closed-form prediction of the (m, ell, r) a scan finds.
+
+    Ordinary partitions:
 
     (a) r = 0 whenever m = 1 (mod ell - 1);
     (b) the Ramanujan classes (5,4), (7,5), (11,6) whenever m = 1 (mod ell-1);
     (c) the base congruences at reduced exponent 3 (ell in {7, 11}, both the
         zero class and the Ramanujan class) and 7 (ell = 11, class 6),
         lifted to every m with the same Fermat reduction.
+
+    Overpartitions: r = 0 exactly when m = 1 (mod ell - 1), and no nonzero
+    class.  Any other ensemble has no rule and raises ValueError.
     """
+    if ensemble not in (ORDINARY, OVERPARTITION):
+        raise ValueError(f"no predicted hits for the {ensemble.name} ensemble")
     out: set[tuple[int, int, int]] = set()
     for ell in ells:
         if not is_prime(ell) or ell < 5:
@@ -470,8 +511,10 @@ def predicted_hits(ms, ells) -> frozenset[tuple[int, int, int]]:
             mbar = fermat_reduce(m, ell)
             if mbar == 1:
                 out.add((m, ell, 0))
-                if ell in _RAMANUJAN_CLASSES:
-                    out.add((m, ell, _RAMANUJAN_CLASSES[ell]))
+            if ensemble != ORDINARY:
+                continue
+            if mbar == 1 and ell in _RAMANUJAN_CLASSES:
+                out.add((m, ell, _RAMANUJAN_CLASSES[ell]))
             for ell_base, r in _BASE_CASES.get(mbar, ()):
                 if ell_base == ell:
                     out.add((m, ell, r))

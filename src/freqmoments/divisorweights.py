@@ -259,49 +259,73 @@ def _build_sigma(term_of_d, n: int, ring: CoefficientRing) -> Series:
     return Series(ring, tuple(table))
 
 
-def _tiled(values: list[int], length: int) -> np.ndarray:
-    """values[d % len(values)] for d = 0..length-1, as int64."""
-    period = len(values)
-    return np.tile(np.array(values, dtype=np.int64), -(-length // period))[:length]
+def _tiled(values: np.ndarray, length: int) -> np.ndarray:
+    """values[..., d % period] for d = 0..length-1, period the last axis."""
+    period = values.shape[-1]
+    return np.tile(values, -(-length // period))[..., :length]
 
 
-def _weight_terms_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray:
-    """term(d) = w(d) * d^m mod modulus for d = 0..n as int64, term(0) = 0.
+def _powers_mod(exponents, span: int, modulus: int) -> np.ndarray:
+    """r**e mod modulus for r = 0..span-1 and each e in exponents, as int64
+    of shape np.shape(exponents) + (span,)."""
+    e = np.asarray(exponents)
+    table = [pow(r, int(x), modulus) for x in e.flat for r in range(span)]
+    return np.array(table, dtype=np.int64).reshape(e.shape + (span,))
 
-    d^m and d are periodic mod modulus, and ensemble weights mod their
-    period, so each is a short table tiled to length n + 1 (a table over
-    0..min(modulus, n+1)-1 tiles to its value at d mod modulus).  Characters
-    and filters are evaluated once per d.  Products are formed in place, so
-    at most two arrays of length n + 1 are alive.
+
+def _weight_values_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray | None:
+    """w(d) mod modulus for d = 0..n as int64, or None when w = 1 mod modulus.
+
+    w does not depend on the exponent.  Ensemble weights are periodic, so a
+    short table is tiled (times d mod modulus when the rule has a power
+    factor); characters and filters are evaluated once per d.
     """
-    span = min(modulus, n + 1)
-    terms = _tiled([pow(r, weight.exponent, modulus) for r in range(span)], n + 1)
     sel = weight.selector
+    if sel is None:
+        return None
     if isinstance(sel, ExponentSequence):
-        w = _tiled([v % modulus for v in sel.values], n + 1)
+        if not sel.power_factor and all(v % modulus == 1 for v in sel.values):
+            return None
+        w = _tiled(np.array([v % modulus for v in sel.values], dtype=np.int64), n + 1)
         if sel.power_factor:
-            w *= _tiled(list(range(span)), n + 1)
+            w *= _tiled(np.arange(min(modulus, n + 1), dtype=np.int64), n + 1)
             w %= modulus
-    elif sel is not None:
-        w = np.array([0] + [weight.weight_of(k) % modulus for k in range(1, n + 1)], dtype=np.int64)
-    if sel is not None:
+        return w
+    return np.array([0] + [weight.weight_of(k) % modulus for k in range(1, n + 1)], dtype=np.int64)
+
+
+def _weight_terms_mod(exponents, w: np.ndarray | None, n: int, modulus: int) -> np.ndarray:
+    """term(d) = w(d) * d^e mod modulus for d = 0..n as int64, term(0) = 0,
+    for one exponent e (shape (n + 1,)) or a stack of them (one row each).
+
+    d^e is periodic mod modulus, so it is a table over r = 0..min(modulus,
+    n+1)-1 tiled to length n + 1 (a table of r^e tiles to its value at
+    d mod modulus).  w, from _weight_values_mod, is shared by every row.
+    Products are formed in place, so besides w one block of terms is alive.
+    """
+    terms = _tiled(_powers_mod(exponents, min(modulus, n + 1), modulus), n + 1)
+    if w is not None:
         terms *= w
         terms %= modulus
-    terms[0] = 0
+    terms[..., 0] = 0
     return terms
 
 
 def _divisor_sums_mod(terms: np.ndarray, modulus: int) -> np.ndarray:
-    """a(k) = sum_{d | k} terms[d] mod modulus, in about 2*sqrt(n) slices:
-    one stride per divisor d <= sqrt(n), one per cofactor j for d > sqrt(n)."""
-    n = len(terms) - 1
-    table = np.zeros(n + 1, dtype=np.int64)
+    """a(k) = sum_{d | k} terms[..., d] mod modulus along the last axis, in
+    about 2*sqrt(n) slices of the whole block: one stride per divisor
+    d <= sqrt(n), one per cofactor j for d > sqrt(n)."""
+    n = terms.shape[-1] - 1
+    table = np.zeros(terms.shape, dtype=np.int64)
+    # .T puts d first and leaves one row as it is, so a 1-D table adds
+    # scalars and a block adds one term per row
+    by_d, table_by_d = terms.T, table.T
     root = isqrt(n)
     for d in range(1, root + 1):
-        table[d::d] += terms[d]
+        table_by_d[d::d] += by_d[d]
     for j in range(1, n // (root + 1) + 1):
         top = n // j
-        table[j * (root + 1) : j * top + 1 : j] += terms[root + 1 : top + 1]
+        table_by_d[j * (root + 1) : j * top + 1 : j] += by_d[root + 1 : top + 1]
     table %= modulus
     return table
 
@@ -323,7 +347,8 @@ def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -
     m = weight.exponent
     modulus = ring.modulus
     if modulus is not None and fits_int64(1, modulus) and n * (modulus - 1) < 2**63:
-        table = _divisor_sums_mod(_weight_terms_mod(weight, n, modulus), modulus)
+        terms = _weight_terms_mod(m, _weight_values_mod(weight, n, modulus), n, modulus)
+        table = _divisor_sums_mod(terms, modulus)
         return Series(ring, tuple(table.tolist()))
 
     if modulus is not None:

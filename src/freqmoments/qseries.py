@@ -700,13 +700,15 @@ def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray | None:
-    """The first len(a) coefficients of a*b mod modulus by a float64 FFT, or
-    None when some coefficient is not within 1/4 of an integer."""
-    n = len(a)
+    """The first n coefficients of a*b mod modulus by a float64 FFT, n the
+    length of a's last axis, or None when some coefficient is not within 1/4
+    of an integer.  A 2-D a is a block of rows, each multiplied by b along
+    the last axis against one spectrum of b."""
+    n = a.shape[-1]
     size = 1 << (n + len(b) - 2).bit_length()
     spectrum = np.fft.rfft(a, size)
     spectrum *= np.fft.rfft(b, size)
-    return _rounded_mod(np.fft.irfft(spectrum, size)[:n], modulus)
+    return _rounded_mod(np.fft.irfft(spectrum, size)[..., :n], modulus)
 
 
 def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray | None:
@@ -777,14 +779,15 @@ def _newton_inverse(a: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _convolve_mod(a, b, modulus: int) -> np.ndarray:
-    """The first len(a) coefficients of the product a*b, reduced mod modulus.
+    """The first n coefficients of the product a*b, reduced mod modulus,
+    where n is the length of a, or of its rows when a is a 2-D block.
 
     a and b hold residues in [0, modulus) (int64 arrays or integer
-    sequences); only the first len(a) terms of b take part.  An output
-    coefficient sums at most terms = min(len(a), len(b)) non-negative
-    products, each at most (modulus - 1)**2, so every product and every
-    partial sum lies in [0, terms * (modulus - 1)**2].  Four tiers, the
-    first that applies:
+    sequences); only the first n terms of b take part.  An output
+    coefficient sums at most terms = min(n, len(b)) non-negative products,
+    each at most (modulus - 1)**2, so every product and every partial sum
+    lies in [0, terms * (modulus - 1)**2].  Four tiers, the first that
+    applies:
 
     - FFT (both operands at least FFT_MIN_TERMS terms and fits_fft): a
       float64 rfft/irfft product of power-of-two size.  fits_fft holds
@@ -802,20 +805,37 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
       overflows;
     - Python integers, returned as an object array.
 
+    A 2-D ndarray a is a batch: every row is multiplied by the same b under
+    the same guards, which depend only on n, len(b) and modulus.  The FFT tier
+    transforms the whole block along its last axis with one spectrum of b
+    and checks the 1/4 bound over the whole block; if any coefficient
+    fails it, every row falls back and runs the lower tiers one row at a
+    time.  The caller bounds the rows of a block, since the FFT tier's
+    workspace grows with rows times FFT size.
+
     Every tier is exact and returns values in [0, modulus); the first three
     return int64.  Either result converts with .tolist().
     """
-    n = len(a)
+    block = isinstance(a, np.ndarray) and a.ndim == 2
+    n = a.shape[1] if block else len(a)
     b = b[:n]
     terms = len(b)
-    if fits_float64(terms, modulus):
-        fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        if terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
-            product = _fft_product(fa, fb, modulus)
-            if product is not None:
-                return product
-        if terms <= FLOAT64_DIRECT_MAX_TERMS:
-            return np.convolve(fa, fb)[:n].astype(np.int64) % modulus
+    if terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
+        product = _fft_product(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), modulus)
+        if product is not None:
+            return product
+    if block:
+        return np.stack([_convolve_direct(row, b, modulus) for row in a])
+    return _convolve_direct(a, b, modulus)
+
+
+def _convolve_direct(a, b, modulus: int) -> np.ndarray:
+    """_convolve_mod of one row below the FFT tier: float64, int64 or
+    Python-integer direct products, with b already cut to len(a) terms."""
+    n, terms = len(a), len(b)
+    if fits_float64(terms, modulus) and terms <= FLOAT64_DIRECT_MAX_TERMS:
+        product = np.convolve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+        return product[:n].astype(np.int64) % modulus
     if fits_int64(terms, modulus):
         product = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return product[:n] % modulus

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from freqmoments import congruence
 from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
 from freqmoments.congruence import (
     Progression,
@@ -36,6 +38,9 @@ from freqmoments.qseries import (
     CoefficientRing,
     ORDINARY,
     OVERPARTITION,
+    PLANE_PARTITION,
+    THETA,
+    coloured_ensemble,
     companion_series,
     fits_float64,
     fits_int64,
@@ -292,6 +297,13 @@ def test_scan_resource_budget():
         scan(ORDINARY, [3], [7], 2000, max_coeffs=2000)
 
 
+def test_scan_refuses_divisor_sums_past_int64():
+    # 2**34 residues below 2**33 + 17 may sum past 2**63; refused before
+    # anything is built
+    with pytest.raises(ResourceLimitError):
+        scan(ORDINARY, [3], [8589934609], 2**34, max_coeffs=2**40)
+
+
 def test_certify_resource_budget():
     with pytest.raises(ResourceLimitError):
         certify(ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE, max_coeffs=100)
@@ -428,12 +440,12 @@ GRID_CASES = [
 ]
 
 
-def scan_reference(ensemble, selector, n_scan, include_r0):
+def scan_reference(ensemble, selector, n_scan, include_r0, ms=GRID_MS, ells=GRID_ELLS):
     """Hits found one (m, ell) at a time from each m's own moment series."""
     hits: dict[tuple[int, int], list[int]] = {}
-    for ell in GRID_ELLS:
+    for ell in ells:
         ring = CoefficientRing.integers_mod(ell)
-        for m in GRID_MS:
+        for m in ms:
             weight = DivisorWeight(m, ensemble.exponents if selector is None else selector)
             values = ensemble_moments(ensemble, m, n_scan, ring, weight=weight).values
             for r in range(0 if include_r0 else 1, ell):
@@ -473,6 +485,68 @@ def test_scan_per_ell_reports_identical_across_jobs(ensemble, selector):
         assert render(runs[0]) == render(runs[1])
 
 
+DESK_ELLS = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+@pytest.mark.parametrize(
+    "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
+)
+def test_scan_below_the_fft_tier_matches_per_m_reference(monkeypatch, ensemble, selector):
+    # nscan 100 < FFT_MIN_TERMS: every block runs the direct tiers row by row
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: pytest.fail("FFT tier ran") or irfft(*a, **k))
+    ms = tuple(range(1, 26, 2))
+    report = scan(ensemble, ms, DESK_ELLS, 100, weight_selector=selector)
+    assert report.hit_map() == scan_reference(ensemble, selector, 100, True, ms, DESK_ELLS)
+
+
+@pytest.mark.parametrize("limit_rows", [1, 3])
+def test_scan_blocks_split_mid_class_list_give_the_same_report(monkeypatch, limit_rows):
+    ms, ells = tuple(range(1, 52, 2)), (5, 13, 31, 53)
+    whole = scan(ORDINARY, ms, ells, 2000)
+    blocks = []
+    convolve = congruence._convolve_mod
+    monkeypatch.setattr(
+        congruence, "_convolve_mod", lambda a, b, p: blocks.append((p, len(a))) or convolve(a, b, p)
+    )
+    # FFT size 4096 at nscan 2000
+    monkeypatch.setattr(congruence, "_SCAN_BLOCK_COEFFS", limit_rows * 4096)
+    split = scan(ORDINARY, ms, ells, 2000)
+    assert split == whole
+    assert scan_report_to_json(split) == scan_report_to_json(whole)
+    # 26 classes at ell = 53 and 15 at ell = 31 fill blocks of limit_rows
+    # and leave a shorter last one
+    for ell, classes in ((53, 26), (31, 15), (13, 6), (5, 2)):
+        sizes = [rows for p, rows in blocks if p == ell]
+        assert sum(sizes) == classes
+        assert max(sizes) == min(limit_rows, classes)
+
+
+def test_scan_default_block_limit_is_2_16_coefficients(monkeypatch):
+    blocks = []
+    convolve = congruence._convolve_mod
+    monkeypatch.setattr(
+        congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
+    )
+    # FFT size 2048: 2**16 // 2048 = 32 classes a block
+    scan(ORDINARY, range(1, 100, 2), [97], 1000)
+    assert blocks == [32, 16]
+
+
+def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):
+    calls = Counter()
+    weight_of = DivisorWeight.weight_of
+    monkeypatch.setattr(
+        DivisorWeight, "weight_of", lambda self, d: calls.update([d]) or weight_of(self, d)
+    )
+    # one class a block, so that a per-block evaluation would show
+    monkeypatch.setattr(congruence, "_SCAN_BLOCK_COEFFS", 1)
+    ells = (5, 7, 11, 13)
+    chi5 = DirichletCharacterSpec.kronecker(5)
+    scan(ORDINARY, range(1, 40, 2), ells, 600, weight_selector=chi5)
+    assert calls == Counter({d: len(ells) for d in range(1, 601)})
+
+
 # --- predictions ------------------------------------------------------------
 
 
@@ -501,6 +575,28 @@ def test_predicted_hits_validation():
         predicted_hits([2], [7])
     with pytest.raises(ValueError):
         predicted_hits([3], [4])
+
+
+def test_predicted_hits_overpartition_rule():
+    hits = predicted_hits([1, 3, 5, 7, 13], [5, 7, 13], ensemble=OVERPARTITION)
+    # r = 0 exactly when m = 1 (mod ell - 1), and no nonzero class
+    assert hits == {(1, 5, 0), (5, 5, 0), (13, 5, 0), (1, 7, 0), (7, 7, 0), (13, 7, 0), (1, 13, 0), (13, 13, 0)}
+    ms, ells = range(1, 60, 2), [5, 7, 11, 13]
+    assert predicted_hits(ms, ells, ensemble=ORDINARY) == predicted_hits(ms, ells)
+    assert predicted_hits(ms, ells, ensemble=OVERPARTITION) < predicted_hits(ms, ells)
+
+
+@pytest.mark.parametrize("ensemble", [PLANE_PARTITION, THETA, coloured_ensemble(3)], ids=lambda e: e.name)
+def test_predicted_hits_refuses_ensembles_without_a_rule(ensemble):
+    with pytest.raises(ValueError):
+        predicted_hits([1], [5], ensemble=ensemble)
+
+
+def test_scan_overpartition_equals_prediction():
+    ms = range(1, 100, 2)
+    report = scan(OVERPARTITION, ms, DESK_ELLS, 2000)
+    assert not report.nonzero_class()
+    assert report.triples() == predicted_hits(ms, DESK_ELLS, ensemble=OVERPARTITION)
 
 
 def test_scan_equals_predictions_medium_window():
@@ -542,6 +638,18 @@ def test_pool_size_clamps_to_tasks_and_cpus():
     assert _pool_size(1, 10**6) == 1
     assert _pool_size(10**6, 10**6) == cpus
     assert _pool_size(2, 1150) == min(2, cpus)
+
+
+def test_pool_size_clamps_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _pool_size(2, 1150) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _pool_size(2, 1150) == 2
+    assert _pool_size(10**6, 10**6) == 3
+    # where the platform has no affinity call, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _pool_size(10**6, 10**6) == 8
 
 
 def test_record_json_fields():

@@ -17,6 +17,7 @@ from freqmoments.divisorweights import (
     sigma_table,
     weighted_sigma_table,
 )
+from freqmoments.divisorweights import _divisor_sums_mod, _powers_mod, _weight_terms_mod, _weight_values_mod
 from freqmoments.qseries import CoefficientRing, ORDINARY, overpartition, plane_partition, theta
 
 Z = CoefficientRing.exact_integers()
@@ -86,6 +87,25 @@ def test_weighted_sigma_mod_matches_exact_reduction(selector, modulus, n):
         exact = weighted_sigma_table(weight, n, Z)
         modular = weighted_sigma_table(weight, n, CoefficientRing.integers_mod(modulus))
         assert modular.coeffs == tuple(v % modulus for v in exact.coeffs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 361])
+@pytest.mark.parametrize("modulus", [5, 12, 97, 2**31 - 1])
+@pytest.mark.parametrize(
+    "selector",
+    [None, overpartition(), plane_partition(), DirichletCharacterSpec.kronecker(5)],
+    ids=["plain", "overpartition", "plane-partition", "chi5"],
+)
+def test_sigma_block_rows_equal_the_one_exponent_tables(selector, modulus, n):
+    exponents = [0, 1, 3, 11, 97]
+    w = _weight_values_mod(DivisorWeight(1, selector), n, modulus)
+    block = _divisor_sums_mod(_weight_terms_mod(exponents, w, n, modulus), modulus)
+    assert block.shape == (len(exponents), n + 1)
+    ring = CoefficientRing.integers_mod(modulus)
+    for e, row in zip(exponents, block):
+        assert tuple(row.tolist()) == weighted_sigma_table(DivisorWeight(e, selector), n, ring).coeffs
+    powers = _powers_mod(exponents, min(modulus, n + 1), modulus)
+    assert powers.tolist() == [[pow(r, e, modulus) for r in range(min(modulus, n + 1))] for e in exponents]
 
 
 def test_weighted_sigma_beyond_int64_guard_is_exact():

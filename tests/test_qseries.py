@@ -665,6 +665,60 @@ def test_fft_tier_property(data):
     assert out.tolist() == kronecker_convolution(a, b, modulus)
 
 
+# --- batched rows -------------------------------------------------------------
+
+
+def expected_tier(length: int, modulus: int) -> str:
+    if length >= FFT_MIN_TERMS and fits_fft(length, length, modulus):
+        return "fft"
+    if fits_float64(length, modulus) and length <= FLOAT64_DIRECT_MAX_TERMS:
+        return "float64"
+    return "int64" if fits_int64(length, modulus) else "python"
+
+
+def block_rows(length: int, modulus: int, count: int) -> np.ndarray:
+    """count rows of residues: all modulus - 1, then mixed powers."""
+    rows = [[modulus - 1] * length]
+    rows += [[(7 * i + 3 + k) ** 5 % modulus for i in range(length)] for k in range(1, count)]
+    return np.array(rows, dtype=np.int64)
+
+
+BATCH_CASES = []
+for _length in (100, 511, 512, 2001, 2**15 + 1):
+    _top = largest_fft_modulus(_length, _length)
+    for _modulus in (2, 97, _top, _top + 1, 2**31 - 1, 2**61 - 1):
+        _tier = expected_tier(_length, _modulus)
+        # the Python-integer tier is quadratic in interpreted code, and the
+        # int64 tier at 2**15 + 1 terms takes about a second a row
+        if _tier == "python" and _length > FFT_MIN_TERMS:
+            continue
+        BATCH_CASES.append((_length, _modulus, _tier, 2 if _length > 10**4 else 3))
+
+
+@pytest.mark.parametrize("length,modulus,tier,rows", BATCH_CASES)
+def test_block_convolution_equals_row_by_row_calls(monkeypatch, length, modulus, tier, rows):
+    a = block_rows(length, modulus, rows)
+    b = [(11 * i + 5) ** 3 % modulus for i in range(length)][::-1]
+    out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus)
+    # one transform for the whole block, or one direct product per row
+    assert ran == (["fft"] if tier == "fft" else [] if tier == "python" else [tier] * rows)
+    assert out.shape == (rows, length)
+    for row, got in zip(a, out):
+        want = _convolve_mod(row, b, modulus)
+        assert got.dtype == want.dtype == (object if tier == "python" else np.int64)
+        assert got.tolist() == want.tolist()
+
+
+def test_block_convolution_falls_back_row_by_row_and_stays_exact(monkeypatch):
+    length, modulus = 4096, 97
+    a = block_rows(length, modulus, 3)
+    b = [modulus - 1] * length
+    out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus, perturb=0.3)
+    assert ran == ["fft", "float64", "float64", "float64"]
+    for row, got in zip(a, out):
+        assert got.tolist() == kronecker_convolution(row.tolist(), b, modulus)
+
+
 # --- Newton-inverted companion ------------------------------------------------
 
 ETA24 = ExponentSequence("eta-power(24)", 1, (-24,))

@@ -35,14 +35,11 @@ from .divisorweights import (
     GlaisherFilter,
     expand_residue_filter,
     filter_modular_data,
-    quadratic_residue_weight,
     sigma_table,
     weighted_sigma_table,
 )
 from .moments import (
     FrequencyTable,
-    MomentSeries,
-    coloured_moments,
     ensemble_moments,
     fermat_reduce,
     ford_recursion_check,
@@ -64,7 +61,6 @@ from .qseries import (
     partition_counts,
     r2_coefficients,
     series_inverse,
-    series_multiply,
     tau_coefficients,
 )
 

@@ -31,7 +31,7 @@ from .divisorweights import (
 )
 # master_transform stays importable here: perfbench/tracing.py wraps
 # congruence.master_transform by name
-from .moments import MomentSeries, fermat_reduce, master_transform  # noqa: F401
+from .moments import fermat_reduce, master_transform  # noqa: F401
 from .qseries import (
     CoefficientRing,
     Ensemble,
@@ -87,14 +87,14 @@ class Progression:
             raise ValueError(f"residue r={self.r} out of range for ell={self.ell}")
 
 
-def project(moments: MomentSeries, prog: Progression) -> Series:
+def project(moments: Series, prog: Progression) -> Series:
     """The subsequence M(ell*n + r) for 0 <= n <= floor((N - r)/ell).
 
     Residues r >= ell are rejected by Progression itself.
     """
     if moments.n_max < prog.r:
         raise ValueError("series too short to contain the residue class")
-    return Series(moments.ring, moments.values.coeffs[prog.r :: prog.ell])
+    return Series(moments.ring, moments.coeffs[prog.r :: prog.ell])
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,18 @@ def certify(
     character or filter weight takes L = lcm(ell, conductor) (natural) or
     its square (safe), where the conductor is the character's level factor
     or the filter's level over 4.  The record stores 4L, so the rule is
-    auditable.
+    auditable.  An ensemble whose exponent rule carries the factor r (plane
+    partitions) is not modular and raises ValueError.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
         raise ValueError("modulus must be prime")
+    if ensemble.exponents.power_factor:
+        raise ValueError(
+            f"the {ensemble.name} exponent rule carries the factor r, so its "
+            "product is not an eta-quotient and no Sturm bound applies"
+        )
     if weight is None:
         weight = DivisorWeight(m, ensemble.exponents)
     elif weight.exponent != m:
@@ -339,6 +345,18 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, cpus))
 
 
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], in task order, on _pool_size(jobs,
+    len(tasks)) worker processes, or in this process when that is 1."""
+    workers = _pool_size(jobs, len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 # A scan block holds at most max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes
 # at FFT size S, which bounds the FFT tier's workspace for the block.
 _SCAN_BLOCK_COEFFS = 1 << 16
@@ -429,14 +447,7 @@ def scan(
         raise ResourceLimitError("scan divisor sums of n_scan residues would overflow int64")
     # one task per ell, largest first: it has the most Fermat classes
     tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
-    workers = _pool_size(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_task, tasks))
-    else:
-        results = [_scan_task(t) for t in tasks]
+    results = _map_tasks(_scan_task, tasks, jobs)
     grouped: dict[tuple[int, int], list[int]] = {}
     for m, ell, residues in (row for rows in results for row in rows):
         for r in residues:
@@ -460,13 +471,7 @@ def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
     weight appended.  Results come back in task order regardless of jobs.
     """
     normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
-    workers = _pool_size(jobs, len(normalized))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_certify_task, normalized))
-    return [_certify_task(t) for t in normalized]
+    return _map_tasks(_certify_task, normalized, jobs)
 
 
 def _certify_task(task) -> CertificationRecord:

@@ -29,7 +29,6 @@ __all__ = [
     "expand_residue_filter",
     "filter_modular_data",
     "legendre_character",
-    "quadratic_residue_weight",
     "sigma_from_weight_function",
     "sigma_table",
     "weighted_sigma_table",
@@ -372,17 +371,6 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     return _build_sigma(f, n, ring)
-
-
-def quadratic_residue_weight(p: int, exponent: int) -> DivisorWeight:
-    """The 0/1 indicator weight of quadratic residues coprime to p.
-
-    Numerically equal to the half-sum of the principal and quadratic
-    character twists mod p, which is the tested dictionary property.
-    """
-    if p == 2:
-        raise ValueError("quadratic residue weight needs an odd prime")
-    return DivisorWeight(exponent, GlaisherFilter.quadratic_residues(p))
 
 
 # ---------------------------------------------------------------------------

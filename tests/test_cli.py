@@ -132,6 +132,16 @@ def test_scan_usage_error_without_weights():
         main(["scan", "--ell", "7"])
 
 
+def test_certify_plane_partition_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--ensemble", "plane-partition", "--m", "1", "--ell", "5",
+              "--r", "0", "--prime", "5"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "factor r" in captured.err
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as info:
         main(["certify", "--m", "3", "--ell", "6", "--r", "1", "--prime", "5"])

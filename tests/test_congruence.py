@@ -12,6 +12,7 @@ from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
+    _map_tasks,
     _pool_size,
     _projected_moment_values,
     certify,
@@ -180,7 +181,7 @@ def test_projected_values_exact_in_every_dot_tier(modulus):
     comp = companion_series(ORDINARY, n, ring)
     count = (n - r) // ell + 1
     got = list(_projected_moment_values(sigma, comp, ell, r, count))
-    exact = ensemble_moments(ORDINARY, 3, n, Z).values
+    exact = ensemble_moments(ORDINARY, 3, n, Z)
     assert got == [exact[ell * k + r] % modulus for k in range(count)]
 
 
@@ -189,7 +190,7 @@ def test_projected_values_exact_in_every_dot_tier(modulus):
 
 @pytest.fixture(scope="module")
 def exact_third_moments():
-    return ensemble_moments(ORDINARY, 3, 1100, Z).values
+    return ensemble_moments(ORDINARY, 3, 1100, Z)
 
 
 # (7, 3): a modulus other than ell; 2**61 - 1: Python-integer products.
@@ -307,6 +308,15 @@ def test_scan_refuses_divisor_sums_past_int64():
 def test_certify_resource_budget():
     with pytest.raises(ResourceLimitError):
         certify(ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE, max_coeffs=100)
+
+
+def test_certify_refuses_an_exponent_rule_with_the_factor_r():
+    # MacMahon's plane-partition product is not an eta-quotient, so no Sturm
+    # bound backs a PASS; m = 1 at ell = 5 would otherwise print one
+    with pytest.raises(ValueError, match="factor r"):
+        certify(PLANE_PARTITION, 1, Progression(5, 0), 5, SHARP_SAFE)
+    with pytest.raises(ValueError, match="factor r"):
+        certify_batch([(PLANE_PARTITION, 1, Progression(5, 0), 5, SHARP_SAFE)])
 
 
 def test_zero_class_first_moment_all_self_ensembles():
@@ -447,7 +457,7 @@ def scan_reference(ensemble, selector, n_scan, include_r0, ms=GRID_MS, ells=GRID
         ring = CoefficientRing.integers_mod(ell)
         for m in ms:
             weight = DivisorWeight(m, ensemble.exponents if selector is None else selector)
-            values = ensemble_moments(ensemble, m, n_scan, ring, weight=weight).values
+            values = ensemble_moments(ensemble, m, n_scan, ring, weight=weight)
             for r in range(0 if include_r0 else 1, ell):
                 if all(values[t] == 0 for t in range(r or ell, n_scan + 1, ell)):
                     hits.setdefault((ell, r), []).append(m)
@@ -650,6 +660,15 @@ def test_pool_size_clamps_to_the_cpus_this_process_may_run_on(monkeypatch):
     # where the platform has no affinity call, every CPU counts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _pool_size(10**6, 10**6) == 8
+
+
+def test_map_tasks_returns_results_in_task_order(monkeypatch):
+    tasks = list(range(7, 0, -1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # abs is picklable, so jobs=2 runs a real two-worker pool
+    assert _map_tasks(abs, [-t for t in tasks], 1) == tasks
+    assert _map_tasks(abs, [-t for t in tasks], 2) == tasks
+    assert _map_tasks(abs, [], 2) == []
 
 
 def test_record_json_fields():

@@ -12,7 +12,6 @@ from freqmoments.divisorweights import (
     expand_residue_filter,
     filter_modular_data,
     legendre_character,
-    quadratic_residue_weight,
     sigma_from_weight_function,
     sigma_table,
     weighted_sigma_table,
@@ -211,6 +210,9 @@ def test_filter_weights():
     assert GlaisherFilter.residue_class(1, 4).weight(9) == 1
     assert GlaisherFilter.exclude_multiples_of(3).weight(9) == 0
     assert GlaisherFilter.kronecker_weight(-4).weight(3) == -1
+    qr5 = GlaisherFilter.quadratic_residues(5)
+    assert [d for d in (1, 2, 3, 6) if qr5.weight(d) == 1] == [1, 6]  # 1 and 6 are 1 mod 5
+    assert GlaisherFilter.quadratic_residues(3).weight(3) == 0
 
 
 def test_filter_validation():
@@ -224,16 +226,6 @@ def test_filter_validation():
         GlaisherFilter("all", (1,))
 
 
-def test_quadratic_residue_weight_examples():
-    qr5 = quadratic_residue_weight(5, 0)
-    selected = [d for d in divisors(6) if qr5.weight_of(d) == 1]
-    assert selected == [1, 6]  # 1 and 6 are 1 mod 5
-    qr3 = quadratic_residue_weight(3, 0)
-    assert qr3.weight_of(3) == 0
-    with pytest.raises(ValueError):
-        quadratic_residue_weight(2, 0)
-
-
 def test_quadratic_residue_half_sum_instance():
     # (sigma_3(6; chi0) + sigma_3(6; chi5)) / 2 = 217 = 1^3 + 6^3
     principal = weighted_sigma_table(
@@ -241,7 +233,7 @@ def test_quadratic_residue_half_sum_instance():
     )
     twisted = weighted_sigma_table(DivisorWeight(3, DirichletCharacterSpec.kronecker(5)), 6, Z)
     assert principal[6] + twisted[6] == 2 * 217
-    indicator = weighted_sigma_table(quadratic_residue_weight(5, 3), 6, Z)
+    indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.quadratic_residues(5)), 6, Z)
     assert indicator[6] == 217
 
 
@@ -254,7 +246,7 @@ def test_twist_linearity_dictionary(p):
             DivisorWeight(s, DirichletCharacterSpec.principal(p)), n_max, Z
         )
         twisted = weighted_sigma_table(DivisorWeight(s, legendre_character(p)), n_max, Z)
-        indicator = weighted_sigma_table(quadratic_residue_weight(p, s), n_max, Z)
+        indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter.quadratic_residues(p)), n_max, Z)
         for n in range(1, n_max + 1):
             assert principal[n] + twisted[n] == 2 * indicator[n]
 

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from freqmoments.qseries import (
     CoefficientRing,
     ExponentSequence,
-    RingMismatchError,
     Series,
     companion_series,
     coloured,
@@ -26,7 +25,6 @@ from freqmoments.qseries import (
     plane_partition,
     r2_coefficients,
     series_inverse,
-    series_multiply,
     tau_coefficients,
     theta,
     ORDINARY,
@@ -34,7 +32,7 @@ from freqmoments.qseries import (
     THETA,
 )
 from freqmoments import qseries
-from freqmoments.qseries import _block_size, _euler_product_factor_passes  # reference algorithm
+from freqmoments.qseries import _euler_product_factor_passes  # reference algorithm
 from freqmoments.qseries import _convolve_mod, fits_fft, fits_float64, fits_int64
 from freqmoments.qseries import FFT_MIN_TERMS, FLOAT64_DIRECT_MAX_TERMS
 
@@ -284,8 +282,7 @@ def test_eta_power_minus_one_is_partitions():
 def test_eta_power_inverse_pair():
     eta = eta_power_coefficients(1, 50, Z)
     p = partition_counts(50, Z)
-    product = series_multiply(eta, p)
-    assert product.coeffs == (1,) + (0,) * 50
+    assert slow_poly_mult(list(eta.coeffs), list(p.coeffs), 50) == [1] + [0] * 50
 
 
 def test_tau_values():
@@ -322,34 +319,6 @@ def test_companion_series_dispatch():
 # --- series arithmetic ------------------------------------------------------
 
 
-def test_multiply_by_one_is_identity():
-    a = make_series(Z, [3, 1, 4, 1, 5])
-    one = make_series(Z, [1, 0, 0, 0, 0])
-    assert series_multiply(a, one).coeffs == a.coeffs
-
-
-def test_multiply_matches_slow_oracle():
-    a = make_series(Z, [2, -1, 3, 0, 7])
-    b = make_series(Z, [1, 5, -2, 4, -6])
-    got = series_multiply(a, b)
-    assert list(got.coeffs) == slow_poly_mult(list(a.coeffs), list(b.coeffs), 4)
-
-
-def test_multiply_mod_ring():
-    mod7 = CoefficientRing.integers_mod(7)
-    a = make_series(mod7, [2, 6, 3])
-    b = make_series(mod7, [5, 1, 4])
-    want = [v % 7 for v in slow_poly_mult([2, 6, 3], [5, 1, 4], 2)]
-    assert list(series_multiply(a, b).coeffs) == want
-
-
-def test_multiply_rejects_mismatches():
-    with pytest.raises(RingMismatchError):
-        series_multiply(make_series(Z, [1, 2]), make_series(Q, [1, 2]))
-    with pytest.raises(RingMismatchError):
-        series_multiply(make_series(Z, [1, 2]), make_series(Z, [1, 2, 3]))
-
-
 def test_inverse_geometric_series():
     a = make_series(Z, [1, -1, 0, 0])
     assert series_inverse(a).coeffs == (1, 1, 1, 1)
@@ -358,7 +327,7 @@ def test_inverse_geometric_series():
 def test_inverse_round_trip_rational():
     a = make_series(Q, [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(1)])
     inv = series_inverse(a)
-    assert series_multiply(a, inv).coeffs == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert slow_poly_mult(list(a.coeffs), list(inv.coeffs), 3) == [1, 0, 0, 0]
 
 
 def test_inverse_rejects_non_unit_constant():
@@ -388,10 +357,14 @@ def test_coloured_ensemble_large_truncation_consistency():
     assert list(got.coeffs) == [v % 11 for v in want]
 
 
-# --- blocked Z/N kernel -----------------------------------------------------
+# --- Z/N products at small n -------------------------------------------------
+# These sizes and moduli once ran a blocked int64 kernel, and the tests keep
+# its name.  Now 11, 691 and 12 take Newton inversion on the direct tiers,
+# and 2**28 - 1 and 2**28 + 3 lie past the FFT guard and take the scalar
+# recurrence.
 
-K = _block_size(0)  # 128, the block length for every n below ~2000
-ABOVE_INT64_GUARD = 2**28 + 3  # K * (N - 1)**2 >= 2**63
+K = 128
+PAST_FFT_GUARD = 2**28 + 3
 
 
 def exact_reduced(series: Series, modulus: int) -> tuple:
@@ -400,10 +373,9 @@ def exact_reduced(series: Series, modulus: int) -> tuple:
 
 @pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
 @pytest.mark.parametrize("rule", [ordinary(), overpartition(), coloured(3)], ids=lambda r: r.name)
-# 12 is composite; 2**28 - 1 is odd and just inside the int64 guard at K = 128
+# 12 is composite; 2**28 - 1 is odd and past the FFT guard
 @pytest.mark.parametrize("modulus", [11, 691, 12, 2**28 - 1])
 def test_blocked_kernel_matches_exact_path(rule, n, modulus):
-    assert _block_size(n) == K
     got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
     assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
 
@@ -416,35 +388,17 @@ def test_blocked_kernel_eta24_mod_691(n):
     assert got.coeffs == exact_reduced(eta_power_coefficients(24, n, Z), 691)
 
 
-def test_blocked_kernel_is_taken_below_int64_guard(monkeypatch):
-    calls = []
-    original = qseries._divide_by_sparse_blocked
-    monkeypatch.setattr(
-        qseries, "_divide_by_sparse_blocked", lambda *a: calls.append(a[3]) or original(*a)
-    )
-    euler_product_coefficients(overpartition(), 3 * K, CoefficientRing.integers_mod(97))
-    assert calls == [K, K]  # two divisions by (q;q)_inf
-
-
 def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
     def refuse(*args):
-        raise AssertionError("blocked kernel used beyond its int64 guard")
+        raise AssertionError("Newton path used beyond the FFT guard")
 
-    monkeypatch.setattr(qseries, "_divide_by_sparse_blocked", refuse)
+    monkeypatch.setattr(qseries, "_pentagonal_product", refuse)
+    monkeypatch.setattr(qseries, "_newton_inverse", refuse)
     monkeypatch.setattr(qseries, "_multiply_by_sparse_shifted", refuse)
-    ring = CoefficientRing.integers_mod(ABOVE_INT64_GUARD)
+    ring = CoefficientRing.integers_mod(PAST_FFT_GUARD)
     for rule in (ordinary(), overpartition()):
         got = euler_product_coefficients(rule, K + 1, ring)
-        assert got.coeffs == exact_reduced(euler_product_coefficients(rule, K + 1, Z), ABOVE_INT64_GUARD)
-
-
-def test_multiply_beyond_int64_guard_is_exact():
-    modulus = 2**61 - 1
-    ring = CoefficientRing.integers_mod(modulus)
-    a = make_series(ring, [modulus - 1, modulus - 2, 3])
-    b = make_series(ring, [modulus - 5, 7, modulus - 1])
-    want = [v % modulus for v in slow_poly_mult(list(a.coeffs), list(b.coeffs), 2)]
-    assert list(series_multiply(a, b).coeffs) == want
+        assert got.coeffs == exact_reduced(euler_product_coefficients(rule, K + 1, Z), PAST_FFT_GUARD)
 
 
 @settings(deadline=None, max_examples=30)
@@ -736,19 +690,21 @@ def exact_mod(rule: ExponentSequence, n: int, modulus: int) -> tuple:
     return tuple(v % modulus for v in _EXACT_PREFIXES[rule.name][: n + 1])
 
 
-def grouped_with_path(patch, rule, n, modulus, *, newton_allowed=True):
-    """The product mod modulus and the paths that built it: "newton" when
-    the Newton path ran, "blocked" when the sparse passes did.  With
-    newton_allowed False, FFT_MIN_TERMS is raised out of reach, so the
-    blocked kernel runs at this very length and modulus."""
+def grouped_with_path(patch, rule, n, modulus):
+    """The product mod modulus and the branch that built it: "newton" when
+    the pentagonal product was inverted or expanded densely, "scalar" when
+    the scalar recurrence ran."""
     ran = []
-    pentagonal_product, block_size = qseries._pentagonal_product, qseries._block_size
-    if not newton_allowed:
-        patch.setattr(qseries, "FFT_MIN_TERMS", 2**62)
-    patch.setattr(qseries, "_pentagonal_product", lambda *a: ran.append("newton") or pentagonal_product(*a))
-    patch.setattr(qseries, "_block_size", lambda n: ran.append("blocked") or block_size(n))
+    pentagonal_product = qseries._pentagonal_product
+    patch.setattr(qseries, "_pentagonal_product", lambda *a: ran.append(1) or pentagonal_product(*a))
     out = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus)).coeffs
-    return out, ran
+    return out, "newton" if ran else "scalar"
+
+
+def newton_top_modulus(length: int) -> int:
+    """The largest modulus that takes the Newton branch at this length."""
+    top = max(length, FFT_MIN_TERMS)
+    return largest_fft_modulus(top, top)
 
 
 # lengths n + 1 at and around FFT_MIN_TERMS and powers of two; 1500 has a
@@ -759,28 +715,27 @@ NEWTON_LENGTHS = [511, 512, 513, 1023, 1024, 1025, 1500, 2047, 2049]
 @pytest.mark.parametrize("length", NEWTON_LENGTHS)
 @pytest.mark.parametrize("rule", NEWTON_RULES, ids=lambda r: r.name)
 def test_newton_path_matches_blocked_kernel_and_python_recurrence(monkeypatch, rule, length):
+    # the Z recurrence reduced is the reference for every branch
     n = length - 1
     for modulus in (2, 3, 11, 97, 691):
-        want = exact_mod(rule, n, modulus)
         with monkeypatch.context() as patch:
-            got, ran = grouped_with_path(patch, rule, n, modulus)
-        assert ran == (["newton"] if length >= FFT_MIN_TERMS else ["blocked"])
-        assert got == want
-        with monkeypatch.context() as patch:
-            blocked, ran = grouped_with_path(patch, rule, n, modulus, newton_allowed=False)
-        assert ran == ["blocked"]
-        assert blocked == want
-
-
-@pytest.mark.parametrize("rule", NEWTON_RULES, ids=lambda r: r.name)
-def test_modulus_past_fits_fft_takes_the_blocked_kernel(monkeypatch, rule):
-    n = 1500
-    top = largest_fft_modulus(n + 1, n + 1)
-    for modulus, path in ((top, "newton"), (top + 1, "blocked")):
-        with monkeypatch.context() as patch:
-            got, ran = grouped_with_path(patch, rule, n, modulus)
-        assert ran == [path]
+            got, path = grouped_with_path(patch, rule, n, modulus)
+        assert path == "newton"
         assert got == exact_mod(rule, n, modulus)
+
+
+@pytest.mark.parametrize("length", [1, 511, 512, 1500])
+@pytest.mark.parametrize("rule", NEWTON_RULES, ids=lambda r: r.name)
+def test_modulus_past_fits_fft_takes_the_scalar_recurrence(monkeypatch, rule, length):
+    top = newton_top_modulus(length)
+    if length <= FFT_MIN_TERMS:
+        # the guard at FFT_MIN_TERMS, which _pentagonal_product's int32 relies on
+        assert top == 113_849
+    for modulus, want_path in ((top, "newton"), (top + 1, "scalar")):
+        with monkeypatch.context() as patch:
+            got, path = grouped_with_path(patch, rule, length - 1, modulus)
+        assert path == want_path
+        assert got == exact_mod(rule, length - 1, modulus)
 
 
 def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch):
@@ -803,18 +758,19 @@ def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch)
 @given(st.data())
 def test_newton_path_property(data):
     # lengths on both sides of FFT_MIN_TERMS, moduli on both sides of the
-    # guard at the top length
+    # guard at the top length; the scalar recurrence past the guard is
+    # interpreted Python, so its lengths stop at 701
     rule = data.draw(st.sampled_from(NEWTON_RULES))
-    n = data.draw(st.integers(min_value=0, max_value=NEWTON_MAX_N))
-    top = largest_fft_modulus(n + 1, n + 1)
     below = data.draw(st.booleans())
+    n = data.draw(st.integers(min_value=0, max_value=NEWTON_MAX_N if below else 700))
+    top = newton_top_modulus(n + 1)
     modulus = data.draw(
         st.integers(min_value=2, max_value=top) if below
         else st.integers(min_value=top + 1, max_value=4 * top)
     )
     with pytest.MonkeyPatch.context() as patch:
-        got, ran = grouped_with_path(patch, rule, n, modulus)
-    assert ran == (["newton"] if below and n + 1 >= FFT_MIN_TERMS else ["blocked"])
+        got, path = grouped_with_path(patch, rule, n, modulus)
+    assert path == ("newton" if below else "scalar")
     assert got == exact_mod(rule, n, modulus)
 
 

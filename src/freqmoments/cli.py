@@ -9,8 +9,17 @@ only the report payload; progress goes to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+
+# When numpy loads, OpenBLAS starts one spinning thread per CPU.  The program
+# makes no threaded BLAS call (its only BLAS use is np.convolve dots of at
+# most 10^4 terms), so unless the user chose a count it gets one thread.
+# This has to run before the imports below load numpy.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .arith import CONSERVATIVE12, SHARP24, SturmConfig, primes_up_to
 from .congruence import (
@@ -540,5 +549,13 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError("parser.error exits")
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Process entry point: main(), then freeze the heap so that interpreter
+    shutdown does not collect the objects the imports created."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -235,7 +235,11 @@ def certify(
     its square (safe), where the conductor is the character's level factor
     or the filter's level over 4.  The record stores 4L, so the rule is
     auditable.  An ensemble whose exponent rule carries the factor r (plane
-    partitions) is not modular and raises ValueError.
+    partitions) is not modular and raises ValueError.  So do a constant
+    exponent c(r) = k other than 1 (k-coloured partitions for k >= 2, whose
+    moments have weight m + 1 - k/2, not m + 1/2) and a filter whose
+    character is unspecified (the even-divisor filter): no bound here backs
+    a PASS for them.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
@@ -246,10 +250,24 @@ def certify(
             f"the {ensemble.name} exponent rule carries the factor r, so its "
             "product is not an eta-quotient and no Sturm bound applies"
         )
+    rule = ensemble.exponents
+    if rule.period == 1 and rule.values != (1,):
+        raise ValueError(
+            f"the {ensemble.name} moments have weight m + 1 - k/2 for c(r) = k, "
+            "not the m + 1/2 the Sturm bound assumes"
+        )
     if weight is None:
-        weight = DivisorWeight(m, ensemble.exponents)
+        weight = DivisorWeight(m, rule)
     elif weight.exponent != m:
         raise ValueError("weight exponent disagrees with m")
+    if (
+        isinstance(weight.selector, GlaisherFilter)
+        and filter_modular_data(weight.selector, m).character == "unspecified"
+    ):
+        raise ValueError(
+            f"filter {weight.selector.describe()} has no known character, "
+            "so no Sturm bound applies"
+        )
     level = _level(weight, prog.ell, config)
     bound = sturm_bound_for_level(m, config.mode, level)
     n_max = prog.ell * bound + prog.r

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import gc
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from freqmoments.cli import (
+    BLAS_THREAD_VARS,
     MEMORY_CAP_ENV,
     main,
     parse_weight_spec,
+    run,
 )
 from freqmoments.divisorweights import DirichletCharacterSpec, GlaisherFilter
 
@@ -140,6 +145,35 @@ def test_certify_plane_partition_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "factor r" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ensemble", "coloured(3)", "--m", "1", "--ell", "5", "--r", "0", "--prime", "5"],
+         "m + 1 - k/2"),
+        (["--weight", "m=3,filter=even", "--ell", "7", "--r", "0", "--prime", "7"],
+         "no known character"),
+    ],
+    ids=["coloured3", "even-filter"],
+)
+def test_certify_without_modular_data_exits_two(args, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", *args])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_certify_coloured_one_still_passes(capsys):
+    code, out = run_cli(
+        ["certify", "--ensemble", "coloured(1)", "--m", "1", "--ell", "5", "--r", "0",
+         "--prime", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert out.rstrip().endswith("PASS")
 
 
 def test_usage_error_exit_code_two():
@@ -290,3 +324,62 @@ def test_stdout_payload_identical_across_jobs():
         assert proc.returncode == 0
         runs[jobs] = proc.stdout
     assert runs["1"] == runs["4"]
+
+
+# --- process entry ----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PASS_ARGV = ["certify", "--m", "3", "--ell", "7", "--r", "5", "--prime", "7",
+             "--mode", "sharp24", "--level", "natural"]
+FAIL_ARGV = ["certify", "--m", "3", "--ell", "5", "--r", "1", "--prime", "5"]
+_BLAS_PROBE = (
+    "import json, os, sys, freqmoments.cli\n"
+    "threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+    "print(json.dumps([{v: os.environ.get(v) for v in freqmoments.cli.BLAS_THREAD_VARS}, threads]))"
+)
+
+
+def _import_cli_fresh(**blas_env: str) -> tuple[dict, int | None]:
+    """Import freqmoments.cli in a fresh interpreter whose only BLAS thread
+    variables are blas_env; return those variables after the import and the
+    process's thread count (None off Linux)."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    return tuple(json.loads(proc.stdout))
+
+
+def test_cli_import_defaults_to_one_blas_thread():
+    values, threads = _import_cli_fresh()
+    assert values == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                      "OMP_NUM_THREADS": None}
+    if sys.platform == "linux":
+        assert threads == 1
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_import_keeps_a_chosen_thread_count(name):
+    values, _ = _import_cli_fresh(**{name: "3"})
+    assert values == {v: "3" if v == name else None for v in BLAS_THREAD_VARS}
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_main_does_not_freeze_the_heap(capsys, unfreeze):
+    before = gc.get_freeze_count()
+    assert main(PASS_ARGV) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [(PASS_ARGV, 0), (FAIL_ARGV, 1)], ids=["pass", "fail"])
+def test_run_freezes_the_heap_and_returns_mains_code(argv, code, capsys, unfreeze):
+    before = gc.get_freeze_count()
+    assert run(argv) == code
+    assert gc.get_freeze_count() > before

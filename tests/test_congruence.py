@@ -319,6 +319,35 @@ def test_certify_refuses_an_exponent_rule_with_the_factor_r():
         certify_batch([(PLANE_PARTITION, 1, Progression(5, 0), 5, SHARP_SAFE)])
 
 
+@pytest.mark.parametrize("colours", [2, 3, 24])
+def test_certify_refuses_coloured_partitions(colours):
+    # (q;q)^-k moments have weight m + 1 - k/2, so the m + 1/2 bound backs
+    # no PASS; coloured(3) at m = 1, ell = 5 would otherwise print one
+    ensemble = coloured_ensemble(colours)
+    with pytest.raises(ValueError, match="m \\+ 1 - k/2"):
+        certify(ensemble, 1, Progression(5, 0), 5, SHARP_SAFE)
+    with pytest.raises(ValueError, match="m \\+ 1 - k/2"):
+        certify_batch([(ensemble, 1, Progression(5, 0), 5, SHARP_SAFE)])
+
+
+def test_certify_one_colour_is_ordinary():
+    one = certify(coloured_ensemble(1), 1, Progression(5, 0), 5, SHARP_SAFE)
+    ordinary = certify(ORDINARY, 1, Progression(5, 0), 5, SHARP_SAFE)
+    assert one.status == ordinary.status == "PASS"
+    assert one.max_index_checked == ordinary.max_index_checked
+
+
+def test_certify_refuses_the_even_filter():
+    # filter_modular_data records no character for the even-divisor filter
+    weight = DivisorWeight(3, GlaisherFilter.even_divisors())
+    with pytest.raises(ValueError, match="no known character"):
+        certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
+    with pytest.raises(ValueError, match="no known character"):
+        certify_filtered(weight, 3, Progression(7, 0), 7, SHARP_SAFE)
+    with pytest.raises(ValueError, match="no known character"):
+        certify_batch([(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight)])
+
+
 def test_zero_class_first_moment_all_self_ensembles():
     from freqmoments.arith import primes_up_to
     from freqmoments.qseries import PLANE_PARTITION, coloured_ensemble

@@ -154,10 +154,7 @@ def parse_weight_spec(spec: str) -> DivisorWeight:
 
 
 def _parse_int_list(values: list[str] | None) -> list[int]:
-    out: list[int] = []
-    for chunk in values or []:
-        out.extend(int(v) for v in chunk.split(",") if v.strip())
-    return out
+    return [int(v) for v in _parse_str_list(values)]
 
 
 def _emit(args, payload: str) -> None:
@@ -356,29 +353,23 @@ def _run_identities(args) -> int:
     unknown = set(checks) - set(_IDENTITY_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown identity check(s): {sorted(unknown)}")
-    lines = []
-    all_pass = True
+    run_check = {
+        "ford": ford_recursion_check,
+        "moebius": moebius_identity_check,
+        "m1": lambda n: first_moment_identity_check(ensemble_by_name(args.ensemble), n),
+        "fermat": fermat_congruence_check,
+        "tau691": tau_convolution_check,
+        "j": j_identity_check,
+    }
+    results = []
     for name in checks:
         depth = args.n if args.n is not None else _IDENTITY_DEFAULTS[name]
-        if name == "ford":
-            result = ford_recursion_check(depth)
-        elif name == "moebius":
-            if depth > ORACLE_GUARD:
-                raise ValueError(f"moebius check is oracle-bound at n <= {ORACLE_GUARD}")
-            result = moebius_identity_check(depth)
-        elif name == "m1":
-            result = first_moment_identity_check(ensemble_by_name(args.ensemble), depth)
-        elif name == "fermat":
-            result = fermat_congruence_check(depth)
-        elif name == "tau691":
-            result = tau_convolution_check(depth)
-        else:
-            result = j_identity_check(depth)
-        _progress(f"  {result.summary()}")
-        lines.append(result.summary())
-        all_pass = all_pass and result.passed
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if all_pass else 1
+        if name == "moebius" and depth > ORACLE_GUARD:
+            raise ValueError(f"moebius check is oracle-bound at n <= {ORACLE_GUARD}")
+        results.append(run_check[name](depth))
+        _progress(f"  {results[-1].summary()}")
+    _emit(args, "".join(f"{result.summary()}\n" for result in results))
+    return 0 if all(result.passed for result in results) else 1
 
 
 def _parse_str_list(values: list[str] | None) -> list[str]:

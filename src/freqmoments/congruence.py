@@ -37,6 +37,7 @@ from .qseries import (
     Ensemble,
     Series,
     _convolve_mod,
+    _indicator_decomposition,
     companion_series,
     ORDINARY,
     OVERPARTITION,
@@ -167,19 +168,15 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
                      + sum_{j > r} (sigma_j * comp_{ell+r-j})[n - 1]
 
     of ell truncated products of about count terms each, every one a
-    qseries._convolve_mod with its exactness.  Besides int64 copies of the
-    two series, each product needs memory O(count), not O(ell * count) as
+    qseries._convolve_mod with its exactness, run on strided views of the
+    two series.  Each product needs memory O(count), not O(ell * count) as
     one product over the whole series would.  sigma(0) = 0, so the d = 0
     term adds nothing and this is the transform.
     """
     modulus = sigma.ring.modulus
     assert modulus is not None
     top = ell * (count - 1) + r + 1
-    if modulus < 2**63:
-        sig = np.array(sigma.coeffs[:top], dtype=np.int64)
-        cmp = np.array(comp.coeffs[:top], dtype=np.int64)
-    else:
-        sig, cmp = sigma.coeffs[:top], comp.coeffs[:top]
+    sig, cmp = sigma.coeffs[:top], comp.coeffs[:top]
     # each product is reduced, so the sum of ell of them stays below ell * modulus
     total = np.zeros(count, dtype=np.int64 if ell * modulus < 2**63 else object)
     for j in range(ell):
@@ -191,26 +188,19 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
     yield from (total % modulus).tolist()
 
 
-def filtered_safe_level(ell: int, conductor: int, level_model: str) -> int:
-    """Level parameter L for a twisted certification: lcm(ell, conductor),
-    squared in the safe model.  Generalizes the single published instance
-    4 * 5^2 where conductor = ell = 5."""
-    base = lcm(ell, conductor)
-    return base * base if level_model == "safe" else base
-
-
 def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
-    """The L of Gamma0(4L) a certification of this weight runs at."""
+    """The L of Gamma0(4L) a certification of this weight runs at: L =
+    lcm(ell, conductor) (natural), its square (safe), or the custom L.  The
+    conductor is a character's level factor, a filter's level over 4, and 1
+    for plain and canonical weights."""
     sel = weight.selector
-    if config.level_model == "custom" or not isinstance(
-        sel, (DirichletCharacterSpec, GlaisherFilter)
-    ):
-        return config.resolve_level(ell)
     if isinstance(sel, DirichletCharacterSpec):
         conductor = sel.level_factor
-    else:
+    elif isinstance(sel, GlaisherFilter):
         conductor = filter_modular_data(sel, weight.exponent).level // 4
-    return filtered_safe_level(ell, conductor, config.level_model)
+    else:
+        conductor = 1
+    return config.resolve_level(lcm(ell, conductor))
 
 
 def certify(
@@ -228,34 +218,36 @@ def certify(
     congruence for all n >= 0; a FAIL refutes it with the first bad
     coefficient.
 
+    The weight comes from the exponent rule.  With the Euler product as its
+    own companion and c(r) a function of gcd(r, P), the product is the
+    eta-quotient prod_d (q^d; q^d)_inf^(-m_d) of weight -k/2, k = sum m_d,
+    and the moments have weight m + 1 - k/2.  Anything but k = 1 (ordinary
+    partitions, overpartitions, coloured(1)) raises ValueError: theta (its
+    companion r2 has weight 1), a rule not of that shape (plane partitions'
+    factor r), k != 1 (coloured(k), k >= 2), and a filter whose character
+    is unspecified (the even filter).  No bound here backs a PASS for them.
+
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
-    must equal m.  The level rule: a custom level model takes L as given;
-    plain and canonical weights take L = ell (natural) or ell^2 (safe); a
-    character or filter weight takes L = lcm(ell, conductor) (natural) or
-    its square (safe), where the conductor is the character's level factor
-    or the filter's level over 4.  The record stores 4L, so the rule is
-    auditable.  An ensemble whose exponent rule carries the factor r (plane
-    partitions) is not modular and raises ValueError.  So do a constant
-    exponent c(r) = k other than 1 (k-coloured partitions for k >= 2, whose
-    moments have weight m + 1 - k/2, not m + 1/2) and a filter whose
-    character is unspecified (the even-divisor filter): no bound here backs
-    a PASS for them.
+    must equal m.  The level L of Gamma0(4L) is _level's; the record stores
+    4L, so the rule is auditable.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
         raise ValueError("modulus must be prime")
-    if ensemble.exponents.power_factor:
-        raise ValueError(
-            f"the {ensemble.name} exponent rule carries the factor r, so its "
-            "product is not an eta-quotient and no Sturm bound applies"
-        )
     rule = ensemble.exponents
-    if rule.period == 1 and rule.values != (1,):
-        raise ValueError(
-            f"the {ensemble.name} moments have weight m + 1 - k/2 for c(r) = k, "
-            "not the m + 1/2 the Sturm bound assumes"
-        )
+    decomposition = _indicator_decomposition(rule)
+    if ensemble.companion != "self":
+        why = f"its companion is {ensemble.companion} = theta^2, of weight 1, not -1/2"
+    elif decomposition is None:
+        why = ("its exponent rule carries the factor r or is not a function of "
+               "gcd(r, period), so its product is not an eta-quotient")
+    elif sum(decomposition.values()) != 1:
+        why = f"its moments have weight m + 1 - k/2 with k = {sum(decomposition.values())}"
+    else:
+        why = None
+    if why:
+        raise ValueError(f"no Sturm bound applies to {ensemble.name}: {why}; the bound assumes weight m + 1/2")
     if weight is None:
         weight = DivisorWeight(m, rule)
     elif weight.exponent != m:
@@ -375,9 +367,11 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-# A scan block holds at most max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes
-# at FFT size S, which bounds the FFT tier's workspace for the block.
+# A scan block holds max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes at FFT
+# size S, which bounds its FFT workspace, but _SCAN_BLOCK_FLOOR from S = 2**16
+# on: one class a block there made nscan 20,000 about 40% slower.
 _SCAN_BLOCK_COEFFS = 1 << 16
+_SCAN_BLOCK_FLOOR = 4
 
 
 def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -396,12 +390,13 @@ def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
     are one _convolve_mod of the block against the companion: the guards of
     each tier hold per row, the FFT tier checks the 1/4 bound over the whole
     block, and a failed check sends every row through the lower tiers.  A
-    block holds at most max(1, _SCAN_BLOCK_COEFFS // S) classes at FFT size
-    S.  The residue check reads each block as (classes, rows, ell).
+    block holds max(1, _SCAN_BLOCK_COEFFS // S) classes at FFT size S, and at
+    least _SCAN_BLOCK_FLOOR from S = 2**16 on.  The residue check reads each
+    block as (classes, rows, ell).
     """
     ensemble, weight_selector, ms, ell, n_scan, include_r0 = args
     ring = CoefficientRing.integers_mod(ell)
-    comp = np.array(companion_series(ensemble, n_scan, ring).coeffs, dtype=np.int64)
+    comp = companion_series(ensemble, n_scan, ring).coeffs
     classes: dict[int, list[int]] = {}
     for m in ms:
         classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
@@ -410,7 +405,7 @@ def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
     w = _weight_values_mod(DivisorWeight(mbars[0], selector), n_scan, ell)
     rows = -(-(n_scan + 1) // ell)
     size = 1 << (2 * n_scan).bit_length()  # _convolve_mod's FFT size
-    per_block = max(1, _SCAN_BLOCK_COEFFS // size)
+    per_block = max(1, _SCAN_BLOCK_COEFFS // size, _SCAN_BLOCK_FLOOR if size >= 1 << 16 else 1)
     out = []
     for start in range(0, len(mbars), per_block):
         exponents = mbars[start : start + per_block]

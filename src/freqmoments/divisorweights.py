@@ -255,7 +255,7 @@ def _build_sigma(term_of_d, n: int, ring: CoefficientRing) -> Series:
         for k in range(d, n + 1, d):
             v = table[k] + t
             table[k] = v % modulus if modulus is not None else v
-    return Series(ring, tuple(table))
+    return Series(ring, table)
 
 
 def _tiled(values: np.ndarray, length: int) -> np.ndarray:
@@ -348,16 +348,11 @@ def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -
     if modulus is not None and fits_int64(1, modulus) and n * (modulus - 1) < 2**63:
         terms = _weight_terms_mod(m, _weight_values_mod(weight, n, modulus), n, modulus)
         table = _divisor_sums_mod(terms, modulus)
-        return Series(ring, tuple(table.tolist()))
+        return Series(ring, table)
 
-    if modulus is not None:
-        def term(d: int) -> int:
-            w = weight.weight_of(d)
-            return w * pow(d, m, modulus) if w else 0
-    else:
-        def term(d: int) -> int:
-            w = weight.weight_of(d)
-            return w * d**m if w else 0
+    def term(d: int) -> int:
+        w = weight.weight_of(d)
+        return w * pow(d, m, modulus) if w else 0  # pow(d, m, None) = d**m
 
     return _build_sigma(term, n, ring)
 

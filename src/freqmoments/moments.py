@@ -85,7 +85,7 @@ def master_transform(sigma: Series, companion: Series) -> Series:
     n = sigma.n_max
     modulus = ring.modulus
     if modulus is not None:
-        return Series(ring, tuple(_convolve_mod(sigma.coeffs, companion.coeffs, modulus).tolist()))
+        return Series(ring, _convolve_mod(sigma.coeffs, companion.coeffs, modulus))
     out = [ring.zero] * (n + 1)
     comp = companion.coeffs
     for d in range(1, n + 1):
@@ -94,7 +94,7 @@ def master_transform(sigma: Series, companion: Series) -> Series:
             continue
         for t in range(d, n + 1):
             out[t] += sd * comp[t - d]
-    return Series(ring, tuple(out))
+    return Series(ring, out)
 
 
 def ensemble_moments(
@@ -260,7 +260,6 @@ def fermat_congruence_check(
     ells: tuple[int, ...] = (5, 7, 11, 13),
 ) -> IdentityCheckResult:
     """M_m(n) = M_{fermat_reduce(m, ell)}(n) mod ell at coefficient level."""
-    checked = 0
     for ell in ells:
         ring = CoefficientRing.integers_mod(ell)
         p = partition_counts(n_max, ring)
@@ -268,12 +267,11 @@ def fermat_congruence_check(
             mbar = fermat_reduce(m, ell)
             lhs = master_transform(sigma_table(m, n_max, ring), p)
             rhs = master_transform(sigma_table(mbar, n_max, ring), p)
-            if lhs.coeffs != rhs.coeffs:
+            if lhs != rhs:
                 bad = next(n for n in range(n_max + 1) if lhs[n] != rhs[n])
                 return IdentityCheckResult(
                     "fermat", False, n_max, (m, ell, bad, lhs[bad], rhs[bad])
                 )
-            checked += 1
     return IdentityCheckResult("fermat", True, n_max)
 
 

@@ -123,23 +123,43 @@ class CoefficientRing:
         return "Z"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """Coefficient table a(0..n_max) in a fixed ring."""
+    """Coefficient table a(0..n_max) in a fixed ring.
+
+    Over Z/N, coeffs is a read-only 1-D array, int64 for N < 2**63 and Python
+    ints (object dtype) above; over Z and Q, a tuple.  The constructor puts
+    any sequence in that form, keeping an array of the right dtype (marked
+    read-only) rather than copying it, and reduces nothing.  Indexing gives
+    a Python int or Fraction.
+    """
 
     ring: CoefficientRing
-    coeffs: tuple
+    coeffs: tuple | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a series has at least the constant coefficient")
+        modulus = self.ring.modulus
+        if modulus is None:
+            coeffs = tuple(self.coeffs)
+        else:
+            coeffs = np.asarray(self.coeffs, dtype=np.int64 if modulus < 2**63 else object)
+            coeffs.flags.writeable = False
+        if getattr(coeffs, "ndim", 1) != 1 or not len(coeffs):
+            raise ValueError("a series is 1-D and has at least the constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.ring == other.ring and np.array_equal(self.coeffs, other.coeffs)
 
     @property
     def n_max(self) -> int:
         return len(self.coeffs) - 1
 
     def __getitem__(self, n: int):
-        return self.coeffs[n]
+        value = self.coeffs[n]
+        return int(value) if isinstance(value, np.integer) else value
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -152,8 +172,10 @@ class Series:
 
 
 def make_series(ring: CoefficientRing, values) -> Series:
-    """Build a Series, reducing every entry into the ring."""
-    return Series(ring, tuple(ring.reduce(v) for v in values))
+    """Build a Series from a sequence, reducing every entry into the ring."""
+    if ring.modulus is None:
+        return Series(ring, tuple(ring.reduce(v) for v in values))
+    return Series(ring, np.array(values, dtype=object) % ring.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +424,7 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     return coeffs
 
 
-def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> list:
+def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing):
     modulus = ring.modulus
     factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
     top = max(n + 1, FFT_MIN_TERMS)
@@ -411,11 +433,11 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
         denominator = [terms for terms, mult in factors for _ in range(mult)]
         numerator = [terms for terms, mult in factors for _ in range(-mult)]
         if not denominator:
-            return _pentagonal_product(numerator, n + 1, modulus).tolist()
+            return _pentagonal_product(numerator, n + 1, modulus)
         coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
         for terms in numerator:
             _multiply_by_sparse_shifted(coeffs, terms, modulus)
-        return coeffs.tolist()
+        return coeffs
     coeffs = [ring.zero] * (n + 1)
     coeffs[0] = ring.one
     for terms, mult in factors:
@@ -532,7 +554,7 @@ def euler_product_coefficients(
             coeffs = _euler_product_grouped(decomp, n, ring)
         else:
             coeffs = _euler_product_factor_passes(c, n, ring)
-    return Series(ring, tuple(coeffs))
+    return Series(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +572,7 @@ def eta_power_coefficients(k: int, n: int, ring: CoefficientRing) -> Series:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     if k == 0:
-        return Series(ring, tuple([ring.one] + [ring.zero] * n))
+        return Series(ring, [ring.one] + [ring.zero] * n)
     rule = ExponentSequence(f"eta-power({k})", 1, (-k,))
     return euler_product_coefficients(rule, n, ring)
 
@@ -559,8 +581,8 @@ def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
     """Ramanujan tau(1..n) read off q*(q;q)_inf^24, with a(0) = 0."""
     if n < 1:
         raise ValueError("need n >= 1 for tau")
-    eta24 = eta_power_coefficients(24, n - 1, ring)
-    return Series(ring, (ring.zero,) + eta24.coeffs)
+    eta24 = eta_power_coefficients(24, n - 1, ring).coeffs
+    return Series(ring, (ring.zero,) + eta24 if ring.modulus is None else np.concatenate(([0], eta24)))
 
 
 def r2_coefficients(n: int) -> Series:
@@ -572,15 +594,14 @@ def r2_coefficients(n: int) -> Series:
         rem = n - x * x
         for y in range(-isqrt(rem), isqrt(rem) + 1):
             counts[x * x + y * y] += 1
-    return Series(CoefficientRing.exact_integers(), tuple(counts))
+    return Series(CoefficientRing.exact_integers(), counts)
 
 
 def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow_large: bool = False) -> Series:
     """The companion coefficients b(0..n) for an ensemble, in the given ring."""
     if ensemble.companion == "self":
         return euler_product_coefficients(ensemble.exponents, n, ring, allow_large=allow_large)
-    r2 = r2_coefficients(n)
-    return make_series(ring, r2.coeffs)
+    return make_series(ring, r2_coefficients(n).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +773,7 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     workspace grows with rows times FFT size.
 
     Every tier is exact and returns values in [0, modulus); the first three
-    return int64.  Either result converts with .tolist().
+    return int64.
     """
     block = isinstance(a, np.ndarray) and a.ndim == 2
     n = a.shape[1] if block else len(a)
@@ -796,16 +817,15 @@ def series_inverse(a: Series) -> Series:
     O(N^2) recurrence.
     """
     ring = a.ring
-    if not ring.is_unit(a.coeffs[0]):
+    if not ring.is_unit(a[0]):
         raise ValueError(
-            f"constant term {a.coeffs[0]!r} is not a unit in {ring.describe()}; series not invertible"
+            f"constant term {a[0]!r} is not a unit in {ring.describe()}; series not invertible"
         )
     modulus = ring.modulus
     if modulus is not None:
-        coeffs = np.array(a.coeffs, dtype=np.int64 if modulus < 2**63 else object)
-        return Series(ring, tuple(_newton_inverse(coeffs, modulus).tolist()))
+        return Series(ring, _newton_inverse(a.coeffs, modulus))
     n = a.n_max
-    inv0 = ring.invert(a.coeffs[0])
+    inv0 = ring.invert(a[0])
     out = [ring.zero] * (n + 1)
     out[0] = inv0
     for i in range(1, n + 1):
@@ -815,7 +835,7 @@ def series_inverse(a: Series) -> Series:
             if aj != 0:
                 acc += aj * out[i - j]
         out[i] = -inv0 * acc
-    return Series(ring, tuple(out))
+    return Series(ring, out)
 
 
 def dump_series(series: Series, ensemble_name: str) -> str:

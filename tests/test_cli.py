@@ -154,8 +154,10 @@ def test_certify_plane_partition_exits_two(capsys):
          "m + 1 - k/2"),
         (["--weight", "m=3,filter=even", "--ell", "7", "--r", "0", "--prime", "7"],
          "no known character"),
+        (["--ensemble", "theta", "--m", "1", "--ell", "5", "--r", "0", "--prime", "5"],
+         "companion is r2"),
     ],
-    ids=["coloured3", "even-filter"],
+    ids=["coloured3", "even-filter", "theta"],
 )
 def test_certify_without_modular_data_exits_two(args, message, capsys):
     with pytest.raises(SystemExit) as info:
@@ -220,6 +222,45 @@ def test_identities_j(capsys):
     code, out = run_cli(["identities", "--check", "j", "--n", "40"], capsys)
     assert code == 0
     assert "j-decomposition: PASS" in out
+
+
+def test_identity_failures_report_python_ints(monkeypatch, capsys):
+    # a wrong tau(1) and a wrong sigma_7(1) make tau691 and fermat fail; the
+    # values they report are read off Z/N series, yet must print as ints
+    from freqmoments import moments
+    from freqmoments.qseries import make_series
+
+    tau, sigma = moments.tau_coefficients, moments.sigma_table
+
+    def bump_first(series):
+        return make_series(series.ring, [series[0], series[1] + 1, *series.coeffs[2:]])
+
+    monkeypatch.setattr(moments, "tau_coefficients", lambda n, ring: bump_first(tau(n, ring)))
+    monkeypatch.setattr(
+        moments, "sigma_table",
+        lambda m, n, ring: bump_first(sigma(m, n, ring)) if m == 7 else sigma(m, n, ring),
+    )
+    code, out = run_cli(
+        ["identities", "--check", "tau691,fermat", "--n", "60", "--format", "json"], capsys
+    )
+    assert code == 1
+    assert out == "tau691: FAIL at (1, 1, 2)\nfermat: FAIL at (7, 5, 1, 2, 1)\n"
+    for result in (moments.tau_convolution_check(60), moments.fermat_congruence_check(60)):
+        assert all(type(v) is int for v in result.first_failure)
+
+
+@pytest.mark.parametrize("prime", [5, 2**64 + 13], ids=["int64", "object"])
+def test_certify_json_holds_python_ints(prime, capsys):
+    code, out = run_cli(
+        ["certify", "--m", "3", "--ell", "5", "--r", "0", "--prime", str(prime),
+         "--mode", "sharp24", "--level", "natural", "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    [record] = json.loads(out)
+    witness = record["fail_witness"]
+    assert record["modulus"] == prime
+    assert all(type(witness[key]) is int for key in ("n", "t", "residue"))
 
 
 def test_identities_m1_overpartition(capsys):

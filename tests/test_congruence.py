@@ -12,13 +12,13 @@ from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
+    _level,
     _map_tasks,
     _pool_size,
     _projected_moment_values,
     certify,
     certify_batch,
     certify_filtered,
-    filtered_safe_level,
     predicted_hits,
     project,
     records_to_csv,
@@ -37,6 +37,8 @@ from freqmoments.divisorweights import (
 from freqmoments.moments import ensemble_moments
 from freqmoments.qseries import (
     CoefficientRing,
+    Ensemble,
+    ExponentSequence,
     ORDINARY,
     OVERPARTITION,
     PLANE_PARTITION,
@@ -45,6 +47,7 @@ from freqmoments.qseries import (
     companion_series,
     fits_float64,
     fits_int64,
+    make_series,
 )
 
 Z = CoefficientRing.exact_integers()
@@ -91,10 +94,11 @@ def test_project_m3_seven_example():
 
 def test_project_commutes_with_reduction():
     exact = ensemble_moments(ORDINARY, 3, 100, Z)
-    mod7 = ensemble_moments(ORDINARY, 3, 100, CoefficientRing.integers_mod(7))
+    ring = CoefficientRing.integers_mod(7)
+    mod7 = ensemble_moments(ORDINARY, 3, 100, ring)
     prog = Progression(7, 5)
-    reduced_then_projected = project(mod7, prog).coeffs
-    projected_then_reduced = tuple(v % 7 for v in project(exact, prog).coeffs)
+    reduced_then_projected = project(mod7, prog)
+    projected_then_reduced = make_series(ring, project(exact, prog).coeffs)
     assert reduced_then_projected == projected_then_reduced
 
 
@@ -330,6 +334,34 @@ def test_certify_refuses_coloured_partitions(colours):
         certify_batch([(ensemble, 1, Progression(5, 0), 5, SHARP_SAFE)])
 
 
+def test_certify_refuses_the_theta_companion():
+    # the companion r2 = theta^2 has weight 1, so the moments do not have
+    # weight m + 1/2; m = 1 at ell = 5 once ran at that bound, B = 45
+    with pytest.raises(ValueError, match="companion is r2"):
+        certify(THETA, 1, Progression(5, 0), 5, SturmConfig())
+    with pytest.raises(ValueError, match="companion is r2"):
+        certify_batch([(THETA, 1, Progression(5, 0), 5, SturmConfig())])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # c(r) = 1 for r = 1 (mod 4) only: not a function of gcd(r, 4)
+        ((0, 1, 0, 0), "not an eta-quotient"),
+        # partitions into odd parts, (q^2;q^2)/(q;q): an eta-quotient of weight 0
+        ((0, 1), "k = 0"),
+    ],
+    ids=["p1mod4", "odd-parts"],
+)
+def test_certify_refuses_rules_without_weight_one_half(values, message):
+    rule = ExponentSequence("rule", len(values), values)
+    ensemble = Ensemble("rule", rule)
+    with pytest.raises(ValueError, match=message):
+        certify(ensemble, 1, Progression(5, 0), 5, SturmConfig())
+    with pytest.raises(ValueError, match=message):
+        certify_batch([(ensemble, 1, Progression(5, 0), 5, SturmConfig())])
+
+
 def test_certify_one_colour_is_ordinary():
     one = certify(coloured_ensemble(1), 1, Progression(5, 0), 5, SHARP_SAFE)
     ordinary = certify(ORDINARY, 1, Progression(5, 0), 5, SHARP_SAFE)
@@ -365,10 +397,21 @@ def test_zero_class_first_moment_all_self_ensembles():
 
 
 def test_filtered_level_rule():
-    assert filtered_safe_level(5, 5, "safe") == 25
-    assert filtered_safe_level(5, 5, "natural") == 5
-    assert filtered_safe_level(7, 5, "safe") == 1225  # lcm(7,5)^2
-    assert filtered_safe_level(3, 12, "natural") == 12
+    # L = config.resolve_level(lcm(ell, conductor))
+    safe, natural = SturmConfig(level_model="safe"), SturmConfig(level_model="natural")
+    chi5 = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    assert _level(chi5, 5, safe) == 25
+    assert _level(chi5, 5, natural) == 5
+    assert _level(chi5, 7, safe) == 1225  # lcm(7,5)^2
+    assert _level(DivisorWeight(3, DirichletCharacterSpec.principal(12)), 3, natural) == 12
+    # filters contribute their level over 4; plain and canonical weights 1
+    assert _level(DivisorWeight(3, GlaisherFilter.odd_divisors()), 7, safe) == 14**2
+    for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY.exponents)):
+        assert _level(weight, 7, safe) == 49
+        assert _level(weight, 7, natural) == 7
+    # a custom level is taken as given, twisted or not
+    custom = SturmConfig(level_model="custom", custom_level=30)
+    assert _level(chi5, 7, custom) == _level(DivisorWeight(3), 7, custom) == 30
 
 
 def test_certify_filtered_chi5_m3():
@@ -570,6 +613,20 @@ def test_scan_default_block_limit_is_2_16_coefficients(monkeypatch):
     # FFT size 2048: 2**16 // 2048 = 32 classes a block
     scan(ORDINARY, range(1, 100, 2), [97], 1000)
     assert blocks == [32, 16]
+
+
+def test_scan_blocks_keep_four_classes_from_fft_size_2_16(monkeypatch):
+    blocks = []
+    convolve = congruence._convolve_mod
+    monkeypatch.setattr(
+        congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
+    )
+    # nscan 16384 is the first with FFT size 2**16, where 2**16 // S = 1
+    whole = scan(ORDINARY, range(1, 20, 2), [23], 16384)
+    assert blocks == [4, 4, 2]
+    monkeypatch.setattr(congruence, "_SCAN_BLOCK_FLOOR", 1)
+    assert scan(ORDINARY, range(1, 20, 2), [23], 16384) == whole
+    assert blocks[3:] == [1] * 10
 
 
 def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):

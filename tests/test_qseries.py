@@ -115,6 +115,68 @@ def test_series_shape():
         Series(Z, ())
 
 
+# --- the Z/N representation ---------------------------------------------------
+
+ABOVE_INT64 = 2**64 + 13
+
+
+def test_mod_n_coeffs_are_a_read_only_int64_array():
+    ring = CoefficientRing.integers_mod(7)
+    for series in (
+        partition_counts(600, ring),  # Newton
+        euler_product_coefficients(coloured(3), 40, ring),
+        tau_coefficients(30, ring),
+        series_inverse(partition_counts(30, ring)),
+        make_series(ring, [1, -1, 9]),
+    ):
+        coeffs = series.coeffs
+        assert isinstance(coeffs, np.ndarray)
+        assert coeffs.dtype == np.int64 and coeffs.ndim == 1
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 3
+        assert type(series[1]) is int
+
+
+def test_series_takes_over_a_handed_array_without_copying():
+    values = np.arange(5, dtype=np.int64)
+    series = Series(CoefficientRing.integers_mod(7), values)
+    assert series.coeffs is values
+    assert not values.flags.writeable
+
+
+def test_modulus_above_int64_gives_an_array_of_python_ints():
+    ring = CoefficientRing.integers_mod(ABOVE_INT64)
+    series = companion_series(OVERPARTITION, 60, ring)
+    assert series.coeffs.dtype == object
+    assert not series.coeffs.flags.writeable
+    assert all(type(v) is int for v in series.coeffs)
+    assert series == make_series(ring, companion_series(OVERPARTITION, 60, Z).coeffs)
+    inverse = series_inverse(series)
+    assert inverse.coeffs.dtype == object
+    assert all(type(v) is int for v in inverse.coeffs)
+
+
+def test_exact_rings_keep_tuples():
+    assert type(partition_counts(10, Z).coeffs) is tuple
+    assert type(r2_coefficients(10).coeffs) is tuple
+    assert type(series_inverse(make_series(Q, [Fraction(2), Fraction(1)])).coeffs) is tuple
+    assert Series(Z, [1, 2]).coeffs == (1, 2)
+
+
+def test_series_equality_across_producers():
+    ring = CoefficientRing.integers_mod(11)
+    newton = partition_counts(700, ring)
+    passes = Series(ring, _euler_product_factor_passes(ordinary(), 700, ring))
+    reduced = make_series(ring, partition_counts(700, Z).coeffs)
+    inverse = series_inverse(eta_power_coefficients(1, 700, ring))
+    assert newton == passes == reduced == inverse
+    assert newton != partition_counts(699, ring)
+    assert newton != partition_counts(700, CoefficientRing.integers_mod(13))
+    assert partition_counts(5, Z) != partition_counts(5, CoefficientRing.integers_mod(691))
+    assert partition_counts(5, Z) == make_series(Z, [1, 1, 2, 3, 5, 7])
+
+
 # --- exponent sequences -----------------------------------------------------
 
 
@@ -179,14 +241,14 @@ def test_euler_product_ordinary_matches_partition_counts():
     for ring in (Z, CoefficientRing.integers_mod(7), Q):
         direct = partition_counts(60, ring)
         product = euler_product_coefficients(ordinary(), 60, ring)
-        assert product.coeffs == direct.coeffs
+        assert product == direct
 
 
 def test_euler_product_ordinary_matches_partition_counts_to_2000():
     for ring in (Z, CoefficientRing.integers_mod(13)):
         direct = partition_counts(2000, ring)
         product = euler_product_coefficients(ordinary(), 2000, ring)
-        assert product.coeffs == direct.coeffs
+        assert product == direct
 
 
 def test_euler_product_overpartition_example():
@@ -222,7 +284,7 @@ def test_grouped_path_agrees_with_factor_passes():
         for ring in (Z, CoefficientRing.integers_mod(11)):
             fast = euler_product_coefficients(rule, 80, ring)
             slow = _euler_product_factor_passes(rule, 80, ring)
-            assert list(fast.coeffs) == slow
+            assert fast == Series(ring, slow)
 
 
 def test_non_gcd_periodic_rule_uses_factor_passes():
@@ -263,8 +325,9 @@ def test_first_moment_recurrence_ordinary_and_overpartition():
 )
 def test_mod_ring_is_homomorphic_image_of_exact(rule, modulus, n):
     exact = euler_product_coefficients(rule, n, Z)
-    modular = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
-    assert tuple(v % modulus for v in exact.coeffs) == modular.coeffs
+    ring = CoefficientRing.integers_mod(modulus)
+    modular = euler_product_coefficients(rule, n, ring)
+    assert make_series(ring, exact.coeffs) == modular
 
 
 # --- named generators -------------------------------------------------------
@@ -312,8 +375,9 @@ def test_r2_values():
 def test_companion_series_dispatch():
     self_comp = companion_series(ORDINARY, 6, Z)
     assert self_comp.coeffs == partition_counts(6, Z).coeffs
-    theta_comp = companion_series(THETA, 5, CoefficientRing.integers_mod(3))
-    assert theta_comp.coeffs == tuple(v % 3 for v in r2_coefficients(5).coeffs)
+    mod3 = CoefficientRing.integers_mod(3)
+    theta_comp = companion_series(THETA, 5, mod3)
+    assert theta_comp == make_series(mod3, r2_coefficients(5).coeffs)
 
 
 # --- series arithmetic ------------------------------------------------------
@@ -354,7 +418,7 @@ def test_coloured_ensemble_large_truncation_consistency():
     mod11 = CoefficientRing.integers_mod(11)
     got = euler_product_coefficients(coloured(24), 40, mod11)
     want = slow_euler_product(coloured(24).value_at, 40)
-    assert list(got.coeffs) == [v % 11 for v in want]
+    assert got.coeffs.tolist() == [v % 11 for v in want]
 
 
 # --- Z/N products at small n -------------------------------------------------
@@ -367,8 +431,8 @@ K = 128
 PAST_FFT_GUARD = 2**28 + 3
 
 
-def exact_reduced(series: Series, modulus: int) -> tuple:
-    return tuple(v % modulus for v in series.coeffs)
+def exact_reduced(series: Series, modulus: int) -> Series:
+    return make_series(CoefficientRing.integers_mod(modulus), series.coeffs)
 
 
 @pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
@@ -377,7 +441,7 @@ def exact_reduced(series: Series, modulus: int) -> tuple:
 @pytest.mark.parametrize("modulus", [11, 691, 12, 2**28 - 1])
 def test_blocked_kernel_matches_exact_path(rule, n, modulus):
     got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
-    assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
+    assert got == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
 
 
 @pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
@@ -385,7 +449,7 @@ def test_blocked_kernel_eta24_mod_691(n):
     # (q;q)^24 only multiplies, so this exercises the shifted-slice path alone
     mod691 = CoefficientRing.integers_mod(691)
     got = eta_power_coefficients(24, n, mod691)
-    assert got.coeffs == exact_reduced(eta_power_coefficients(24, n, Z), 691)
+    assert got == exact_reduced(eta_power_coefficients(24, n, Z), 691)
 
 
 def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
@@ -398,7 +462,7 @@ def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
     ring = CoefficientRing.integers_mod(PAST_FFT_GUARD)
     for rule in (ordinary(), overpartition()):
         got = euler_product_coefficients(rule, K + 1, ring)
-        assert got.coeffs == exact_reduced(euler_product_coefficients(rule, K + 1, Z), PAST_FFT_GUARD)
+        assert got == exact_reduced(euler_product_coefficients(rule, K + 1, Z), PAST_FFT_GUARD)
 
 
 @settings(deadline=None, max_examples=30)
@@ -409,7 +473,7 @@ def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
 )
 def test_blocked_kernel_property(rule, modulus, n):
     got = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus))
-    assert got.coeffs == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
+    assert got == exact_reduced(euler_product_coefficients(rule, n, Z), modulus)
 
 
 # --- convolution tiers --------------------------------------------------------
@@ -681,13 +745,13 @@ NEWTON_MAX_N = 5000
 _EXACT_PREFIXES: dict[str, tuple] = {}
 
 
-def exact_mod(rule: ExponentSequence, n: int, modulus: int) -> tuple:
+def exact_mod(rule: ExponentSequence, n: int, modulus: int) -> list:
     """The first n+1 coefficients mod modulus of the product over Z, which
     runs the scalar Python recurrence; computed once per rule to
     NEWTON_MAX_N (truncation is a prefix)."""
     if rule.name not in _EXACT_PREFIXES:
         _EXACT_PREFIXES[rule.name] = euler_product_coefficients(rule, NEWTON_MAX_N, Z).coeffs
-    return tuple(v % modulus for v in _EXACT_PREFIXES[rule.name][: n + 1])
+    return [v % modulus for v in _EXACT_PREFIXES[rule.name][: n + 1]]
 
 
 def grouped_with_path(patch, rule, n, modulus):
@@ -698,7 +762,7 @@ def grouped_with_path(patch, rule, n, modulus):
     pentagonal_product = qseries._pentagonal_product
     patch.setattr(qseries, "_pentagonal_product", lambda *a: ran.append(1) or pentagonal_product(*a))
     out = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus)).coeffs
-    return out, "newton" if ran else "scalar"
+    return out.tolist(), "newton" if ran else "scalar"
 
 
 def newton_top_modulus(length: int) -> int:
@@ -751,7 +815,7 @@ def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch)
         # steps from 512, 1024 and 2048 terms; 4096 -> 4097 is the fourth
         assert len(steps) == 4
         assert all((s is None) == (perturb > 0) for s in steps)
-        assert got.coeffs == want
+        assert got.coeffs.tolist() == want
 
 
 @settings(deadline=None, max_examples=40)

@@ -369,30 +369,65 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 
 # A scan block holds max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes at FFT
 # size S, which bounds its FFT workspace, but _SCAN_BLOCK_FLOOR from S = 2**16
-# on: one class a block there made nscan 20,000 about 40% slower.
+# on: one class a block there made nscan 20,000 about 40% slower.  The rule
+# applies to each stage of a scan at that stage's own length, so a probe
+# block at nscan 20,000 holds many more classes than a block of survivors.
 _SCAN_BLOCK_COEFFS = 1 << 16
 _SCAN_BLOCK_FLOOR = 4
+
+# the scan screens every Fermat class on entries 0..min(n_scan,
+# _SCAN_PROBE_ROWS * ell) before it extends the classes still holding a
+# vanishing residue to n_scan
+_SCAN_PROBE_ROWS = 4
+
+
+def _vanishing_residues(mbars, w, comp, ell: int, top: int, include_r0: bool) -> dict[int, tuple[int, ...]]:
+    """For each class mbar, the residues r whose moment entries M(t) mod
+    ell, t = r (mod ell) and 0 < t <= top, all vanish.
+
+    A block's sigma rows are its classes' terms w(d) * d^mbar summed over
+    divisors by the same slices for every row, and its moments are one
+    _convolve_mod of the block against the companion: the guards of each
+    tier hold per row, the FFT tier checks the 1/4 bound over the whole
+    block, and a failed check sends every row through the lower tiers.  The
+    residue check reads each block as (classes, rows, ell).
+    """
+    rows = -(-(top + 1) // ell)
+    size = 1 << (2 * top).bit_length()  # _convolve_mod's FFT size
+    per_block = max(1, _SCAN_BLOCK_COEFFS // size, _SCAN_BLOCK_FLOOR if size >= 1 << 16 else 1)
+    w = None if w is None else w[: top + 1]
+    found = {}
+    for start in range(0, len(mbars), per_block):
+        exponents = mbars[start : start + per_block]
+        sigma = _divisor_sums_mod(_weight_terms_mod(exponents, w, top, ell), ell)
+        values = np.zeros((len(exponents), rows * ell), dtype=bool)
+        values[:, : top + 1] = _convolve_mod(sigma, comp, ell) != 0
+        values[:, 0] = False  # the r = 0 class starts at t = ell
+        vanishing = ~values.reshape(len(exponents), rows, ell).any(axis=1)
+        if not include_r0:
+            vanishing[:, 0] = False
+        for mbar, good in zip(exponents, vanishing):
+            found[mbar] = tuple(np.flatnonzero(good).tolist())
+    return found
 
 
 def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
     """Scan every requested m at one prime ell as one batch: one companion,
-    then the moments of all Fermat classes of m as (classes, n_scan + 1)
-    int64 blocks.
+    then the moments of all Fermat classes of m in two stages.
 
     d^m = d^mbar (mod ell) for every d >= 1 when m = mbar (mod ell - 1) and
     m, mbar >= 1, for canonical, twisted and filtered weights alike, so all
     m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
     is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
 
-    The weight w(d) mod ell does not depend on the class, so it is built
-    once per ell.  A block's sigma rows are its classes' terms w(d) * d^mbar
-    summed over divisors by the same slices for every row, and its moments
-    are one _convolve_mod of the block against the companion: the guards of
-    each tier hold per row, the FFT tier checks the 1/4 bound over the whole
-    block, and a failed check sends every row through the lower tiers.  A
-    block holds max(1, _SCAN_BLOCK_COEFFS // S) classes at FFT size S, and at
-    least _SCAN_BLOCK_FLOOR from S = 2**16 on.  The residue check reads each
-    block as (classes, rows, ell).
+    The companion and the weight w(d) mod ell do not depend on the class, so
+    both are built once per ell, to n_scan.  The probe stage screens every
+    class on the entries up to min(n_scan, _SCAN_PROBE_ROWS * ell), and only
+    the classes with a residue still vanishing there go on to n_scan; both
+    stages run _vanishing_residues on prefixes of the same two series.  A
+    nonzero entry in the prefix is a nonzero entry of the full range, so a
+    class that dies in the probe has no vanishing residue up to n_scan
+    either, and the report is the one a single stage to n_scan gives.
     """
     ensemble, weight_selector, ms, ell, n_scan, include_r0 = args
     ring = CoefficientRing.integers_mod(ell)
@@ -403,23 +438,12 @@ def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
     mbars = list(classes)
     selector = ensemble.exponents if weight_selector is None else weight_selector
     w = _weight_values_mod(DivisorWeight(mbars[0], selector), n_scan, ell)
-    rows = -(-(n_scan + 1) // ell)
-    size = 1 << (2 * n_scan).bit_length()  # _convolve_mod's FFT size
-    per_block = max(1, _SCAN_BLOCK_COEFFS // size, _SCAN_BLOCK_FLOOR if size >= 1 << 16 else 1)
-    out = []
-    for start in range(0, len(mbars), per_block):
-        exponents = mbars[start : start + per_block]
-        sigma = _divisor_sums_mod(_weight_terms_mod(exponents, w, n_scan, ell), ell)
-        values = np.zeros((len(exponents), rows * ell), dtype=bool)
-        values[:, : n_scan + 1] = _convolve_mod(sigma, comp, ell) != 0
-        values[:, 0] = False  # the r = 0 class starts at t = ell
-        vanishing = ~values.reshape(len(exponents), rows, ell).any(axis=1)
-        if not include_r0:
-            vanishing[:, 0] = False
-        for mbar, good in zip(exponents, vanishing):
-            residues = tuple(np.flatnonzero(good).tolist())
-            out.extend((m, ell, residues) for m in classes[mbar])
-    return out
+    found: dict[int, tuple[int, ...]] = {}
+    live = mbars
+    for top in sorted({min(n_scan, _SCAN_PROBE_ROWS * ell), n_scan}):
+        found.update(_vanishing_residues(live, w, comp, ell, top, include_r0))
+        live = [mbar for mbar in live if found[mbar]]
+    return [(m, ell, found[mbar]) for mbar in mbars for m in classes[mbar]]
 
 
 def scan(

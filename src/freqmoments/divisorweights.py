@@ -265,11 +265,29 @@ def _tiled(values: np.ndarray, length: int) -> np.ndarray:
 
 
 def _powers_mod(exponents, span: int, modulus: int) -> np.ndarray:
-    """r**e mod modulus for r = 0..span-1 and each e in exponents, as int64
-    of shape np.shape(exponents) + (span,)."""
-    e = np.asarray(exponents)
-    table = [pow(r, int(x), modulus) for x in e.flat for r in range(span)]
-    return np.array(table, dtype=np.int64).reshape(e.shape + (span,))
+    """r**e mod modulus for r = 0..span-1 and each e >= 0 in exponents, as
+    int64 of shape np.shape(exponents) + (span,), with 0**0 = 1.
+
+    Square-and-multiply over the bits of the exponents, on the whole table
+    at once.  Every caller sits under fits_int64(1, modulus), so
+    (modulus - 1)**2 < 2**63 and each product of two residues is exact in
+    int64.  The exponents stay Python integers, so any size is exact.
+    """
+    shape = np.shape(exponents)
+    flat = [int(x) for x in np.ravel(exponents)]
+    table = np.full((len(flat), span), 1 % modulus, dtype=np.int64)
+    base = np.arange(span, dtype=np.int64) % modulus
+    for bit in range(max(flat, default=0).bit_length()):
+        if bit:
+            base *= base
+            base %= modulus
+        rows = [i for i, x in enumerate(flat) if x >> bit & 1]
+        if len(rows) == len(flat):  # one exponent never needs the gather below
+            table *= base
+            table %= modulus
+        elif rows:
+            table[rows] = table[rows] * base % modulus
+    return table.reshape(shape + (span,))
 
 
 def _weight_values_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray | None:

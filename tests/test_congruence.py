@@ -591,8 +591,10 @@ def test_scan_blocks_split_mid_class_list_give_the_same_report(monkeypatch, limi
     monkeypatch.setattr(
         congruence, "_convolve_mod", lambda a, b, p: blocks.append((p, len(a))) or convolve(a, b, p)
     )
-    # FFT size 4096 at nscan 2000
+    # FFT size 4096 at nscan 2000; a probe to nscan makes the scan one stage,
+    # so every class runs at that size
     monkeypatch.setattr(congruence, "_SCAN_BLOCK_COEFFS", limit_rows * 4096)
+    monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", 2000)
     split = scan(ORDINARY, ms, ells, 2000)
     assert split == whole
     assert scan_report_to_json(split) == scan_report_to_json(whole)
@@ -610,7 +612,9 @@ def test_scan_default_block_limit_is_2_16_coefficients(monkeypatch):
     monkeypatch.setattr(
         congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
     )
-    # FFT size 2048: 2**16 // 2048 = 32 classes a block
+    # FFT size 2048: 2**16 // 2048 = 32 classes a block, with the probe
+    # covering all of nscan 1000
+    monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", 1000)
     scan(ORDINARY, range(1, 100, 2), [97], 1000)
     assert blocks == [32, 16]
 
@@ -621,7 +625,9 @@ def test_scan_blocks_keep_four_classes_from_fft_size_2_16(monkeypatch):
     monkeypatch.setattr(
         congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
     )
-    # nscan 16384 is the first with FFT size 2**16, where 2**16 // S = 1
+    # nscan 16384 is the first with FFT size 2**16, where 2**16 // S = 1; the
+    # probe covers all of it
+    monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", 16384)
     whole = scan(ORDINARY, range(1, 20, 2), [23], 16384)
     assert blocks == [4, 4, 2]
     monkeypatch.setattr(congruence, "_SCAN_BLOCK_FLOOR", 1)
@@ -641,6 +647,61 @@ def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):
     chi5 = DirichletCharacterSpec.kronecker(5)
     scan(ORDINARY, range(1, 40, 2), ells, 600, weight_selector=chi5)
     assert calls == Counter({d: len(ells) for d in range(1, 601)})
+
+
+# --- probe-then-extend scan ---------------------------------------------------
+
+
+@pytest.mark.parametrize("probe_rows", [1, congruence._SCAN_PROBE_ROWS])
+@pytest.mark.parametrize("n_scan", [40, 300, 2000])
+@pytest.mark.parametrize("include_r0", [True, False])
+@pytest.mark.parametrize(
+    "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
+)
+def test_scan_probe_gives_the_one_stage_report(monkeypatch, ensemble, selector, include_r0, n_scan, probe_rows):
+    # n_scan 40 is below 4 * ell at ell = 11 and 13, where the default probe
+    # is the whole scan, and above it at ell = 3, 5 and 7.  On this grid no
+    # class outlives the default probe without a hit; a one-row probe passes
+    # many, so the extension has classes to drop.
+    monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", probe_rows)
+    two_stage = scan(ensemble, GRID_MS, GRID_ELLS, n_scan, include_r0=include_r0, weight_selector=selector)
+    monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", n_scan)
+    one_stage = scan(ensemble, GRID_MS, GRID_ELLS, n_scan, include_r0=include_r0, weight_selector=selector)
+    assert two_stage == one_stage
+    assert scan_report_to_json(two_stage) == scan_report_to_json(one_stage)
+    assert two_stage.hit_map() == scan_reference(ensemble, selector, n_scan, include_r0)
+
+
+FULL_MS = range(1, 100, 2)
+
+
+def test_scan_full_grid_reports_identical_across_jobs():
+    runs = [scan(ORDINARY, FULL_MS, DESK_ELLS, 2000, jobs=jobs) for jobs in (1, 2)]
+    assert runs[0].triples() == predicted_hits(FULL_MS, DESK_ELLS)
+    for render in (scan_report_to_json, scan_report_to_csv, scan_report_to_text):
+        assert render(runs[0]) == render(runs[1])
+
+
+def test_scan_extends_only_the_classes_holding_a_hit(monkeypatch):
+    stages = []
+    vanishing = congruence._vanishing_residues
+    monkeypatch.setattr(
+        congruence,
+        "_vanishing_residues",
+        lambda mbars, w, comp, ell, top, include_r0: stages.append((ell, top, list(mbars)))
+        or vanishing(mbars, w, comp, ell, top, include_r0),
+    )
+    scan(ORDINARY, FULL_MS, DESK_ELLS, 2000)
+    # every prime probes all its classes on entries up to 4 * ell ...
+    probed = {(ell, mbar) for ell, top, mbars in stages if top == 4 * ell for mbar in mbars}
+    assert probed == {(ell, (m - 1) % (ell - 1) + 1) for ell in DESK_ELLS for m in FULL_MS}
+    assert len(probed) == 516
+    # ... and only the classes of a predicted hit reach nscan
+    extended = [(ell, mbar) for ell, top, mbars in stages if top == 2000 for mbar in mbars]
+    hit_classes = {(ell, (m - 1) % (ell - 1) + 1) for m, ell, _r in predicted_hits(FULL_MS, DESK_ELLS)}
+    assert sorted(extended) == sorted(hit_classes)
+    assert len(extended) == 26
+    assert {top for _ell, top, _mbars in stages} <= {2000} | {4 * ell for ell in DESK_ELLS}
 
 
 # --- predictions ------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from freqmoments.divisorweights import (
@@ -17,7 +18,7 @@ from freqmoments.divisorweights import (
     weighted_sigma_table,
 )
 from freqmoments.divisorweights import _divisor_sums_mod, _powers_mod, _weight_terms_mod, _weight_values_mod
-from freqmoments.qseries import CoefficientRing, ORDINARY, make_series, overpartition, plane_partition, theta
+from freqmoments.qseries import CoefficientRing, ORDINARY, fits_int64, make_series, overpartition, plane_partition, theta
 
 Z = CoefficientRing.exact_integers()
 
@@ -106,6 +107,30 @@ def test_sigma_block_rows_equal_the_one_exponent_tables(selector, modulus, n):
         assert row.tolist() == weighted_sigma_table(DivisorWeight(e, selector), n, ring).coeffs.tolist()
     powers = _powers_mod(exponents, min(modulus, n + 1), modulus)
     assert powers.tolist() == [[pow(r, e, modulus) for r in range(min(modulus, n + 1))] for e in exponents]
+
+
+# the largest modulus with fits_int64(1, p): (p - 1)**2 < 2**63 <= p**2
+LARGEST_INT64_MODULUS = 3037000500
+
+
+def test_largest_int64_modulus_is_the_guard_edge():
+    assert fits_int64(1, LARGEST_INT64_MODULUS)
+    assert not fits_int64(1, LARGEST_INT64_MODULUS + 1)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 97, 2**31 - 1, LARGEST_INT64_MODULUS])
+def test_powers_mod_equals_pow(modulus):
+    exponents = list(range(100))
+    span = min(modulus, 200)
+    table = _powers_mod(exponents, span, modulus)
+    assert table.dtype == np.int64 and table.shape == (100, span)
+    assert table.tolist() == [[pow(r, e, modulus) for r in range(span)] for e in exponents]
+    assert table[0, 0] == 1  # 0**0
+    # one exponent gives one row, without the exponent axis
+    assert _powers_mod(99, span, modulus).tolist() == table[99].tolist()
+    # an exponent past int64 stays exact
+    big = 2**70 + 1
+    assert _powers_mod([big], span, modulus).tolist() == [[pow(r, big, modulus) for r in range(span)]]
 
 
 def test_weighted_sigma_beyond_int64_guard_is_exact():

@@ -40,7 +40,6 @@ _EXPORTS = {
         "DivisorWeight",
         "FilterModularData",
         "GlaisherFilter",
-        "expand_residue_filter",
         "filter_modular_data",
         "sigma_table",
         "weighted_sigma_table",
@@ -67,7 +66,6 @@ _EXPORTS = {
         "euler_product_coefficients",
         "partition_counts",
         "r2_coefficients",
-        "series_inverse",
         "tau_coefficients",
     ),
 }

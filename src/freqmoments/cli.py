@@ -361,12 +361,15 @@ def _run_identities(args) -> int:
         "tau691": tau_convolution_check,
         "j": j_identity_check,
     }
+    depths = {name: args.n if args.n is not None else _IDENTITY_DEFAULTS[name] for name in checks}
+    if depths.get("moebius", 0) > ORACLE_GUARD:
+        raise ValueError(f"moebius check is oracle-bound at n <= {ORACLE_GUARD}")
+    deepest, budget = max(depths.values()), _coefficient_budget()
+    if deepest + 1 > budget:
+        raise ResourceLimitError(f"identity check of {deepest + 1} coefficients exceeds budget {budget}")
     results = []
     for name in checks:
-        depth = args.n if args.n is not None else _IDENTITY_DEFAULTS[name]
-        if name == "moebius" and depth > ORACLE_GUARD:
-            raise ValueError(f"moebius check is oracle-bound at n <= {ORACLE_GUARD}")
-        results.append(run_check[name](depth))
+        results.append(run_check[name](depths[name]))
         _progress(f"  {results[-1].summary()}")
     _emit(args, "".join(f"{result.summary()}\n" for result in results))
     return 0 if all(result.passed for result in results) else 1

@@ -1,34 +1,27 @@
 """Divisor-sum tables: plain powers, character twists, Glaisher-style
-divisor filters, and the filter-to-character dictionary metadata.
+divisor filters, and the modular data of each filtered moment.
 
-Filters are implemented as divisor predicates first; their expansions into
-Dirichlet character twists are a tested property, not the implementation
-path.  Only real ({-1, 0, 1}-valued) characters are evaluated numerically,
-because modular arithmetic has no canonical home for complex character
-values; expansions needing complex characters are metadata only.
+Filters are divisor predicates.  Only real ({-1, 0, 1}-valued) characters
+are evaluated, because modular arithmetic has no canonical home for complex
+character values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import factorize, is_prime, kronecker_symbol
+from .arith import is_prime, kronecker_symbol
 from .qseries import CoefficientRing, ExponentSequence, Series, fits_int64
 
 __all__ = [
-    "CharacterTerm",
     "DirichletCharacterSpec",
     "DivisorWeight",
     "FilterModularData",
     "GlaisherFilter",
-    "ResidueFilterExpansion",
-    "expand_residue_filter",
     "filter_modular_data",
-    "legendre_character",
     "sigma_from_weight_function",
     "sigma_table",
     "weighted_sigma_table",
@@ -95,15 +88,6 @@ class DirichletCharacterSpec:
         if self.modulus != abs(self.parameter or 0):
             return f"kronecker({self.parameter})@{self.modulus}"
         return f"kronecker({self.parameter})"
-
-
-def legendre_character(p: int) -> DirichletCharacterSpec:
-    """The quadratic character mod an odd prime p, (d | p), as a Kronecker
-    spec with the fundamental discriminant +-p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("need an odd prime")
-    D = p if p % 4 == 1 else -p
-    return DirichletCharacterSpec.kronecker(D, modulus=p)
 
 
 @dataclass(frozen=True)
@@ -387,98 +371,8 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Character expansions and modular metadata
+# Modular metadata
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharacterTerm:
-    coefficient: Fraction
-    label: str
-    spec: DirichletCharacterSpec | None = None
-
-
-@dataclass(frozen=True)
-class ResidueFilterExpansion:
-    """The formal combination (1/phi(m)) sum_chi conj(chi)(a) chi.
-
-    verifiable means every character involved is real and carried by an
-    evaluable spec, so the expansion can be checked numerically; otherwise
-    the terms are symbolic metadata.
-    """
-
-    residue: int
-    modulus: int
-    terms: tuple[CharacterTerm, ...]
-    verifiable: bool
-
-    def indicator(self, d: int) -> Fraction:
-        if not self.verifiable:
-            raise ValueError("expansion is metadata only; characters are not all real")
-        total = Fraction(0)
-        for term in self.terms:
-            assert term.spec is not None
-            total += term.coefficient * term.spec.value(d)
-        return total
-
-
-def _euler_phi(m: int) -> int:
-    phi = 1
-    for p, e in factorize(m):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
-def _real_character_group(m: int) -> list[tuple[str, DirichletCharacterSpec]] | None:
-    """The full character group mod m when every character is real and we can
-    name it with principal/Kronecker data; None otherwise."""
-    if m == 1:
-        return [("1", DirichletCharacterSpec.trivial())]
-    if m == 2:
-        return [("chi0(2)", DirichletCharacterSpec.principal(2))]
-    if m == 3:
-        return [
-            ("chi0(3)", DirichletCharacterSpec.principal(3)),
-            ("kronecker(-3)", DirichletCharacterSpec.kronecker(-3)),
-        ]
-    if m == 4:
-        return [
-            ("chi0(4)", DirichletCharacterSpec.principal(4)),
-            ("kronecker(-4)", DirichletCharacterSpec.kronecker(-4)),
-        ]
-    if m == 6:
-        return [
-            ("chi0(6)", DirichletCharacterSpec.principal(6)),
-            ("kronecker(-3)@6", DirichletCharacterSpec.kronecker(-3, modulus=6)),
-        ]
-    return None
-
-
-def expand_residue_filter(a: int, m: int) -> ResidueFilterExpansion:
-    """Expand the indicator of d = a (mod m) over Dirichlet characters.
-
-    For m in {1, 2, 3, 4, 6} the characters are real, the coefficients fold
-    in conj(chi)(a) = chi(a), and the result is numerically verifiable.  For
-    other moduli the group contains complex characters, so the terms keep a
-    symbolic conj(chi)(a) factor in the label and carry no evaluator.  A
-    non-unit residue class has no character expansion at all.
-    """
-    if m < 1 or not 0 <= a < m:
-        raise ValueError("need a modulus m >= 1 and 0 <= a < m")
-    phi = _euler_phi(m)
-    if gcd(a, m) != 1:
-        return ResidueFilterExpansion(a, m, (), verifiable=False)
-    group = _real_character_group(m)
-    if group is not None:
-        terms = tuple(
-            CharacterTerm(Fraction(spec.value(a), phi), label, spec) for label, spec in group
-        )
-        return ResidueFilterExpansion(a, m, terms, verifiable=True)
-    terms = tuple(
-        CharacterTerm(Fraction(1, phi), f"conj(chi_{j}|{m})({a}) * chi_{j}|{m}", None)
-        for j in range(phi)
-    )
-    return ResidueFilterExpansion(a, m, terms, verifiable=False)
 
 
 @dataclass(frozen=True)

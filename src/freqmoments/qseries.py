@@ -46,7 +46,6 @@ __all__ = [
     "partition_counts",
     "plane_partition",
     "r2_coefficients",
-    "series_inverse",
     "tau_coefficients",
     "theta",
 ]
@@ -447,35 +446,11 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
     return coeffs
 
 
-def _euler_product_factor_passes(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
-    """Reference algorithm: one prefix pass per unit of |c(r)| per factor.
-
-    Multiplying by 1/(1-q^r) is the ascending recurrence a[i] += a[i-r];
-    multiplying by (1-q^r) the descending a[i] -= a[i-r].  Cost is
-    O(n * sum |c(r)|), which is fine for every periodic rule at scan sizes
-    but is why the grouped path above exists.
-    """
-    modulus = ring.modulus
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[0] = ring.one
-    for r in range(1, n + 1):
-        cr = c.value_at(r)
-        for _ in range(abs(cr)):
-            if cr > 0:
-                for i in range(r, n + 1):
-                    v = coeffs[i] + coeffs[i - r]
-                    coeffs[i] = v % modulus if modulus is not None else v
-            else:
-                for i in range(n, r - 1, -1):
-                    v = coeffs[i] - coeffs[i - r]
-                    coeffs[i] = v % modulus if modulus is not None else v
-    return coeffs
-
-
-def _euler_product_linear_rule(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
-    """Rules with the extra factor r (plane partitions) via the logarithmic
-    derivative recurrence n*b(n) = sum_d sigma_c1(d) b(n-d), run over exact
-    integers so the division by n is exact, then reduced into the ring."""
+def _euler_product_log_derivative(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
+    """Any integer rule by the logarithmic derivative recurrence
+    n*b(n) = sum_d sigma_c1(d) b(n-d), sigma_c1(d) = sum_{r | d} c(r)*r, run
+    over exact integers so the division by n is exact, then reduced into
+    the ring.  O(n^2) integer operations."""
     sigma1 = [0] * (n + 1)
     for r in range(1, n + 1):
         w = c.value_at(r) * r
@@ -507,14 +482,16 @@ def euler_product_coefficients(
 ) -> Series:
     """Coefficients of prod_{r=1..n} (1 - q^r)^(-c(r)) through q^n.
 
-    Rules whose value depends only on gcd(r, period) are grouped into
-    eta-type factors (q^d; q^d)_inf^(-m_d), each expanded by sparse
-    pentagonal passes; other periodic rules run the factor-at-a-time
-    reference passes.  Rules carrying the linear factor r grow
-    quadratically expensive and are capped at n = 5000 unless allow_large.
+    Two paths.  A rule whose value depends only on gcd(r, period) is an
+    eta-quotient, prod_d (q^d; q^d)_inf^(-m_d), and is expanded from the
+    sparse pentagonal series of its factors as below.  Every other integer
+    rule, periodic or carrying the linear factor r, runs the logarithmic
+    derivative recurrence of _euler_product_log_derivative, O(n^2) exact
+    integer operations; rules with the factor r (plane partitions) are
+    capped at n = 5000 unless allow_large.
 
     Over Z/N, when fits_fft(top, top, N) with top = max(n + 1,
-    FFT_MIN_TERMS), the grouped product runs by Newton inversion:
+    FFT_MIN_TERMS), the eta-quotient runs by Newton inversion:
     A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
     f = (q;q)_inf.  The denominator is built densely by shifted-slice
     multiplications, inverted once by Newton's iteration
@@ -534,27 +511,22 @@ def euler_product_coefficients(
     direct _convolve_mod products.  The whole costs O(n log n) plus
     O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
 
-    Every other ring, Z, Q and Z/N past that guard, takes the scalar Python
-    recurrence, O(n^1.5 * sum |m_d|) ring operations.  Nothing is rounded
-    unchecked on either path, so a certification built on them remains a
-    proof.
+    In every other ring, Z, Q and Z/N past that guard, the eta-quotient
+    takes the scalar Python recurrence, O(n^1.5 * sum |m_d|) ring
+    operations.  Nothing is rounded unchecked on any path, so a
+    certification built on them remains a proof.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    if c.power_factor == 1:
-        if n > PLANE_PARTITION_DEFAULT_CAP and not allow_large:
-            raise ValueError(
-                f"linear exponent rules are capped at N={PLANE_PARTITION_DEFAULT_CAP}; "
-                "pass allow_large=True to override"
-            )
-        coeffs = _euler_product_linear_rule(c, n, ring)
-    else:
-        decomp = _indicator_decomposition(c)
-        if decomp is not None:
-            coeffs = _euler_product_grouped(decomp, n, ring)
-        else:
-            coeffs = _euler_product_factor_passes(c, n, ring)
-    return Series(ring, coeffs)
+    decomp = _indicator_decomposition(c)
+    if decomp is not None:
+        return Series(ring, _euler_product_grouped(decomp, n, ring))
+    if c.power_factor and n > PLANE_PARTITION_DEFAULT_CAP and not allow_large:
+        raise ValueError(
+            f"linear exponent rules are capped at N={PLANE_PARTITION_DEFAULT_CAP}; "
+            "pass allow_large=True to override"
+        )
+    return Series(ring, _euler_product_log_derivative(c, n, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -806,36 +778,6 @@ def _convolve_direct(a, b, modulus: int) -> np.ndarray:
         for j in range(min(n - i, terms)):
             out[i + j] += ai * b[j]
     return np.array([v % modulus for v in out], dtype=object)
-
-
-def series_inverse(a: Series) -> Series:
-    """Multiplicative inverse with a * a^-1 = 1 + O(q^(N+1)).
-
-    The constant term must be a unit in the coefficient ring; otherwise the
-    series is not invertible there and we refuse.  Over Z/N this is
-    _newton_inverse, whose every product is exact; over Z and Q, the
-    O(N^2) recurrence.
-    """
-    ring = a.ring
-    if not ring.is_unit(a[0]):
-        raise ValueError(
-            f"constant term {a[0]!r} is not a unit in {ring.describe()}; series not invertible"
-        )
-    modulus = ring.modulus
-    if modulus is not None:
-        return Series(ring, _newton_inverse(a.coeffs, modulus))
-    n = a.n_max
-    inv0 = ring.invert(a[0])
-    out = [ring.zero] * (n + 1)
-    out[0] = inv0
-    for i in range(1, n + 1):
-        acc = ring.zero
-        for j in range(1, i + 1):
-            aj = a.coeffs[j]
-            if aj != 0:
-                acc += aj * out[i - j]
-        out[i] = -inv0 * acc
-    return Series(ring, out)
 
 
 def dump_series(series: Series, ensemble_name: str) -> str:

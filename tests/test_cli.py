@@ -311,6 +311,13 @@ def test_scan_memory_cap_exit_three(monkeypatch, capsys):
     assert out == ""
 
 
+def test_identities_memory_cap_exit_three(monkeypatch, capsys):
+    monkeypatch.setenv(MEMORY_CAP_ENV, "100")
+    code, out = run_cli(["identities", "--check", "ford", "--n", "500"], capsys)
+    assert code == 3
+    assert out == ""
+
+
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     config = tmp_path / "scan.cfg"
     config.write_text("ensemble = ordinary\nnscan = 100  # comment\nell = 7\nm = 3\n")

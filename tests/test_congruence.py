@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from freqmoments import congruence
-from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig
+from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig, index_gamma0
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
@@ -391,6 +391,24 @@ def test_zero_class_first_moment_all_self_ensembles():
             ring = CoefficientRing.integers_mod(ell)
             M = ensemble_moments(ensemble, 1, 2000, ring)
             assert all(M[ell * n] == 0 for n in range(2000 // ell + 1)), (ensemble.name, ell)
+
+
+# The PASSes of the full range (odd m <= 99, 5 <= ell <= 97) that are not
+# Fermat's (1, ell, 0), reduced to (m, ell, r).
+NONTRIVIAL_PASSES = [
+    (1, 5, 4), (1, 7, 5), (1, 11, 6), (3, 7, 0), (3, 7, 5), (3, 11, 0), (3, 11, 6), (7, 11, 6),
+]
+
+
+@pytest.mark.parametrize("m,ell,r", NONTRIVIAL_PASSES)
+def test_nontrivial_pass_vanishes_to_the_bound_of_weight_m_plus_ell(m, ell, r):
+    # Mod ell, E_2 = E_{ell+1} can raise the weight m + 1/2 that certify
+    # assumes to m + ell + 1/2; check the conservative12/safe bound there.
+    # m + ell is even, which sturm_bound_for_level refuses, so B is computed
+    # from the index directly.
+    bound = (2 * (m + ell) + 1) * index_gamma0(4 * ell * ell) // 12
+    moments = ensemble_moments(ORDINARY, m, ell * bound + r, CoefficientRing.integers_mod(ell))
+    assert not moments.coeffs[r::ell].any()
 
 
 # --- filtered certification -------------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -10,9 +9,7 @@ from freqmoments.divisorweights import (
     DirichletCharacterSpec,
     DivisorWeight,
     GlaisherFilter,
-    expand_residue_filter,
     filter_modular_data,
-    legendre_character,
     sigma_from_weight_function,
     sigma_table,
     weighted_sigma_table,
@@ -161,6 +158,12 @@ def test_character_imprimitive_modulus():
         DirichletCharacterSpec.kronecker(-3, modulus=4)  # not a multiple of |D|
 
 
+def legendre_character(p: int) -> DirichletCharacterSpec:
+    """(d | p) for an odd prime p: the Kronecker symbol of the fundamental
+    discriminant +-p, as a character mod p."""
+    return DirichletCharacterSpec.kronecker(p if p % 4 == 1 else -p, modulus=p)
+
+
 def test_legendre_character_matches_euler_criterion():
     for p in (3, 5, 7, 11, 13):
         chi = legendre_character(p)
@@ -277,52 +280,6 @@ def test_twist_linearity_dictionary(p):
         indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter.quadratic_residues(p)), n_max, Z)
         for n in range(1, n_max + 1):
             assert principal[n] + twisted[n] == 2 * indicator[n]
-
-
-# --- residue class expansions ----------------------------------------------
-
-
-def test_expand_residue_mod_two():
-    exp = expand_residue_filter(1, 2)
-    assert exp.verifiable
-    assert len(exp.terms) == 1
-    assert exp.terms[0].coefficient == Fraction(1)
-    assert exp.terms[0].label == "chi0(2)"
-
-
-def test_expand_residue_mod_four():
-    one = expand_residue_filter(1, 4)
-    three = expand_residue_filter(3, 4)
-    assert [t.coefficient for t in one.terms] == [Fraction(1, 2), Fraction(1, 2)]
-    assert [t.coefficient for t in three.terms] == [Fraction(1, 2), Fraction(-1, 2)]
-    for d in range(1, 40):
-        assert one.indicator(d) == (1 if d % 4 == 1 else 0)
-        assert three.indicator(d) == (1 if d % 4 == 3 else 0)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
-def test_expand_residue_verifiable_moduli(m):
-    for a in range(m if m > 1 else 1):
-        exp = expand_residue_filter(a, max(m, 1))
-        if gcd(a if m > 1 else 1, m) == 1:
-            assert exp.verifiable
-            for d in range(1, 60):
-                assert exp.indicator(d) == (1 if d % m == a % m else 0)
-
-
-def test_expand_residue_metadata_only_for_complex_groups():
-    exp = expand_residue_filter(2, 5)
-    assert not exp.verifiable
-    assert len(exp.terms) == 4  # phi(5)
-    assert all(t.coefficient == Fraction(1, 4) for t in exp.terms)
-    with pytest.raises(ValueError):
-        exp.indicator(3)
-
-
-def test_expand_residue_non_unit_class_is_empty():
-    exp = expand_residue_filter(2, 4)
-    assert not exp.verifiable
-    assert exp.terms == ()
 
 
 # --- modular metadata -------------------------------------------------------

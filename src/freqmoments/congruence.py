@@ -215,8 +215,14 @@ def certify(
 ) -> CertificationRecord:
     """Check M(ell*n + r) = 0 (mod modulus) for 0 <= n <= B, where B is the
     Sturm bound for weight m + 1/2 on Gamma0(4L).  A PASS proves the
-    congruence for all n >= 0; a FAIL refutes it with the first bad
-    coefficient.
+    congruence for all n >= 0 under that bound; a FAIL refutes it with the
+    first bad coefficient.
+
+    The weight m + 1/2 is the paper's convention, used by its published
+    tables, not a theorem the code proves: mod ell the moment series (the
+    companion times sum sigma(d) q^d, quasimodular at m = 1) is a single
+    modular form only through E_{ell-1} = 1 and E_2 = E_{ell+1}, which can
+    raise the weight and with it B.
 
     The weight comes from the exponent rule.  With the Euler product as its
     own companion and c(r) a function of gcd(r, P), the product is the

@@ -227,21 +227,6 @@ class DivisorWeight:
         return f"m={self.exponent}, rule={sel.name}"
 
 
-def _build_sigma(term_of_d, n: int, ring: CoefficientRing) -> Series:
-    """a(k) = sum_{d | k} term(d) by striding over multiples; a(0) = 0."""
-    modulus = ring.modulus
-    table = [ring.zero] * (n + 1)
-    for d in range(1, n + 1):
-        t = term_of_d(d)
-        if t == 0:
-            continue
-        t = ring.reduce(t)
-        for k in range(d, n + 1, d):
-            v = table[k] + t
-            table[k] = v % modulus if modulus is not None else v
-    return Series(ring, table)
-
-
 def _tiled(values: np.ndarray, length: int) -> np.ndarray:
     """values[..., d % period] for d = 0..length-1, period the last axis."""
     period = values.shape[-1]
@@ -312,22 +297,26 @@ def _weight_terms_mod(exponents, w: np.ndarray | None, n: int, modulus: int) -> 
     return terms
 
 
-def _divisor_sums_mod(terms: np.ndarray, modulus: int) -> np.ndarray:
-    """a(k) = sum_{d | k} terms[..., d] mod modulus along the last axis, in
-    about 2*sqrt(n) slices of the whole block: one stride per divisor
-    d <= sqrt(n), one per cofactor j for d > sqrt(n)."""
+def _divisor_sums_mod(terms: np.ndarray, modulus: int | None) -> np.ndarray:
+    """a(k) = sum_{d | k} terms[..., d] along the last axis, reduced mod
+    modulus unless it is None, in terms' dtype, in about 2*sqrt(n) slices of
+    the whole block: one stride per divisor d <= sqrt(n), one per cofactor j
+    for d > sqrt(n)."""
     n = terms.shape[-1] - 1
-    table = np.zeros(terms.shape, dtype=np.int64)
+    # a(k) starts at term(k), the divisor d = k (so a(0) is term(0), a zero
+    # of the ring), and the slices below add the divisors d < k
+    table = terms.copy()
     # .T puts d first and leaves one row as it is, so a 1-D table adds
     # scalars and a block adds one term per row
     by_d, table_by_d = terms.T, table.T
     root = isqrt(n)
     for d in range(1, root + 1):
-        table_by_d[d::d] += by_d[d]
-    for j in range(1, n // (root + 1) + 1):
+        table_by_d[2 * d :: d] += by_d[d]
+    for j in range(2, n // (root + 1) + 1):
         top = n // j
         table_by_d[j * (root + 1) : j * top + 1 : j] += by_d[root + 1 : top + 1]
-    table %= modulus
+    if modulus is not None:
+        table %= modulus
     return table
 
 
@@ -339,9 +328,10 @@ def sigma_table(m: int, n: int, ring: CoefficientRing) -> Series:
 def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -> Series:
     """a(k) = sum_{d | k} w(d) * d^m for the given divisor weight.
 
-    Over Z/N the table is built with int64 numpy slices when every product
-    of two residues and every sum of n residues fits in int64; otherwise,
-    and over Z and Q, one Python stride per divisor.
+    Over Z/N the terms are int64 tables when every product of two residues
+    and every sum of n residues fits in int64; otherwise, and over Z and Q,
+    they are Python values, one per d, in an object array.  Either way
+    _divisor_sums_mod sums them.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -349,14 +339,13 @@ def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -
     modulus = ring.modulus
     if modulus is not None and fits_int64(1, modulus) and n * (modulus - 1) < 2**63:
         terms = _weight_terms_mod(m, _weight_values_mod(weight, n, modulus), n, modulus)
-        table = _divisor_sums_mod(terms, modulus)
-        return Series(ring, table)
+        return Series(ring, _divisor_sums_mod(terms, modulus))
 
     def term(d: int) -> int:
         w = weight.weight_of(d)
         return w * pow(d, m, modulus) if w else 0  # pow(d, m, None) = d**m
 
-    return _build_sigma(term, n, ring)
+    return sigma_from_weight_function(term, n, ring)
 
 
 def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
@@ -367,7 +356,8 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    return _build_sigma(f, n, ring)
+    terms = np.array([ring.zero] + [ring.reduce(f(d)) for d in range(1, n + 1)], dtype=object)
+    return Series(ring, _divisor_sums_mod(terms, ring.modulus))
 
 
 # ---------------------------------------------------------------------------

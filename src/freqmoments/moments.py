@@ -24,6 +24,7 @@ from .qseries import (
     RingMismatchError,
     Series,
     _convolve_mod,
+    _truncated_product,
     companion_series,
     coloured_ensemble,
     euler_product_coefficients,
@@ -70,7 +71,9 @@ class IdentityCheckResult:
 
 
 def master_transform(sigma: Series, companion: Series) -> Series:
-    """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0."""
+    """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0: the
+    exact mod-N product _convolve_mod over Z/N, and the truncated product
+    of the object arrays over Z and Q."""
     if sigma.ring != companion.ring:
         raise RingMismatchError(
             f"rings differ: {sigma.ring.describe()} vs {companion.ring.describe()}"
@@ -82,19 +85,10 @@ def master_transform(sigma: Series, companion: Series) -> Series:
         raise ValueError("sigma series must have a(0) = 0")
     if companion.coeffs[0] != ring.one:
         raise ValueError("companion series must have b(0) = 1")
-    n = sigma.n_max
     modulus = ring.modulus
     if modulus is not None:
         return Series(ring, _convolve_mod(sigma.coeffs, companion.coeffs, modulus))
-    out = [ring.zero] * (n + 1)
-    comp = companion.coeffs
-    for d in range(1, n + 1):
-        sd = sigma.coeffs[d]
-        if sd == 0:
-            continue
-        for t in range(d, n + 1):
-            out[t] += sd * comp[t - d]
-    return Series(ring, out)
+    return Series(ring, _truncated_product(sigma.coeffs, companion.coeffs))
 
 
 def ensemble_moments(

@@ -98,22 +98,6 @@ class CoefficientRing:
         value = operator.index(x)
         return value % self.modulus if self.modulus is not None else value
 
-    def is_unit(self, x) -> bool:
-        if self.rational:
-            return x != 0
-        if self.modulus is not None:
-            return gcd(operator.index(x), self.modulus) == 1
-        return x in (1, -1)
-
-    def invert(self, x):
-        if not self.is_unit(x):
-            raise ValueError(f"{x!r} is not a unit in {self.describe()}")
-        if self.rational:
-            return Fraction(1) / Fraction(x)
-        if self.modulus is not None:
-            return pow(operator.index(x), -1, self.modulus)
-        return x
-
     def describe(self) -> str:
         if self.rational:
             return "Q"
@@ -126,24 +110,23 @@ class CoefficientRing:
 class Series:
     """Coefficient table a(0..n_max) in a fixed ring.
 
-    Over Z/N, coeffs is a read-only 1-D array, int64 for N < 2**63 and Python
-    ints (object dtype) above; over Z and Q, a tuple.  The constructor puts
-    any sequence in that form, keeping an array of the right dtype (marked
-    read-only) rather than copying it, and reduces nothing.  Indexing gives
-    a Python int or Fraction.
+    coeffs is a read-only 1-D numpy array in every ring: int64 over Z/N for
+    N < 2**63, and object otherwise, holding Python ints over Z and wider
+    moduli and Fractions over Q.  The constructor puts any sequence in that
+    form, keeping an array of the right dtype (marked read-only) rather than
+    copying it, and reduces nothing.  Indexing gives a Python int or
+    Fraction.
     """
 
     ring: CoefficientRing
-    coeffs: tuple | np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         modulus = self.ring.modulus
-        if modulus is None:
-            coeffs = tuple(self.coeffs)
-        else:
-            coeffs = np.asarray(self.coeffs, dtype=np.int64 if modulus < 2**63 else object)
-            coeffs.flags.writeable = False
-        if getattr(coeffs, "ndim", 1) != 1 or not len(coeffs):
+        dtype = np.int64 if modulus is not None and modulus < 2**63 else object
+        coeffs = np.asarray(self.coeffs, dtype=dtype)
+        coeffs.flags.writeable = False
+        if coeffs.ndim != 1 or not len(coeffs):
             raise ValueError("a series is 1-D and has at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -172,9 +155,7 @@ class Series:
 
 def make_series(ring: CoefficientRing, values) -> Series:
     """Build a Series from a sequence, reducing every entry into the ring."""
-    if ring.modulus is None:
-        return Series(ring, tuple(ring.reduce(v) for v in values))
-    return Series(ring, np.array(values, dtype=object) % ring.modulus)
+    return Series(ring, [ring.reduce(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +313,6 @@ def _divide_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int |
         coeffs[n] = v % modulus if modulus is not None else v
 
 
-def _multiply_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int | None) -> None:
-    """In place: coeffs *= (1 + sum sign*q^exp).  Descending order keeps the
-    referenced lower entries at their old values."""
-    n_max = len(coeffs) - 1
-    for n in range(n_max, 0, -1):
-        acc = 0
-        for e, s in terms:
-            if e > n:
-                break
-            if s > 0:
-                acc += coeffs[n - e]
-            else:
-                acc -= coeffs[n - e]
-        v = coeffs[n] + acc
-        coeffs[n] = v % modulus if modulus is not None else v
-
-
 def _indicator_decomposition(c: ExponentSequence) -> dict[int, int] | None:
     """Write c(r) = sum_{d | r, d | P} m_d when c(r) depends only on gcd(r, P).
 
@@ -388,9 +352,10 @@ def fits_float64(terms: int, modulus: int) -> bool:
 
 
 def _multiply_by_sparse_shifted(
-    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int
+    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int | None
 ) -> None:
-    """In place: coeffs *= S, one shifted-slice add per term of S."""
+    """In place: coeffs *= S, one shifted-slice add per term of S, then
+    reduced mod modulus unless it is None."""
     n1 = len(coeffs)
     original = coeffs.copy()
     for e, sign in terms:
@@ -400,7 +365,8 @@ def _multiply_by_sparse_shifted(
             coeffs[e:] += original[: n1 - e]
         else:
             coeffs[e:] -= original[: n1 - e]
-    coeffs %= modulus
+    if modulus is not None:
+        coeffs %= modulus
 
 
 def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
@@ -423,50 +389,44 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     return coeffs
 
 
-def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing):
+def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> np.ndarray:
     modulus = ring.modulus
+    # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
     factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
+    denominator = [terms for terms, mult in factors for _ in range(mult)]
+    numerator = [terms for terms, mult in factors for _ in range(-mult)]
     top = max(n + 1, FFT_MIN_TERMS)
     if modulus is not None and fits_fft(top, top, modulus):
-        # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
-        denominator = [terms for terms, mult in factors for _ in range(mult)]
-        numerator = [terms for terms, mult in factors for _ in range(-mult)]
         if not denominator:
             return _pentagonal_product(numerator, n + 1, modulus)
         coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
-        for terms in numerator:
-            _multiply_by_sparse_shifted(coeffs, terms, modulus)
-        return coeffs
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[0] = ring.one
-    for terms, mult in factors:
-        step = _divide_by_sparse if mult > 0 else _multiply_by_sparse
-        for _ in range(abs(mult)):
-            step(coeffs, terms, modulus)
+    else:
+        scalar = [ring.zero] * (n + 1)
+        scalar[0] = ring.one
+        for terms in denominator:
+            _divide_by_sparse(scalar, terms, modulus)
+        # object dtype: no slice sum below can overflow, whatever the modulus
+        coeffs = np.array(scalar, dtype=object)
+    for terms in numerator:
+        _multiply_by_sparse_shifted(coeffs, terms, modulus)
     return coeffs
 
 
 def _euler_product_log_derivative(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
     """Any integer rule by the logarithmic derivative recurrence
     n*b(n) = sum_d sigma_c1(d) b(n-d), sigma_c1(d) = sum_{r | d} c(r)*r, run
-    over exact integers so the division by n is exact, then reduced into
-    the ring.  O(n^2) integer operations."""
-    sigma1 = [0] * (n + 1)
+    over exact integers (object arrays, one dot product per n) so the
+    division by n is exact, then reduced into the ring.  O(n^2) integer
+    operations."""
+    sigma1 = np.zeros(n + 1, dtype=object)
     for r in range(1, n + 1):
         w = c.value_at(r) * r
-        if w == 0:
-            continue
-        for i in range(r, n + 1, r):
-            sigma1[i] += w
-    b = [0] * (n + 1)
+        if w:
+            sigma1[r::r] += w
+    b = np.zeros(n + 1, dtype=object)
     b[0] = 1
     for i in range(1, n + 1):
-        total = 0
-        for d in range(1, i + 1):
-            s = sigma1[d]
-            if s:
-                total += s * b[i - d]
-        q, rem = divmod(total, i)
+        q, rem = divmod(sigma1[1 : i + 1].dot(b[i - 1 :: -1]), i)
         if rem:
             raise ArithmeticError("non-integral coefficient; exponent rule is inconsistent")
         b[i] = q
@@ -511,10 +471,12 @@ def euler_product_coefficients(
     direct _convolve_mod products.  The whole costs O(n log n) plus
     O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
 
-    In every other ring, Z, Q and Z/N past that guard, the eta-quotient
-    takes the scalar Python recurrence, O(n^1.5 * sum |m_d|) ring
-    operations.  Nothing is rounded unchecked on any path, so a
-    certification built on them remains a proof.
+    In every other ring, Z, Q and Z/N past that guard, the denominator is
+    divided out by the scalar subtraction recurrence of _divide_by_sparse,
+    O(n^1.5 * sum_{m_d > 0} m_d) interpreted ring operations, and the
+    numerator's factors are multiplied in by the same shifted-slice
+    products on an object array.  Nothing is rounded unchecked on any path,
+    so a certification built on them remains a proof.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -554,7 +516,7 @@ def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
     if n < 1:
         raise ValueError("need n >= 1 for tau")
     eta24 = eta_power_coefficients(24, n - 1, ring).coeffs
-    return Series(ring, (ring.zero,) + eta24 if ring.modulus is None else np.concatenate(([0], eta24)))
+    return Series(ring, np.concatenate(([ring.zero], eta24)))
 
 
 def r2_coefficients(n: int) -> Series:
@@ -713,8 +675,8 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     """The first n coefficients of the product a*b, reduced mod modulus,
     where n is the length of a, or of its rows when a is a 2-D block.
 
-    a and b hold residues in [0, modulus) (int64 arrays or integer
-    sequences); only the first n terms of b take part.  An output
+    a and b hold residues in [0, modulus) (int64 or object arrays, or
+    integer sequences); only the first n terms of b take part.  An output
     coefficient sums at most terms = min(n, len(b)) non-negative products,
     each at most (modulus - 1)**2, so every product and every partial sum
     lies in [0, terms * (modulus - 1)**2].  Four tiers, the first that
@@ -734,7 +696,8 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
       summation order and with or without FMA;
     - int64 direct (fits_int64): the bound is below 2**63, so nothing
       overflows;
-    - Python integers, returned as an object array.
+    - Python integers: one object-array dot product per coefficient,
+      returned as an object array.
 
     A 2-D ndarray a is a batch: every row is multiplied by the same b under
     the same guards, which depend only on n, len(b) and modulus.  The FFT tier
@@ -770,14 +733,19 @@ def _convolve_direct(a, b, modulus: int) -> np.ndarray:
     if fits_int64(terms, modulus):
         product = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return product[:n] % modulus
-    a, b = [int(v) for v in a], [int(v) for v in b]
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(n - i, terms)):
-            out[i + j] += ai * b[j]
-    return np.array([v % modulus for v in out], dtype=object)
+    return _truncated_product(np.asarray(a, dtype=object), np.asarray(b, dtype=object)) % modulus
+
+
+def _truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first len(a) coefficients of a*b for object arrays, b at most as
+    long as a, one dot product each.  np.convolve would also form the upper
+    half of the product, which is then thrown away."""
+    terms = len(b)
+    out = np.empty(len(a), dtype=object)
+    for t in range(len(a)):
+        lo = max(0, t - terms + 1)
+        out[t] = a[lo : t + 1].dot(b[t - lo :: -1])
+    return out
 
 
 def dump_series(series: Series, ensemble_name: str) -> str:

@@ -34,7 +34,7 @@ from freqmoments.divisorweights import (
     GlaisherFilter,
     weighted_sigma_table,
 )
-from freqmoments.moments import ensemble_moments
+from freqmoments.moments import ORACLE_GUARD, ensemble_moments, frequency_oracle, oracle_moment
 from freqmoments.qseries import (
     CoefficientRing,
     Ensemble,
@@ -72,7 +72,7 @@ def test_progression_validation():
 def test_project_stride_extraction():
     M = ensemble_moments(ORDINARY, 1, 20, Z)
     projected = project(M, Progression(5, 0))
-    assert projected.coeffs == tuple(M[5 * n] for n in range(5))
+    assert projected.coeffs.tolist() == [M[5 * n] for n in range(5)]
     assert projected[0] == 0
 
 
@@ -276,6 +276,46 @@ def test_certify_fail_beyond_the_probe_matches_one_stage(monkeypatch):
     assert one_stage.status == "FAIL" and one_stage.fail_witness[0] > 1
     assert two_stage == one_stage
     assert sizes == [5 * 1 + 4, 5 * one_stage.bound_b + 4]
+
+
+@pytest.fixture(scope="module")
+def oracle_table():
+    return frequency_oracle(ORACLE_GUARD)
+
+
+# the kronecker(5) PASSes at ell = 11 run at L = 55**2 and take seconds
+@pytest.mark.parametrize(
+    "selector,ells",
+    [
+        (None, (5, 7, 11, 13)),
+        (DirichletCharacterSpec.kronecker(5), (5, 7, 13)),
+        (GlaisherFilter.odd_divisors(), (5, 7, 11, 13)),
+    ],
+    ids=["canonical", "kronecker(5)", "odd"],
+)
+def test_fail_witnesses_match_the_enumeration_oracle(oracle_table, selector, ells):
+    # every ordinary FAIL of the grid, at the CLI's default
+    # conservative12/safe, whose witness index the oracle reaches; the grid
+    # holds the golden FAIL certify --m 3 --ell 5 --r 1 --prime 5
+    config = SturmConfig(CONSERVATIVE12, "safe")
+    later_rows = 0
+    for m in range(1, 26, 2):
+        weight = DivisorWeight(m, ORDINARY.exponents if selector is None else selector)
+
+        def moment(t: int) -> int:
+            return oracle_moment(lambda k: weight.weight_of(k) * k**m, t, oracle_table)
+
+        for ell in ells:
+            for r in range(ell):
+                rec = certify(ORDINARY, m, Progression(ell, r), ell, config, weight=weight)
+                if rec.status == "PASS" or rec.fail_witness[1] > ORACLE_GUARD:
+                    continue
+                n, t, residue = rec.fail_witness
+                assert all(moment(ell * j + r) % ell == 0 for j in range(n)), rec
+                assert moment(t) % ell == residue, rec
+                later_rows += n > 0
+    # some witnesses lie past the first projected row
+    assert later_rows > 0
 
 
 def test_scan_makes_no_long_direct_convolution(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -39,6 +40,16 @@ def test_sigma_examples():
 
 def test_sigma_zero_index_is_zero():
     assert sigma_table(5, 10, Z)[0] == 0
+
+
+def test_sigma_tables_over_z_and_q_hold_python_values():
+    # the object-array path: Python ints over Z and Fractions over Q, a(0)
+    # included
+    for ring, kind in ((Z, int), (CoefficientRing.exact_rationals(), Fraction)):
+        table = sigma_table(3, 30, ring)
+        assert table.coeffs.dtype == object
+        assert all(type(v) is kind for v in table.coeffs)
+        assert table.coeffs.tolist() == [0] + [slow_sigma(n, 3) for n in range(1, 31)]
 
 
 def test_sigma_against_slow_oracle():
@@ -183,7 +194,7 @@ def test_weighted_unweighted_equals_sigma():
     for m in (0, 2, 5):
         plain = sigma_table(m, 120, Z)
         weighted = weighted_sigma_table(DivisorWeight(m), 120, Z)
-        assert plain.coeffs == weighted.coeffs
+        assert plain.coeffs.tolist() == weighted.coeffs.tolist()
 
 
 def test_overpartition_rule_example():

@@ -435,7 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="at most N worker processes; work too small to repay them runs in this process",
+        )
         p.add_argument("--config", help="flat key=value config file; flags override")
 
     p_scan = sub.add_parser("scan", help="scan progressions for candidate congruences")

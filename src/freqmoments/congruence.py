@@ -39,6 +39,7 @@ from .qseries import (
     _convolve_mod,
     _indicator_decomposition,
     companion_series,
+    fits_newton,
     ORDINARY,
     OVERPARTITION,
 )
@@ -68,6 +69,14 @@ DEFAULT_COEFF_BUDGET = 1 << 25
 # certify checks projected rows 0..min(B, _PROBE_ROWS) before building the
 # series for all B + 1 rows
 _PROBE_ROWS = 64
+
+# certify refuses a companion past fits_newton beyond q^_SCALAR_COMPANION_MAX_N:
+# there _divide_by_sparse runs O(N^1.5) interpreted steps a denominator
+# factor.  Mod 1000003, pinned to one CPU, the ordinary companion took 1.1 s
+# to N = 3*10**4 and 5.4 s to N = 10**5, the overpartition one (two factors)
+# 1.7 s and 11.8 s; at ell = 281 and conservative12/safe (N = 33,400,503)
+# it would run for hours.
+_SCALAR_COMPANION_MAX_N = 10**5
 
 
 class ResourceLimitError(RuntimeError):
@@ -236,6 +245,10 @@ def certify(
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
     must equal m.  The level L of Gamma0(4L) is _level's; the record stores
     4L, so the rule is auditable.
+
+    Before anything is built, a certification needing more than max_coeffs
+    coefficients, or a companion past fits_newton beyond
+    q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
@@ -272,6 +285,11 @@ def certify(
     if n_max + 1 > max_coeffs:
         raise ResourceLimitError(
             f"certification needs {n_max + 1} coefficients, over the budget of {max_coeffs}"
+        )
+    if n_max > _SCALAR_COMPANION_MAX_N and not fits_newton(n_max, modulus):
+        raise ResourceLimitError(
+            f"the companion to q^{n_max} mod {modulus} is past the FFT guard of Newton "
+            f"inversion, and the scalar recurrence is capped at q^{_SCALAR_COMPANION_MAX_N}"
         )
     ring = CoefficientRing.integers_mod(modulus)
     witness = None
@@ -363,7 +381,8 @@ def _pool_size(jobs: int, tasks: int) -> int:
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
     """[fn(task) for task in tasks], in task order, on _pool_size(jobs,
-    len(tasks)) worker processes, or in this process when that is 1."""
+    len(tasks)) worker processes, or in this process when that is 1.
+    Callers pass jobs=1 for work too small to repay a pool (_pool_jobs)."""
     workers = _pool_size(jobs, len(tasks))
     if workers == 1:
         return [fn(task) for task in tasks]
@@ -371,6 +390,34 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+# Work below _POOL_MIN_COEFFS scan coefficients (one Fermat class's moment
+# entry up to n_scan) runs in this process whatever jobs asks.  On a 2-vCPU
+# VM, starting two workers costs about 0.1 s of CPU and 0.03 s of wall, 20-35
+# ms of it importing concurrent.futures.process.  CLI scans pinned to two
+# CPUs, medians of 5, wall / CPU seconds at --jobs 1 against --jobs 2: the
+# full range (516 classes) at nscan 2000, 1.0 M coefficients, 0.376 / 0.372
+# against 0.411 / 0.471; at nscan 10000, 5.2 M, 0.431 / 0.429 against
+# 0.432 / 0.576; at nscan 20000, 10.3 M, 0.747 / 0.738 against
+# 0.576 / 0.775; the overpartition sweep to ell <= 199 at nscan 4000,
+# 8.4 M, 0.694 / 0.693 against 0.602 / 0.805.
+#
+# A certified coefficient (companion, sigma table and projection, to
+# ell*B + r) costs about _CERTIFY_COEFF_COST scan coefficients: in one
+# process, pinned, the 31 reduced full-range certifications take 0.9 us a
+# coefficient and the full-range scans 0.03-0.05 us.  certify_batch wall
+# seconds at jobs=1 against jobs=2 on two CPUs, for the reduced triples with
+# ell <= 31, 41 and 61: 155 k coefficients, 0.13-0.14 against 0.14-0.16;
+# 339 k, 0.24-0.29 against 0.21-0.24; 1.5 M, 1.1-1.2 against 0.7-0.8.
+_POOL_MIN_COEFFS = 6_000_000
+_CERTIFY_COEFF_COST = 20
+
+
+def _pool_jobs(jobs: int, coeffs: int) -> int:
+    """The jobs to pass _map_tasks for work of about `coeffs` scan
+    coefficients: jobs when that repays starting workers, else 1."""
+    return jobs if coeffs >= _POOL_MIN_COEFFS else 1
 
 
 # A scan block holds max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes at FFT
@@ -467,8 +514,11 @@ def scan(
     projected moment entries all vanish mod ell up to n_scan.
 
     weight_selector switches the divisor weights from the ensemble's
-    canonical c(d) * d^m to a twisted or filtered rule.  Results are merged
-    in sorted order, so any parallelism degree gives identical reports.
+    canonical c(d) * d^m to a twisted or filtered rule.  The scan runs one
+    task per ell, on up to jobs worker processes when its Fermat classes
+    times n_scan reach _POOL_MIN_COEFFS and in this process otherwise.
+    Results are merged in sorted order, so any parallelism degree gives
+    identical reports.
     A scan needing more than max_coeffs coefficients per series raises
     ResourceLimitError before anything is built.
     """
@@ -490,7 +540,8 @@ def scan(
         raise ResourceLimitError("scan divisor sums of n_scan residues would overflow int64")
     # one task per ell, largest first: it has the most Fermat classes
     tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
-    results = _map_tasks(_scan_task, tasks, jobs)
+    classes = sum(len({(m - 1) % (ell - 1) for m in ms}) for ell in ells)
+    results = _map_tasks(_scan_task, tasks, _pool_jobs(jobs, classes * n_scan))
     grouped: dict[tuple[int, int], list[int]] = {}
     for m, ell, residues in (row for rows in results for row in rows):
         for r in residues:
@@ -511,10 +562,20 @@ def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
     """Run a list of certification task tuples, optionally in parallel.
 
     Each task is (ensemble, m, prog, modulus, config) or the same with a
-    weight appended.  Results come back in task order regardless of jobs.
+    weight appended.  The tasks run on up to jobs worker processes when
+    _CERTIFY_COEFF_COST times the sum of their ell*B + r + 1 reaches
+    _POOL_MIN_COEFFS, and in this process otherwise.  Results come back in
+    task order regardless of jobs.
     """
     normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
-    return _map_tasks(_certify_task, normalized, jobs)
+    coeffs = sum(_certified_coeffs(*task) for task in normalized)
+    return _map_tasks(_certify_task, normalized, _pool_jobs(jobs, _CERTIFY_COEFF_COST * coeffs))
+
+
+def _certified_coeffs(ensemble, m, prog, modulus, config, weight) -> int:
+    """ell*B + r + 1, the coefficients a PASS of this task checks."""
+    weight = DivisorWeight(m, ensemble.exponents) if weight is None else weight
+    return prog.ell * sturm_bound_for_level(m, config.mode, _level(weight, prog.ell, config)) + prog.r + 1
 
 
 def _certify_task(task) -> CertificationRecord:

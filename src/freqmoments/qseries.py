@@ -373,10 +373,10 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     """The product of the pentagonal factors 1 + sum sign*q^exp in `factors`
     to n1 terms, as an int32 array mod modulus.
 
-    Only the Newton path calls this, whose guard fits_fft(top, top, modulus)
-    with top = max(n1, FFT_MIN_TERMS) admits no modulus above 113,849; a
-    slice sum of _multiply_by_sparse_shifted, below (number of terms + 1) *
-    modulus, then stays below 5 * 10**6 at every n1, far inside int32.
+    Only the Newton path calls this, whose guard fits_newton(n1 - 1,
+    modulus) admits no modulus above 113,849; a slice sum of
+    _multiply_by_sparse_shifted, below (number of terms + 1) * modulus,
+    then stays below 5 * 10**6 at every n1, far inside int32.
     """
     coeffs = np.zeros(n1, dtype=np.int32)
     coeffs[0] = 1
@@ -389,14 +389,22 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     return coeffs
 
 
+def fits_newton(n: int, modulus: int) -> bool:
+    """True when an eta-quotient to q^n over Z/modulus runs by Newton
+    inversion: fits_fft(top, top, modulus) with top = max(n + 1,
+    FFT_MIN_TERMS).  Past it the denominator is divided out by the scalar
+    recurrence of _divide_by_sparse."""
+    top = max(n + 1, FFT_MIN_TERMS)
+    return fits_fft(top, top, modulus)
+
+
 def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> np.ndarray:
     modulus = ring.modulus
     # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
     factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
     denominator = [terms for terms, mult in factors for _ in range(mult)]
     numerator = [terms for terms, mult in factors for _ in range(-mult)]
-    top = max(n + 1, FFT_MIN_TERMS)
-    if modulus is not None and fits_fft(top, top, modulus):
+    if modulus is not None and fits_newton(n, modulus):
         if not denominator:
             return _pentagonal_product(numerator, n + 1, modulus)
         coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
@@ -450,9 +458,8 @@ def euler_product_coefficients(
     integer operations; rules with the factor r (plane partitions) are
     capped at n = 5000 unless allow_large.
 
-    Over Z/N, when fits_fft(top, top, N) with top = max(n + 1,
-    FFT_MIN_TERMS), the eta-quotient runs by Newton inversion:
-    A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
+    Over Z/N, when fits_newton(n, N), the eta-quotient runs by Newton
+    inversion: A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
     f = (q;q)_inf.  The denominator is built densely by shifted-slice
     multiplications, inverted once by Newton's iteration
     g <- g - g*(f*g - 1) at doubling precision, and the numerator's

@@ -318,6 +318,16 @@ def test_identities_memory_cap_exit_three(monkeypatch, capsys):
     assert out == ""
 
 
+def test_certify_past_the_scalar_companion_cap_exits_three(capsys):
+    # conservative12/safe at ell = 281 needs the companion to q^33400503,
+    # inside the coefficient budget but past the Newton path's FFT guard
+    start = time.perf_counter()
+    code, out = run_cli(["certify", "--m", "1", "--ell", "281", "--r", "0", "--prime", "281"], capsys)
+    assert code == 3
+    assert out == ""
+    assert time.perf_counter() - start < 2.0
+
+
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     config = tmp_path / "scan.cfg"
     config.write_text("ensemble = ordinary\nnscan = 100  # comment\nell = 7\nm = 3\n")

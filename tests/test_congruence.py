@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from freqmoments import congruence
-from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig, index_gamma0
+from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig, index_gamma0, primes_up_to
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
@@ -354,6 +354,24 @@ def test_certify_resource_budget():
         certify(ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE, max_coeffs=100)
 
 
+def test_certify_refuses_a_scalar_companion_past_the_cap(monkeypatch):
+    # at ell = 281, conservative12/safe, N = 33,400,503 is inside the budget
+    # but past fits_newton: the scalar recurrence would run for hours
+    monkeypatch.setattr(congruence, "companion_series", lambda *a, **k: pytest.fail("built a companion"))
+    with pytest.raises(ResourceLimitError, match="scalar recurrence"):
+        certify(ORDINARY, 1, Progression(281, 0), 281, SturmConfig(CONSERVATIVE12, "safe"))
+
+
+def test_scalar_companion_cap_is_on_the_top_index(monkeypatch):
+    # 2**64 + 13 is past fits_newton at every N; B = 105 at level 4 * 25
+    args = (ORDINARY, 3, Progression(5, 0), 2**64 + 13, SturmConfig(CONSERVATIVE12, "safe"))
+    monkeypatch.setattr(congruence, "_SCALAR_COMPANION_MAX_N", 5 * 105)
+    assert certify(*args).bound_b == 105
+    monkeypatch.setattr(congruence, "_SCALAR_COMPANION_MAX_N", 5 * 105 - 1)
+    with pytest.raises(ResourceLimitError):
+        certify(*args)
+
+
 def test_certify_refuses_an_exponent_rule_with_the_factor_r():
     # MacMahon's plane-partition product is not an eta-quotient, so no Sturm
     # bound backs a PASS; m = 1 at ell = 5 would otherwise print one
@@ -561,7 +579,13 @@ def test_scan_with_twist_selector():
     assert report.weight_family == "chi=kronecker(5)"
 
 
-def test_scan_parallel_matches_serial():
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Start a pool for work of any size, so that jobs > 1 runs workers."""
+    monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", 0)
+
+
+def test_scan_parallel_matches_serial(pool_always):
     serial = scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=1)
     parallel = scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=4)
     assert serial == parallel
@@ -615,7 +639,7 @@ def test_scan_per_ell_reference_sees_the_ramanujan_classes():
 @pytest.mark.parametrize(
     "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
 )
-def test_scan_per_ell_reports_identical_across_jobs(ensemble, selector):
+def test_scan_per_ell_reports_identical_across_jobs(pool_always, ensemble, selector):
     runs = [
         scan(ensemble, GRID_MS, GRID_ELLS, 300, weight_selector=selector, jobs=jobs)
         for jobs in (1, 2)
@@ -733,7 +757,7 @@ def test_scan_probe_gives_the_one_stage_report(monkeypatch, ensemble, selector, 
 FULL_MS = range(1, 100, 2)
 
 
-def test_scan_full_grid_reports_identical_across_jobs():
+def test_scan_full_grid_reports_identical_across_jobs(pool_always):
     runs = [scan(ORDINARY, FULL_MS, DESK_ELLS, 2000, jobs=jobs) for jobs in (1, 2)]
     assert runs[0].triples() == predicted_hits(FULL_MS, DESK_ELLS)
     for render in (scan_report_to_json, scan_report_to_csv, scan_report_to_text):
@@ -832,13 +856,16 @@ def test_scan_equals_predictions_full_desk_window_with_zero_classes():
 # --- batch + serialization --------------------------------------------------
 
 
-def test_certify_batch_order_and_parallel_determinism():
-    tasks = [
-        (ORDINARY, 3, Progression(7, 5), 7, SHARP_NATURAL),
-        (ORDINARY, 3, Progression(7, 0), 7, SHARP_NATURAL),
-        (ORDINARY, 3, Progression(11, 6), 11, SHARP_NATURAL),
-        (OVERPARTITION, 5, Progression(5, 0), 5, SturmConfig(CONSERVATIVE12, "natural")),
-    ]
+BATCH_TASKS = [
+    (ORDINARY, 3, Progression(7, 5), 7, SHARP_NATURAL),
+    (ORDINARY, 3, Progression(7, 0), 7, SHARP_NATURAL),
+    (ORDINARY, 3, Progression(11, 6), 11, SHARP_NATURAL),
+    (OVERPARTITION, 5, Progression(5, 0), 5, SturmConfig(CONSERVATIVE12, "natural")),
+]
+
+
+def test_certify_batch_order_and_parallel_determinism(pool_always):
+    tasks = BATCH_TASKS
     serial = certify_batch(tasks, jobs=1)
     parallel = certify_batch(tasks, jobs=4)
     assert serial == parallel
@@ -874,6 +901,75 @@ def test_map_tasks_returns_results_in_task_order(monkeypatch):
     assert _map_tasks(abs, [-t for t in tasks], 1) == tasks
     assert _map_tasks(abs, [-t for t in tasks], 2) == tasks
     assert _map_tasks(abs, [], 2) == []
+
+
+class PoolStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Two CPUs to run on, and a ProcessPoolExecutor that raises PoolStarted
+    with its worker count instead of starting any worker."""
+    import concurrent.futures
+
+    def spy(max_workers):
+        raise PoolStarted(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+
+
+def test_scan_full_grid_at_two_jobs_runs_in_this_process(pool_spy):
+    # 516 classes x nscan 2000 is about 1.0 M coefficients, below the constant
+    report = scan(ORDINARY, FULL_MS, DESK_ELLS, 2000, jobs=2)
+    assert report.triples() == predicted_hits(FULL_MS, DESK_ELLS)
+
+
+@pytest.mark.parametrize(
+    "ensemble,m_max,ell_max,n_scan",
+    [(ORDINARY, 99, 97, 20000), (OVERPARTITION, 199, 199, 4000)],
+    ids=["full-range-nscan-20000", "overpartition-ell-199"],
+)
+def test_large_scans_start_a_pool(pool_spy, ensemble, m_max, ell_max, n_scan):
+    ells = [p for p in primes_up_to(ell_max).primes if p >= 5]
+    with pytest.raises(PoolStarted, match="2"):
+        scan(ensemble, range(1, m_max + 1, 2), ells, n_scan, jobs=2)
+
+
+def test_scan_starts_a_pool_from_the_constant_on(pool_spy, monkeypatch):
+    # classes: {1, 3} at ell = 5 and {1, 3, 5} at ell = 7, so 5 x 400
+    # coefficients
+    monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", 5 * 400 + 1)
+    serial = scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=2)
+    monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", 5 * 400)
+    with pytest.raises(PoolStarted):
+        scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=2)
+    assert serial == scan(ORDINARY, [1, 3, 5], [5, 7], 400, jobs=1)
+
+
+def test_certify_batch_starts_a_pool_from_the_constant_on(pool_spy, monkeypatch):
+    records = certify_batch(BATCH_TASKS, jobs=2)
+    assert {rec.status for rec in records} == {"PASS"}
+    # a PASS checks ell*B + r + 1 coefficients, each weighed as
+    # _CERTIFY_COEFF_COST scan coefficients
+    work = congruence._CERTIFY_COEFF_COST * sum(rec.max_index_checked + 1 for rec in records)
+    monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", work + 1)
+    assert certify_batch(BATCH_TASKS, jobs=2) == records
+    monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", work)
+    with pytest.raises(PoolStarted):
+        certify_batch(BATCH_TASKS, jobs=2)
+
+
+def test_reduced_full_range_certifications_start_a_pool(pool_spy):
+    # the 31 (mbar, ell, r) the full-range survivors reduce to, about
+    # 7.2 * 10**6 coefficients at conservative12/safe
+    triples = {((m - 1) % (ell - 1) + 1, ell, r) for m, ell, r in predicted_hits(FULL_MS, DESK_ELLS)}
+    assert len(triples) == 31
+    config = SturmConfig(CONSERVATIVE12, "safe")
+    tasks = [(ORDINARY, m, Progression(ell, r), ell, config) for m, ell, r in sorted(triples)]
+    with pytest.raises(PoolStarted, match="2"):
+        certify_batch(tasks, jobs=2)
 
 
 def test_record_json_fields():

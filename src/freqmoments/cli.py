@@ -208,6 +208,8 @@ FILTERED_TABLE = (
 def _run_scan(args) -> int:
     ensemble = ensemble_by_name(args.ensemble)
     if args.weight:
+        if args.m or args.m_odd_max is not None:
+            raise ValueError("--weight names its own m; drop --m and --m-odd-max")
         weight = parse_weight_spec(args.weight)
         ms = [weight.exponent]
         selector = weight.selector
@@ -261,6 +263,8 @@ def _render_records(args, records: list[CertificationRecord]) -> str:
 def _run_certify(args) -> int:
     ensemble = ensemble_by_name(args.ensemble)
     if args.weight:
+        if args.m is not None:
+            raise ValueError("--weight names its own m; drop --m")
         parsed = parse_weight_spec(args.weight)
         m, selector = parsed.exponent, parsed.selector
     elif args.m is None:
@@ -386,12 +390,10 @@ def _run_dump_series(args) -> int:
     ensemble = ensemble_by_name(args.ensemble)
     if args.ring == "exact":
         ring = CoefficientRing.exact_integers()
-    elif args.ring == "rational":
-        ring = CoefficientRing.exact_rationals()
     elif args.ring.startswith("mod:"):
         ring = CoefficientRing.integers_mod(int(args.ring.split(":", 1)[1]))
     else:
-        raise ValueError(f"unknown ring {args.ring!r} (use exact, rational, or mod:<N>)")
+        raise ValueError(f"unknown ring {args.ring!r} (use exact or mod:<N>)")
     budget = _coefficient_budget()
     if args.n + 1 > budget:
         raise ResourceLimitError(f"dump of {args.n + 1} coefficients exceeds budget {budget}")
@@ -489,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-series", help="dump an ensemble's companion coefficients")
     p_dump.add_argument("--ensemble", default="ordinary")
     p_dump.add_argument("--n", type=int, required=True, help="truncation order")
-    p_dump.add_argument("--ring", default="exact", help="exact, rational, or mod:<N>")
+    p_dump.add_argument("--ring", default="exact", help="exact or mod:<N>")
     p_dump.add_argument("--allow-large", action="store_true")
     add_common(p_dump)
     p_dump.set_defaults(func=_run_dump_series)

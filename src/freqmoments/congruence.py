@@ -201,7 +201,11 @@ def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
     """The L of Gamma0(4L) a certification of this weight runs at: L =
     lcm(ell, conductor) (natural), its square (safe), or the custom L.  The
     conductor is a character's level factor, a filter's level over 4, and 1
-    for plain and canonical weights."""
+    for plain and canonical weights.
+
+    The natural level, and lcm(ell, conductor) for twists and filters, are
+    the paper's convention, not a level the code proves the projected
+    moment series lives on."""
     sel = weight.selector
     if isinstance(sel, DirichletCharacterSpec):
         conductor = sel.level_factor
@@ -244,7 +248,9 @@ def certify(
 
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
     must equal m.  The level L of Gamma0(4L) is _level's; the record stores
-    4L, so the rule is auditable.
+    4L, so the rule is auditable.  The natural level and the twisted rule
+    L = lcm(ell, conductor) are also the paper's convention, not a level
+    the code proves.
 
     Before anything is built, a certification needing more than max_coeffs
     coefficients, or a companion past fits_newton beyond
@@ -591,6 +597,7 @@ _RAMANUJAN_CLASSES = {5: 4, 7: 5, 11: 6}
 _BASE_CASES = {
     3: ((7, 0), (7, 5), (11, 0), (11, 6)),
     7: ((11, 6),),
+    199: ((389, 308),),
 }
 
 
@@ -603,10 +610,19 @@ def predicted_hits(ms, ells, *, ensemble: Ensemble = ORDINARY) -> frozenset[tupl
     (b) the Ramanujan classes (5,4), (7,5), (11,6) whenever m = 1 (mod ell-1);
     (c) the base congruences at reduced exponent 3 (ell in {7, 11}, both the
         zero class and the Ramanujan class) and 7 (ell = 11, class 6),
-        lifted to every m with the same Fermat reduction.
+        lifted to every m with the same Fermat reduction;
+    (d) one sporadic class found by scanning, not derived: reduced exponent
+        199 at ell = 389, class 308 = 24^-1 (mod 389), lifted the same way
+        (m = 199, 587, 975, ...).  389 divides the Bernoulli number B_200,
+        with 200 = m + 1, but that alone is not the rule: no other irregular
+        pair (ell, m + 1) with ell <= 997 gives a class.
 
     Overpartitions: r = 0 exactly when m = 1 (mod ell - 1), and no nonzero
     class.  Any other ensemble has no rule and raises ValueError.
+
+    Checked against scans of odd m <= 997 and primes 5 <= ell <= 997 at
+    nscan 19,940, for both ensembles; past ell = 997 the rule is a
+    conjecture and may miss sporadic classes like (d).
     """
     if ensemble not in (ORDINARY, OVERPARTITION):
         raise ValueError(f"no predicted hits for the {ensemble.name} ensemble")

@@ -329,8 +329,8 @@ def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -
     """a(k) = sum_{d | k} w(d) * d^m for the given divisor weight.
 
     Over Z/N the terms are int64 tables when every product of two residues
-    and every sum of n residues fits in int64; otherwise, and over Z and Q,
-    they are Python values, one per d, in an object array.  Either way
+    and every sum of n residues fits in int64; otherwise, and over Z,
+    they are Python ints, one per d, in an object array.  Either way
     _divisor_sums_mod sums them.
     """
     if n < 0:
@@ -356,7 +356,7 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    terms = np.array([ring.zero] + [ring.reduce(f(d)) for d in range(1, n + 1)], dtype=object)
+    terms = np.array([0] + [ring.reduce(f(d)) for d in range(1, n + 1)], dtype=object)
     return Series(ring, _divisor_sums_mod(terms, ring.modulus))
 
 

@@ -73,7 +73,7 @@ class IdentityCheckResult:
 def master_transform(sigma: Series, companion: Series) -> Series:
     """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0: the
     exact mod-N product _convolve_mod over Z/N, and the truncated product
-    of the object arrays over Z and Q."""
+    of the object arrays over Z."""
     if sigma.ring != companion.ring:
         raise RingMismatchError(
             f"rings differ: {sigma.ring.describe()} vs {companion.ring.describe()}"
@@ -81,9 +81,9 @@ def master_transform(sigma: Series, companion: Series) -> Series:
     if sigma.n_max != companion.n_max:
         raise RingMismatchError(f"truncations differ: {sigma.n_max} vs {companion.n_max}")
     ring = sigma.ring
-    if sigma.coeffs[0] != ring.zero:
+    if sigma.coeffs[0] != 0:
         raise ValueError("sigma series must have a(0) = 0")
-    if companion.coeffs[0] != ring.one:
+    if companion.coeffs[0] != 1:
         raise ValueError("companion series must have b(0) = 1")
     modulus = ring.modulus
     if modulus is not None:

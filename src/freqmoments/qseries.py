@@ -1,5 +1,5 @@
-"""Truncated formal power series over pluggable coefficient rings, plus the
-coefficient generators for every Euler product the moment pipeline uses.
+"""Truncated formal power series over Z and Z/N, plus the coefficient
+generators for every Euler product the moment pipeline uses.
 
 Convention: an exponent sequence c defines the product
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
@@ -59,17 +58,13 @@ class RingMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Z/N (modulus set), exact Z (default), or exact Q (rational=True)."""
+    """Z/N (modulus set) or exact Z (default)."""
 
     modulus: int | None = None
-    rational: bool = False
 
     def __post_init__(self) -> None:
-        if self.modulus is not None:
-            if self.rational:
-                raise ValueError("a ring is either modular or rational, not both")
-            if self.modulus < 2:
-                raise ValueError("modulus must be >= 2")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
 
     @classmethod
     def integers_mod(cls, n: int) -> CoefficientRing:
@@ -79,31 +74,13 @@ class CoefficientRing:
     def exact_integers(cls) -> CoefficientRing:
         return cls()
 
-    @classmethod
-    def exact_rationals(cls) -> CoefficientRing:
-        return cls(rational=True)
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.rational else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.rational else 1
-
-    def reduce(self, x):
+    def reduce(self, x) -> int:
         """Coerce x into a canonical ring element."""
-        if self.rational:
-            return Fraction(x)
         value = operator.index(x)
         return value % self.modulus if self.modulus is not None else value
 
     def describe(self) -> str:
-        if self.rational:
-            return "Q"
-        if self.modulus is not None:
-            return f"Z/{self.modulus}"
-        return "Z"
+        return f"Z/{self.modulus}" if self.modulus is not None else "Z"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +89,9 @@ class Series:
 
     coeffs is a read-only 1-D numpy array in every ring: int64 over Z/N for
     N < 2**63, and object otherwise, holding Python ints over Z and wider
-    moduli and Fractions over Q.  The constructor puts any sequence in that
-    form, keeping an array of the right dtype (marked read-only) rather than
-    copying it, and reduces nothing.  Indexing gives a Python int or
-    Fraction.
+    moduli.  The constructor puts any sequence in that form, keeping an
+    array of the right dtype (marked read-only) rather than copying it, and
+    reduces nothing.  Indexing gives a Python int.
     """
 
     ring: CoefficientRing
@@ -139,9 +115,8 @@ class Series:
     def n_max(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int):
-        value = self.coeffs[n]
-        return int(value) if isinstance(value, np.integer) else value
+    def __getitem__(self, n: int) -> int:
+        return int(self.coeffs[n])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -409,8 +384,8 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
             return _pentagonal_product(numerator, n + 1, modulus)
         coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
     else:
-        scalar = [ring.zero] * (n + 1)
-        scalar[0] = ring.one
+        scalar = [0] * (n + 1)
+        scalar[0] = 1
         for terms in denominator:
             _divide_by_sparse(scalar, terms, modulus)
         # object dtype: no slice sum below can overflow, whatever the modulus
@@ -478,7 +453,7 @@ def euler_product_coefficients(
     direct _convolve_mod products.  The whole costs O(n log n) plus
     O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
 
-    In every other ring, Z, Q and Z/N past that guard, the denominator is
+    Over Z, and over Z/N past that guard, the denominator is
     divided out by the scalar subtraction recurrence of _divide_by_sparse,
     O(n^1.5 * sum_{m_d > 0} m_d) interpreted ring operations, and the
     numerator's factors are multiplied in by the same shifted-slice
@@ -513,7 +488,7 @@ def eta_power_coefficients(k: int, n: int, ring: CoefficientRing) -> Series:
     if n < 0:
         raise ValueError("truncation must be >= 0")
     if k == 0:
-        return Series(ring, [ring.one] + [ring.zero] * n)
+        return Series(ring, [1] + [0] * n)
     rule = ExponentSequence(f"eta-power({k})", 1, (-k,))
     return euler_product_coefficients(rule, n, ring)
 
@@ -523,7 +498,7 @@ def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
     if n < 1:
         raise ValueError("need n >= 1 for tau")
     eta24 = eta_power_coefficients(24, n - 1, ring).coeffs
-    return Series(ring, np.concatenate(([ring.zero], eta24)))
+    return Series(ring, np.concatenate(([0], eta24)))
 
 
 def r2_coefficients(n: int) -> Series:

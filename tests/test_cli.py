@@ -137,6 +137,21 @@ def test_scan_usage_error_without_weights():
         main(["scan", "--ell", "7"])
 
 
+@pytest.mark.parametrize("weights", [["--m", "5"], ["--m-odd-max", "5"]], ids=["m", "m-odd-max"])
+def test_scan_weight_with_m_is_a_usage_error(weights, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--weight", "m=3,twist=kronecker(5)", *weights, "--ell", "5", "--nscan", "100"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_certify_weight_with_m_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--weight", "m=3", "--m", "5", "--ell", "7", "--r", "0", "--prime", "7"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_plane_partition_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["certify", "--ensemble", "plane-partition", "--m", "1", "--ell", "5",
@@ -281,6 +296,15 @@ def test_dump_series_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "# ring=Z/7 N=4 ensemble=overpartition"
     assert lines[1:] == ["1", "2", "4", "1", "0"]
+
+
+def test_dump_series_rational_ring_is_unknown(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["dump-series", "--n", "4", "--ring", "rational"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "use exact or mod:<N>" in captured.err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -809,6 +809,18 @@ def test_predicted_hits_base_cases():
     assert (7, 7, 0) in hits  # but 7 = 1 mod 6 gives the Fermat zero class
 
 
+def test_predicted_hits_sporadic_class_at_389():
+    ms = range(1, 1000, 2)
+    nonzero = {hit for hit in predicted_hits(ms, [389]) if hit[2] != 0}
+    # reduced exponent 199 and its Fermat lifts, class 308 = 24^-1 mod 389
+    assert nonzero == {(199, 389, 308), (587, 389, 308), (975, 389, 308)}
+    assert all(r == 0 for _m, _ell, r in predicted_hits(ms, [389], ensemble=OVERPARTITION))
+
+
+def test_scan_finds_the_sporadic_class_at_389():
+    assert scan(ORDINARY, [199], [389], 2000).triples() == {(199, 389, 308)}
+
+
 def test_predicted_hits_validation():
     with pytest.raises(ValueError):
         predicted_hits([2], [7])

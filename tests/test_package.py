@@ -58,6 +58,11 @@ def test_import_loads_no_numpy():
     assert _fresh_python("import sys, freqmoments; print('numpy' in sys.modules)") == "False"
 
 
+def test_cli_import_loads_no_fractions_or_decimal():
+    code = "import sys, freqmoments.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert _fresh_python(code) == "[]"
+
+
 def test_all_lists_the_reexported_names():
     assert len(NAMES) == 46
     assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)

@@ -36,7 +36,6 @@ from freqmoments.qseries import _convolve_mod, _newton_inverse, fits_fft, fits_f
 from freqmoments.qseries import FFT_MIN_TERMS, FLOAT64_DIRECT_MAX_TERMS
 
 Z = CoefficientRing.exact_integers()
-Q = CoefficientRing.exact_rationals()
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -88,14 +87,14 @@ def test_ring_reduce_and_units():
 def test_ring_validation():
     with pytest.raises(ValueError):
         CoefficientRing(modulus=1)
-    with pytest.raises(ValueError):
-        CoefficientRing(modulus=5, rational=True)
+    with pytest.raises(TypeError):
+        CoefficientRing(modulus=5, rational=True)  # Z and Z/N are the only rings
 
 
 def test_ring_descriptions():
     assert CoefficientRing.integers_mod(691).describe() == "Z/691"
     assert Z.describe() == "Z"
-    assert Q.describe() == "Q"
+    assert CoefficientRing(modulus=2).describe() == "Z/2"
 
 
 def test_series_shape():
@@ -150,13 +149,12 @@ def test_modulus_above_int64_gives_an_array_of_python_ints():
 
 
 def test_exact_rings_keep_tuples():
-    # over Z and Q the series are read-only object arrays of Python ints and
-    # Fractions
-    cases = ((partition_counts(10, Z), int), (r2_coefficients(10), int), (partition_counts(10, Q), Fraction))
-    for series, kind in cases:
+    # over Z the series are read-only object arrays of Python ints
+    for series in (partition_counts(10, Z), r2_coefficients(10), tau_coefficients(10, Z)):
         assert series.coeffs.dtype == object
         assert not series.coeffs.flags.writeable
-        assert all(type(v) is kind for v in series.coeffs)
+        assert all(type(v) is int for v in series.coeffs)
+        assert type(series[3]) is int
     assert Series(Z, [1, 2]).coeffs.tolist() == [1, 2]
 
 
@@ -234,7 +232,7 @@ def test_partition_counts_known_value():
 
 
 def test_euler_product_ordinary_matches_partition_counts():
-    for ring in (Z, CoefficientRing.integers_mod(7), Q):
+    for ring in (Z, CoefficientRing.integers_mod(7), CoefficientRing.integers_mod(ABOVE_INT64)):
         direct = partition_counts(60, ring)
         product = euler_product_coefficients(ordinary(), 60, ring)
         assert product == direct
@@ -296,9 +294,9 @@ def test_non_gcd_periodic_rule_uses_log_derivative(monkeypatch):
     ):
         rule = ExponentSequence("non-gcd", len(values), values)
         slow = slow_euler_product(rule.value_at, 40)
-        for ring in (Z, CoefficientRing.integers_mod(11), Q):
+        for ring in (Z, CoefficientRing.integers_mod(11)):
             assert euler_product_coefficients(rule, 40, ring) == make_series(ring, slow)
-    assert len(ran) == 9
+    assert len(ran) == 6
 
 
 def test_nonnegative_exponents_give_nonnegative_counts():

@@ -7,8 +7,8 @@ arithmetic; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 __all__ = [
     "PrimeTable",
@@ -31,12 +31,34 @@ _BOUND_MODES = (SHARP24, CONSERVATIVE12)
 _LEVEL_MODELS = ("natural", "safe", "custom")
 
 
-@dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to an inclusive limit, ascending."""
+    """All primes up to an inclusive limit, ascending.  Immutable; equal
+    tables compare and hash equal, and iterating yields the primes."""
 
-    limit: int
-    primes: tuple[int, ...]
+    __slots__ = ("limit", "primes")
+
+    def __init__(self, limit: int, primes: tuple[int, ...]) -> None:
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "primes", primes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeTable:
+            return NotImplemented
+        return (self.limit, self.primes) == (other.limit, other.primes)
+
+    def __hash__(self) -> int:
+        return hash((self.limit, self.primes))
+
+    def __repr__(self) -> str:
+        return f"PrimeTable(limit={self.limit!r}, primes={self.primes!r})"
+
+    def __reduce__(self):
+        return PrimeTable, (self.limit, self.primes)
 
     def __iter__(self):
         return iter(self.primes)
@@ -127,8 +149,13 @@ def index_gamma0(N: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class SturmConfig:
+class _SturmConfigFields(NamedTuple):
+    mode: str = CONSERVATIVE12
+    level_model: str = "safe"
+    custom_level: int | None = None
+
+
+class SturmConfig(_SturmConfigFields):
     """Bound mode and Gamma0(4L) level model for half-integral Sturm checks.
 
     mode selects the divisor in B = floor(k * [SL2(Z):Gamma0(4L)] / divisor)
@@ -141,11 +168,10 @@ class SturmConfig:
     "safe" is L = ell**2, "custom" takes an explicit L >= 1.
     """
 
-    mode: str = CONSERVATIVE12
-    level_model: str = "safe"
-    custom_level: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in _BOUND_MODES:
             raise ValueError(f"unknown bound mode {self.mode!r}")
         if self.level_model not in _LEVEL_MODELS:
@@ -155,6 +181,7 @@ class SturmConfig:
                 raise ValueError("custom level model requires custom_level >= 1")
         elif self.custom_level is not None:
             raise ValueError("custom_level only makes sense with the custom model")
+        return self
 
     def resolve_level(self, ell: int) -> int:
         if self.level_model == "natural":

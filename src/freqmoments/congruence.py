@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,11 +71,12 @@ DEFAULT_COEFF_BUDGET = 1 << 25
 _PROBE_ROWS = 64
 
 # certify refuses a companion past fits_newton beyond q^_SCALAR_COMPANION_MAX_N:
-# there _divide_by_sparse runs O(N^1.5) interpreted steps a denominator
-# factor.  Mod 1000003, pinned to one CPU, the ordinary companion took 1.1 s
-# to N = 3*10**4 and 5.4 s to N = 10**5, the overpartition one (two factors)
-# 1.7 s and 11.8 s; at ell = 281 and conservative12/safe (N = 33,400,503)
-# it would run for hours.
+# there _divide_by_sparse runs O(N^1.5) interpreted steps, one per term of
+# the sparse denominator below q^n for each n.  Mod 1000003, pinned to one
+# CPU, the ordinary companion (pentagonal f, about 1.6*sqrt(N) terms) took
+# 0.8 s to N = 3*10**4 and 5.2 s to N = 10**5, the overpartition one
+# (theta_4, sqrt(N) terms) 0.3 s and 2.8 s; at ell = 281 and
+# conservative12/safe (N = 33,400,503) it would run for hours.
 _SCALAR_COMPANION_MAX_N = 10**5
 
 
@@ -83,18 +84,23 @@ class ResourceLimitError(RuntimeError):
     """A requested series would exceed the configured coefficient budget."""
 
 
-@dataclass(frozen=True)
-class Progression:
-    """The arithmetic progression ell*n + r for a prime ell."""
-
+class _ProgressionFields(NamedTuple):
     ell: int
     r: int
 
-    def __post_init__(self) -> None:
+
+class Progression(_ProgressionFields):
+    """The arithmetic progression ell*n + r for a prime ell."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.ell):
             raise ValueError(f"ell={self.ell} must be prime")
         if not 0 <= self.r < self.ell:
             raise ValueError(f"residue r={self.r} out of range for ell={self.ell}")
+        return self
 
 
 def project(moments: Series, prog: Progression) -> Series:
@@ -107,8 +113,7 @@ def project(moments: Series, prog: Progression) -> Series:
     return Series(moments.ring, moments.coeffs[prog.r :: prog.ell])
 
 
-@dataclass(frozen=True)
-class CertificationRecord:
+class CertificationRecord(NamedTuple):
     """One certification outcome, mirroring the published table rows."""
 
     ensemble: str
@@ -303,8 +308,9 @@ def certify(
     # the series up to n_max are never built
     for rows in sorted({min(bound, _PROBE_ROWS), bound}):
         top = prog.ell * rows + prog.r
-        # the companion first, so that its FFT workspace is freed before
-        # sigma's table is built
+        # the companion first, so that Newton's FFT workspace is freed
+        # before sigma's table is built; the full series continues from the
+        # probe's, which companion_series holds
         comp = companion_series(ensemble, top, ring)
         sigma = weighted_sigma_table(weight, top, ring)
         values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
@@ -346,8 +352,7 @@ def certify_filtered(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Discovered progressions grouped by (ell, r) -> sorted list of m."""
 
     ensemble: str
@@ -602,7 +607,8 @@ _BASE_CASES = {
 
 
 def predicted_hits(ms, ells, *, ensemble: Ensemble = ORDINARY) -> frozenset[tuple[int, int, int]]:
-    """The closed-form prediction of the (m, ell, r) a scan finds.
+    """The (m, ell, r) a scan finds: classes (a)-(c) follow closed-form
+    rules, and (d) is one sporadic class found by scanning.
 
     Ordinary partitions:
 

@@ -8,8 +8,8 @@ character values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,19 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirichletCharacterSpec:
+class _DirichletCharacterSpecFields(NamedTuple):
+    kind: str
+    parameter: int | None = None
+    modulus: int = 1
+
+
+class DirichletCharacterSpec(_DirichletCharacterSpecFields):
     """A real Dirichlet character: trivial, principal mod m, or Kronecker.
 
     kind "kronecker" evaluates kronecker_symbol(parameter, d), optionally
     forced to zero off units of a larger modulus (the imprimitive version).
     """
 
-    kind: str
-    parameter: int | None = None
-    modulus: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("trivial", "principal", "kronecker"):
             raise ValueError(f"unknown character kind {self.kind!r}")
         if self.kind == "trivial" and self.modulus != 1:
@@ -52,6 +56,7 @@ class DirichletCharacterSpec:
                 raise ValueError("kronecker character needs a nonzero discriminant")
             if self.modulus % abs(self.parameter) != 0:
                 raise ValueError("modulus must be a multiple of |D|")
+        return self
 
     @classmethod
     def trivial(cls) -> DirichletCharacterSpec:
@@ -90,12 +95,15 @@ class DirichletCharacterSpec:
         return f"kronecker({self.parameter})"
 
 
-@dataclass(frozen=True)
-class GlaisherFilter:
-    """A divisor-selection rule with weights in {-1, 0, 1}."""
-
+class _GlaisherFilterFields(NamedTuple):
     kind: str
     params: tuple[int, ...] = ()
+
+
+class GlaisherFilter(_GlaisherFilterFields):
+    """A divisor-selection rule with weights in {-1, 0, 1}."""
+
+    __slots__ = ()
 
     _KINDS = (
         "all",
@@ -108,7 +116,8 @@ class GlaisherFilter:
         "exclude-multiples",
     )
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "coprime":
@@ -130,6 +139,7 @@ class GlaisherFilter:
                 raise ValueError("kronecker weight needs a nonzero discriminant")
         elif self.params:
             raise ValueError(f"{self.kind} filter takes no parameters")
+        return self
 
     @classmethod
     def all_divisors(cls) -> GlaisherFilter:
@@ -190,8 +200,12 @@ class GlaisherFilter:
         return self.kind
 
 
-@dataclass(frozen=True)
-class DivisorWeight:
+class _DivisorWeightFields(NamedTuple):
+    exponent: int
+    selector: DirichletCharacterSpec | GlaisherFilter | ExponentSequence | None = None
+
+
+class DivisorWeight(_DivisorWeightFields):
     """The rule d -> w(d) * d^exponent feeding the master transform.
 
     The selector is None for plain power sums, a character spec for twisted
@@ -199,12 +213,13 @@ class DivisorWeight:
     ensemble's canonical weights w(d) = c(d).
     """
 
-    exponent: int
-    selector: DirichletCharacterSpec | GlaisherFilter | ExponentSequence | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.exponent < 0:
             raise ValueError("exponent must be >= 0")
+        return self
 
     def weight_of(self, d: int) -> int:
         sel = self.selector
@@ -365,20 +380,25 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterModularData:
-    """Half-integral modular data for a filtered odd moment: weight k/2 with
-    k = 2s + 1, level of the Gamma0 group, and the character."""
-
+class _FilterModularDataFields(NamedTuple):
     k: int
     level: int
     character: str
 
-    def __post_init__(self) -> None:
+
+class FilterModularData(_FilterModularDataFields):
+    """Half-integral modular data for a filtered odd moment: weight k/2 with
+    k = 2s + 1, level of the Gamma0 group, and the character."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k % 2 == 0:
             raise ValueError("k must be odd")
         if self.level % 4 != 0:
             raise ValueError("level must be a multiple of 4")
+        return self
 
 
 def filter_modular_data(filt: GlaisherFilter, s: int) -> FilterModularData:

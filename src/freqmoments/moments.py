@@ -14,7 +14,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize, is_prime
 from .divisorweights import DivisorWeight, weighted_sigma_table, sigma_table
@@ -57,8 +57,7 @@ ORACLE_GUARD = 40
 C12 = (65520, 691)
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
+class IdentityCheckResult(NamedTuple):
     name: str
     passed: bool
     checked_through: int
@@ -114,8 +113,7 @@ def ensemble_moments(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """F(k, n): total occurrences of part k across all partitions of n,
     for 1 <= k <= n <= n_max, computed by explicit enumeration."""
 

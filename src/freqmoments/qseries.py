@@ -16,8 +16,8 @@ q^N and says nothing beyond.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import expm1, gcd, isqrt, log1p, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,15 +56,20 @@ class RingMismatchError(ValueError):
     """Operands live in different rings or at different truncations."""
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
-    """Z/N (modulus set) or exact Z (default)."""
-
+class _CoefficientRingFields(NamedTuple):
     modulus: int | None = None
 
-    def __post_init__(self) -> None:
+
+class CoefficientRing(_CoefficientRingFields):
+    """Z/N (modulus set) or exact Z (default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
+        return self
 
     @classmethod
     def integers_mod(cls, n: int) -> CoefficientRing:
@@ -83,7 +88,6 @@ class CoefficientRing:
         return f"Z/{self.modulus}" if self.modulus is not None else "Z"
 
 
-@dataclass(frozen=True, eq=False)
 class Series:
     """Coefficient table a(0..n_max) in a fixed ring.
 
@@ -91,20 +95,32 @@ class Series:
     N < 2**63, and object otherwise, holding Python ints over Z and wider
     moduli.  The constructor puts any sequence in that form, keeping an
     array of the right dtype (marked read-only) rather than copying it, and
-    reduces nothing.  Indexing gives a Python int.
+    reduces nothing.  Indexing gives a Python int.  A Series is immutable
+    and unhashable; two are equal when their rings and coefficients are.
     """
 
-    ring: CoefficientRing
-    coeffs: np.ndarray
+    __slots__ = ("ring", "coeffs")
 
-    def __post_init__(self) -> None:
-        modulus = self.ring.modulus
+    def __init__(self, ring: CoefficientRing, coeffs) -> None:
+        modulus = ring.modulus
         dtype = np.int64 if modulus is not None and modulus < 2**63 else object
-        coeffs = np.asarray(self.coeffs, dtype=dtype)
+        coeffs = np.asarray(coeffs, dtype=dtype)
         coeffs.flags.writeable = False
         if coeffs.ndim != 1 or not len(coeffs):
             raise ValueError("a series is 1-D and has at least the constant coefficient")
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Series(ring={self.ring!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return Series, (self.ring, self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -138,20 +154,24 @@ def make_series(ring: CoefficientRing, values) -> Series:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentSequence:
+class _ExponentSequenceFields(NamedTuple):
+    name: str
+    period: int
+    values: tuple[int, ...]
+    power_factor: int = 0
+
+
+class ExponentSequence(_ExponentSequenceFields):
     """Periodic rule c(r) = values[r mod period] * r**power_factor.
 
     Only integer exponents are supported; rational c(r) is deliberately
     unimplemented.
     """
 
-    name: str
-    period: int
-    values: tuple[int, ...]
-    power_factor: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if len(self.values) != self.period:
@@ -162,6 +182,7 @@ class ExponentSequence:
             raise ValueError("at least one value must be nonzero")
         if self.power_factor not in (0, 1):
             raise ValueError("power_factor must be 0 or 1")
+        return self
 
     def value_at(self, r: int) -> int:
         c = self.values[r % self.period]
@@ -195,21 +216,26 @@ def theta() -> ExponentSequence:
     return ExponentSequence("theta", 2, (-1, 2))
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class _EnsembleFields(NamedTuple):
+    name: str
+    exponents: ExponentSequence
+    companion: str = "self"
+
+
+class Ensemble(_EnsembleFields):
     """An Euler product together with its companion series.
 
     companion "self" means the companion coefficients b(n) are those of the
     product itself; "r2" supplies the explicit theta companion b(n) = r2(n).
     """
 
-    name: str
-    exponents: ExponentSequence
-    companion: str = "self"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.companion not in ("self", "r2"):
             raise ValueError(f"unknown companion kind {self.companion!r}")
+        return self
 
 
 ORDINARY = Ensemble("ordinary", ordinary())
@@ -267,9 +293,9 @@ def _pentagonal_terms(step: int, n_max: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _divide_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int | None) -> None:
-    """In place: coeffs /= (1 + sum sign*q^exp).  The constant term is 1, so
-    this is a subtraction recurrence and needs no ring division."""
+def _divide_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int | None, scale: int = 1) -> None:
+    """In place: coeffs /= (1 + scale * sum sign*q^exp).  The constant term
+    is 1, so this is a subtraction recurrence and needs no ring division."""
     n_max = len(coeffs) - 1
     exps = [e for e, _ in terms]
     sgns = [s for _, s in terms]
@@ -284,7 +310,7 @@ def _divide_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int |
                 acc += coeffs[n - e]
             else:
                 acc -= coeffs[n - e]
-        v = coeffs[n] - acc
+        v = coeffs[n] - scale * acc
         coeffs[n] = v % modulus if modulus is not None else v
 
 
@@ -513,11 +539,83 @@ def r2_coefficients(n: int) -> Series:
     return Series(CoefficientRing.exact_integers(), counts)
 
 
+def _theta4_terms(n_max: int) -> list[tuple[int, int]]:
+    """Nonconstant terms of theta_4(q) = 1 + 2 * sum_{k>=1} (-1)^k q^{k^2}
+    through q^n_max as (exponent, sign), ascending; each carries a factor 2."""
+    return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(n_max) + 1)]
+
+
+# Eta-quotients prod_d (q^d; q^d)_inf^(-m_d) that are 1/S for one sparse
+# series S = 1 + scale * sum sign*q^exp, keyed by their sorted (d, m_d):
+# f = (q;q)_inf by Euler's pentagonal theorem (ordinary partitions and
+# coloured(1)), and f(q)^2 / f(q^2) = theta_4 by Gauss (overpartitions).
+# Each maps to the function giving S's terms through q^n, and the scale.
+_SPARSE_RECIPROCALS = {
+    ((1, 1),): (lambda n: _pentagonal_terms(1, n), 1),
+    ((1, 2), (2, -1)): (_theta4_terms, 2),
+}
+
+# The last companion _reciprocal_companion built: (key, modulus, read-only
+# int64 coefficients), or None.
+_held = None
+
+
+def _reciprocal_companion(key: tuple, n: int, modulus: int) -> np.ndarray:
+    """1/S mod modulus through q^n, S the sparse series of
+    _SPARSE_RECIPROCALS[key], by _newton_inverse of S written densely as
+    int32 (the caller checks fits_newton(n, modulus)).
+
+    The last series built is held.  A request for the same (key, modulus)
+    up to its length is a read-only prefix view of it; a longer one
+    continues Newton's iteration from it into a new array, so an array
+    handed out earlier never changes; another key drops it before anything
+    is built, so at most one companion is held at a time.
+    """
+    global _held
+    prefix = None
+    if _held is not None and _held[:2] == (key, modulus):
+        prefix = _held[2]
+        if n < len(prefix):
+            return prefix[: n + 1]
+    _held = None
+    sparse_terms, scale = _SPARSE_RECIPROCALS[key]
+    denominator = np.zeros(n + 1, dtype=np.int32)
+    denominator[0] = 1
+    for e, sign in sparse_terms(n):
+        denominator[e] = scale * sign % modulus
+    # Newton runs in int32, like the denominator: an int64 series alive
+    # through the top step would raise the peak by 4 bytes a coefficient
+    coeffs = _newton_inverse(denominator, modulus, prefix).astype(np.int64)
+    coeffs.flags.writeable = False
+    _held = (key, modulus, coeffs)
+    return coeffs
+
+
 def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow_large: bool = False) -> Series:
-    """The companion coefficients b(0..n) for an ensemble, in the given ring."""
-    if ensemble.companion == "self":
+    """The companion coefficients b(0..n) for an ensemble, in the given ring.
+
+    An ensemble whose product is 1/S for a sparse S of _SPARSE_RECIPROCALS
+    (ordinary partitions, coloured(1), overpartitions) inverts S: over Z/N
+    under fits_newton(n, N) by _reciprocal_companion, which serves requests
+    from the last series it built, and otherwise by the scalar recurrence
+    of _divide_by_sparse.  Theta's companion is r2, and every other
+    ensemble's is euler_product_coefficients.
+    """
+    if ensemble.companion != "self":
+        return make_series(ring, r2_coefficients(n).coeffs)
+    decomp = _indicator_decomposition(ensemble.exponents)
+    key = None if decomp is None else tuple(sorted(decomp.items()))
+    if key not in _SPARSE_RECIPROCALS:
         return euler_product_coefficients(ensemble.exponents, n, ring, allow_large=allow_large)
-    return make_series(ring, r2_coefficients(n).coeffs)
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    modulus = ring.modulus
+    if modulus is not None and fits_newton(n, modulus):
+        return Series(ring, _reciprocal_companion(key, n, modulus))
+    sparse_terms, scale = _SPARSE_RECIPROCALS[key]
+    coeffs = [1] + [0] * n
+    _divide_by_sparse(coeffs, sparse_terms(n), modulus, scale)
+    return Series(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -627,21 +725,32 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray |
     return correction
 
 
-def _newton_inverse(a: np.ndarray, modulus: int) -> np.ndarray:
+def _newton_inverse(a: np.ndarray, modulus: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """1/a mod modulus to len(a) terms; a[0] must be a unit mod modulus.
+    prefix, when given, holds leading terms of 1/a already known.
 
-    From g = a[0]**-1, Newton's step g <- g - g*(a*g - 1) doubles the number
-    of correct terms.  A step from k >= FFT_MIN_TERMS terms under
-    fits_fft(k2, k, modulus) runs as _newton_step_fft; any other step, and
-    one whose rounding check fails, as two _convolve_mod products, which are
-    exact in every tier.  The result has a's dtype.
+    Newton's step g <- g - g*(a*g - 1) takes k correct terms to k2 <= 2k.
+    The steps run top-down: the precisions are len(a), then each halved and
+    rounded up, down to the first at or below the known terms (prefix's, or
+    the one term a[0]**-1), so no step computes terms past len(a).  A step
+    from k >= FFT_MIN_TERMS terms under fits_fft(k2, k, modulus) runs as
+    _newton_step_fft; any other step, and one whose rounding check fails,
+    as two _convolve_mod products, which are exact in every tier.  The
+    result has a's dtype.
     """
     n1 = len(a)
+    known = 1 if prefix is None else max(1, len(prefix))
+    schedule = []
+    k = n1
+    while k > known:
+        schedule.append(k)
+        k = (k + 1) // 2
     g = np.zeros(n1, dtype=a.dtype)
-    g[0] = pow(int(a[0]), -1, modulus)
-    k = 1
-    while k < n1:
-        k2 = min(2 * k, n1)
+    if prefix is None:
+        g[0] = pow(int(a[0]), -1, modulus)
+    else:
+        g[:k] = prefix[:k]
+    for k2 in reversed(schedule):
         tail = None
         if k >= FFT_MIN_TERMS and fits_fft(k2, k, modulus):
             tail = _newton_step_fft(a[:k2], g[:k], modulus)

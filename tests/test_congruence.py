@@ -349,6 +349,22 @@ def test_scan_refuses_divisor_sums_past_int64():
         scan(ORDINARY, [3], [8589934609], 2**34, max_coeffs=2**40)
 
 
+def test_certify_pass_extends_the_probe_companion(monkeypatch):
+    # B = 231: the probe builds the companion to q^(11 * 64 + 6), and the
+    # full series to q^2547 continues Newton's iteration from it
+    from freqmoments import qseries
+
+    monkeypatch.setattr(qseries, "_held", None)
+    steps = []
+    step = qseries._newton_step_fft
+    monkeypatch.setattr(qseries, "_newton_step_fft", lambda a, g, p: steps.append((len(g), len(a))) or step(a, g, p))
+    rec = certify(ORDINARY, 3, Progression(11, 6), 11, SHARP_SAFE)
+    assert (rec.status, rec.bound_b, rec.max_index_checked) == ("PASS", 231, 2547)
+    # the probe's 711 terms are reached from 356 by a direct step; the
+    # extension starts from 637 of them, so no FFT step runs twice
+    assert steps == [(637, 1274), (1274, 2548)]
+
+
 def test_certify_resource_budget():
     with pytest.raises(ResourceLimitError):
         certify(ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE, max_coeffs=100)

@@ -63,6 +63,81 @@ def test_cli_import_loads_no_fractions_or_decimal():
     assert _fresh_python(code) == "[]"
 
 
+def test_cli_import_loads_no_dataclasses():
+    code = "import sys, freqmoments.cli as cli; cli.build_parser(); print('dataclasses' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def _value_objects():
+    """One instance of each immutable value class, made with positional and
+    keyword arguments, and the same made again."""
+    from freqmoments import arith, congruence, divisorweights, moments, qseries
+
+    def make():
+        odd = divisorweights.GlaisherFilter("odd")
+        return [
+            arith.PrimeTable(11, primes=(2, 3, 5, 7, 11)),
+            arith.SturmConfig(arith.SHARP24, level_model="natural"),
+            qseries.CoefficientRing(modulus=7),
+            qseries.ExponentSequence("overpartition", 2, values=(1, 2)),
+            qseries.Ensemble("ordinary", qseries.ordinary()),
+            divisorweights.DirichletCharacterSpec("kronecker", parameter=5, modulus=5),
+            divisorweights.GlaisherFilter("coprime", params=(3,)),
+            divisorweights.DivisorWeight(3, selector=odd),
+            divisorweights.FilterModularData(7, level=4, character="trivial"),
+            congruence.Progression(11, r=6),
+            congruence.CertificationRecord(
+                "ordinary", "m=3", 3, 11, 6, 11, "sharp24", "safe", 484, 231,
+                max_index_checked=2547, status="PASS",
+            ),
+            congruence.ScanReport("ordinary", "canonical", (3,), (7,), 100, True, hits=(((7, 0), (3,)),)),
+            moments.IdentityCheckResult("m1", True, checked_through=10),
+            moments.FrequencyTable(1, entries=((1,), (1, 1))),
+        ]
+
+    return list(zip(make(), make()))
+
+
+FIRST_FIELD = {
+    "PrimeTable": "limit", "SturmConfig": "mode", "CoefficientRing": "modulus",
+    "ExponentSequence": "name", "Ensemble": "name", "DirichletCharacterSpec": "kind",
+    "GlaisherFilter": "kind", "DivisorWeight": "exponent", "FilterModularData": "k",
+    "Progression": "ell", "CertificationRecord": "ensemble", "ScanReport": "ensemble",
+    "IdentityCheckResult": "name", "FrequencyTable": "n_max",
+}
+
+
+def test_value_classes_are_immutable_and_compare_by_value():
+    import pickle
+
+    for value, again in _value_objects():
+        name = type(value).__name__
+        assert value == again and hash(value) == hash(again), name
+        assert pickle.loads(pickle.dumps(value)) == value, name
+        assert repr(value).startswith(f"{name}("), name
+        field = FIRST_FIELD[name]
+        assert getattr(value, field) == getattr(again, field), name
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+
+
+def test_series_is_immutable_and_unhashable():
+    import pickle
+
+    from freqmoments.qseries import CoefficientRing, Series
+
+    ring = CoefficientRing(7)
+    series = Series(ring, [1, 2, 3])
+    assert series == Series(ring, [1, 2, 3]) and series != Series(ring, [1, 2])
+    assert pickle.loads(pickle.dumps(series)) == series
+    with pytest.raises(AttributeError):
+        series.coeffs = None
+    with pytest.raises(TypeError):
+        hash(series)
+
+
 def test_all_lists_the_reexported_names():
     assert len(NAMES) == 46
     assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)

@@ -805,8 +805,9 @@ def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch)
             patch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + perturb)
             patch.setattr(qseries, "_newton_step_fft", lambda *a: steps.append(step(*a)) or steps[-1])
             got = euler_product_coefficients(ordinary(), n, CoefficientRing.integers_mod(modulus))
-        # steps from 512, 1024 and 2048 terms; 4096 -> 4097 is the fourth
-        assert len(steps) == 4
+        # the top-down schedule 4097, 2049, 1025, 513, ...: FFT steps from
+        # 513, 1025 and 2049 terms, none past 4097 terms
+        assert len(steps) == 3
         assert all((s is None) == (perturb > 0) for s in steps)
         assert got.coeffs.tolist() == want
 
@@ -839,3 +840,66 @@ def test_series_inverse_mod_n_with_a_unit_constant_term_other_than_one(modulus, 
     assert inv[0] == pow(5, -1, modulus)
     product = kronecker_convolution(list(a.coeffs), list(inv), modulus)
     assert product == [1] + [0] * (length - 1)
+
+
+# --- the held sparse-Newton companion -----------------------------------------
+
+
+def newton_builds(monkeypatch) -> list[int]:
+    """Start with no held companion; return the length of every Newton
+    inversion run from here on."""
+    monkeypatch.setattr(qseries, "_held", None)
+    lengths = []
+    inverse = qseries._newton_inverse
+    monkeypatch.setattr(qseries, "_newton_inverse", lambda *a: lengths.append(len(a[0])) or inverse(*a))
+    return lengths
+
+
+@pytest.mark.parametrize("ensemble", [ORDINARY, OVERPARTITION], ids=lambda e: e.name)
+def test_held_companion_serves_interleaved_requests(monkeypatch, ensemble):
+    builds = newton_builds(monkeypatch)
+    # short, long, shorter, a second prime, shorter there, then back
+    requests = [(11, 700), (11, 3000), (11, 1200), (13, 2000), (13, 500), (11, 2500), (11, 3000)]
+    served = []
+    for modulus, n in requests:
+        series = companion_series(ensemble, n, CoefficientRing.integers_mod(modulus))
+        assert series.coeffs.tolist() == exact_mod(ensemble.exponents, n, modulus)
+        assert not series.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            series.coeffs[0] = 0
+        served.append((series, series.coeffs.copy()))
+    # 11 to 700 then extended to 3000; 13 to 2000; 11 again, since 13 dropped it
+    assert builds == [701, 3001, 2001, 2501, 3001]
+    # the shorter requests are prefix views of the held series
+    assert np.shares_memory(served[2][0].coeffs, served[1][0].coeffs)
+    assert np.shares_memory(served[4][0].coeffs, served[3][0].coeffs)
+    # no extension changes an array handed out before it
+    for series, snapshot in served:
+        assert np.array_equal(series.coeffs, snapshot)
+
+
+def test_held_companion_is_shared_by_ensembles_with_the_same_product(monkeypatch):
+    builds = newton_builds(monkeypatch)
+    ring = CoefficientRing.integers_mod(11)
+    ordinary_comp = companion_series(ORDINARY, 900, ring)
+    assert companion_series(ensemble_by_name("coloured(1)"), 600, ring) == Series(ring, ordinary_comp.coeffs[:601])
+    assert builds == [901]
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 1_000_003, ABOVE_INT64], ids=str)
+def test_overpartition_companion_is_one_over_theta4(monkeypatch, modulus):
+    # companion_series inverts theta_4 = 1 + 2 sum (-1)^k q^(k^2) (Gauss);
+    # the grouped expansion f(q^2) / f(q)^2 is the reference.  7 takes
+    # Newton, 1000003 is past fits_newton and 2**64 + 13 past int64: both
+    # run the scalar recurrence
+    builds = newton_builds(monkeypatch)
+    n = 1500
+    ring = Z if modulus is None else CoefficientRing.integers_mod(modulus)
+    got = companion_series(OVERPARTITION, n, ring)
+    assert builds == ([n + 1] if modulus == 7 else [])
+    assert got == euler_product_coefficients(overpartition(), n, ring)
+    if modulus is None:
+        theta4 = [1] + [0] * n
+        for k in range(1, isqrt(n) + 1):
+            theta4[k * k] = 2 * (-1) ** k
+        assert slow_poly_mult(got.coeffs.tolist(), theta4, n) == [1] + [0] * n

@@ -310,7 +310,7 @@ def certify(
         top = prog.ell * rows + prog.r
         # the companion first, so that Newton's FFT workspace is freed
         # before sigma's table is built; the full series continues from the
-        # probe's, which companion_series holds
+        # probe's, which euler_product_coefficients holds
         comp = companion_series(ensemble, top, ring)
         sigma = weighted_sigma_table(weight, top, ring)
         values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)

@@ -195,11 +195,10 @@ def ford_recursion_check(n_max: int) -> IdentityCheckResult:
         raise ValueError("n_max must be >= 1")
     ring = CoefficientRing.exact_integers()
     p = partition_counts(n_max, ring)
-    sig1 = sigma_table(1, n_max, ring)
+    rhs = master_transform(sigma_table(1, n_max, ring), p)
     for n in range(1, n_max + 1):
-        rhs = sum(sig1[d] * p[n - d] for d in range(1, n + 1))
-        if rhs != n * p[n]:
-            return IdentityCheckResult("ford", False, n_max, (n, n * p[n], rhs))
+        if rhs[n] != n * p[n]:
+            return IdentityCheckResult("ford", False, n_max, (n, n * p[n], rhs[n]))
     return IdentityCheckResult("ford", True, n_max)
 
 
@@ -238,11 +237,11 @@ def j_identity_check(n_max: int) -> IdentityCheckResult:
     moments24 = ensemble_moments(coloured_ensemble(24), 11, n_max, ring)
 
     # lhs(n) = 24 * [691*E12 * (q;q)^-24](n);  rhs(n) = 24*691*p24(n) + 65520*M(n)
+    lhs = 24 * _truncated_product(e12_scaled.coeffs, p24.coeffs)
     for n in range(n_max + 1):
-        lhs = 24 * sum(e12_scaled[d] * p24[n - d] for d in range(n + 1))
         rhs = 24 * den * p24[n] + num * moments24[n]
-        if lhs != rhs:
-            return IdentityCheckResult("j-decomposition", False, n_max, (n, lhs, rhs))
+        if lhs[n] != rhs:
+            return IdentityCheckResult("j-decomposition", False, n_max, (n, lhs[n], rhs))
     return IdentityCheckResult("j-decomposition", True, n_max)
 
 

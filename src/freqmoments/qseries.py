@@ -16,6 +16,7 @@ q^N and says nothing beyond.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from math import expm1, gcd, isqrt, log1p, sqrt
 from typing import NamedTuple
 
@@ -370,9 +371,16 @@ def _multiply_by_sparse_shifted(
         coeffs %= modulus
 
 
-def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
-    """The product of the pentagonal factors 1 + sum sign*q^exp in `factors`
-    to n1 terms, as an int32 array mod modulus.
+def _theta4_terms(n_max: int) -> list[tuple[int, int]]:
+    """Nonconstant terms of theta_4(q) = 1 + 2 * sum_{k>=1} (-1)^k q^{k^2}
+    through q^n_max as (exponent, sign), ascending; each carries a factor 2."""
+    return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(n_max) + 1)]
+
+
+def _pentagonal_product(factors: list, n1: int, modulus: int, scale: int = 1) -> np.ndarray:
+    """The product of the sparse factors 1 + sum sign*q^exp in `factors`
+    to n1 terms, as an int32 array mod modulus; the first factor's terms
+    carry the factor scale (2 for theta_4, the only factor of its product).
 
     Only the Newton path calls this, whose guard fits_newton(n1 - 1,
     modulus) admits no modulus above 113,849; a slice sum of
@@ -384,38 +392,64 @@ def _pentagonal_product(factors: list, n1: int, modulus: int) -> np.ndarray:
     if factors:
         # the first factor times 1 is that factor: place its terms directly
         for e, sign in factors[0]:
-            coeffs[e] = sign % modulus
+            coeffs[e] = scale * sign % modulus
         for terms in factors[1:]:
             _multiply_by_sparse_shifted(coeffs, terms, modulus)
     return coeffs
 
 
 def fits_newton(n: int, modulus: int) -> bool:
-    """True when an eta-quotient to q^n over Z/modulus runs by Newton
-    inversion: fits_fft(top, top, modulus) with top = max(n + 1,
-    FFT_MIN_TERMS).  Past it the denominator is divided out by the scalar
-    recurrence of _divide_by_sparse."""
+    """True when an eta-quotient to q^n over Z/modulus inverts its
+    denominator by Newton's iteration and holds the inverse (see
+    euler_product_coefficients): fits_fft(top, top, modulus) with top =
+    max(n + 1, FFT_MIN_TERMS).  Past it the denominator is divided out by
+    the scalar recurrence of _divide_by_sparse, and nothing is held."""
     top = max(n + 1, FFT_MIN_TERMS)
     return fits_fft(top, top, modulus)
 
 
+# The last denominator inverse _euler_product_grouped built by Newton:
+# (sorted decomposition, modulus, read-only int64 coefficients), or None.
+_held = None
+
+
 def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> np.ndarray:
+    global _held
     modulus = ring.modulus
-    # A = prod_{m_d < 0} f(q^d)^|m_d| / prod_{m_d > 0} f(q^d)^m_d
-    factors = [(_pentagonal_terms(d, n), decomp[d]) for d in sorted(decomp) if d <= n]
-    denominator = [terms for terms, mult in factors for _ in range(mult)]
-    numerator = [terms for terms, mult in factors for _ in range(-mult)]
-    if modulus is not None and fits_newton(n, modulus):
-        if not denominator:
-            return _pentagonal_product(numerator, n + 1, modulus)
-        coeffs = _newton_inverse(_pentagonal_product(denominator, n + 1, modulus), modulus)
+    # A = prod(numerator) / prod(denominator); each denominator factor is a
+    # sparse series 1 + scale * sum sign*q^exp, given by a function of n
+    # returning its terms through q^n
+    if decomp == {1: 2, 2: -1}:
+        # Gauss: f(q)^2 / f(q^2) = theta_4
+        denominator, scale, numerator = [_theta4_terms], 2, []
     else:
-        scalar = [0] * (n + 1)
-        scalar[0] = 1
+        steps = [d for d in sorted(decomp) if d <= n]
+        denominator = [partial(_pentagonal_terms, d) for d in steps for _ in range(decomp[d])]
+        scale = 1
+        numerator = [_pentagonal_terms(d, n) for d in steps for _ in range(-decomp[d])]
+    if modulus is None or not fits_newton(n, modulus):
+        scalar = [1] + [0] * n
         for terms in denominator:
-            _divide_by_sparse(scalar, terms, modulus)
+            _divide_by_sparse(scalar, terms(n), modulus, scale)
         # object dtype: no slice sum below can overflow, whatever the modulus
         coeffs = np.array(scalar, dtype=object)
+    elif not denominator:
+        return _pentagonal_product(numerator, n + 1, modulus)
+    else:
+        key = tuple(sorted(decomp.items()))
+        prefix = _held[2] if _held is not None and _held[:2] == (key, modulus) else None
+        if prefix is not None and n < len(prefix):
+            coeffs = prefix[: n + 1]
+        else:
+            _held = None
+            dense = _pentagonal_product([terms(n) for terms in denominator], n + 1, modulus, scale)
+            # Newton runs in int32, like the denominator: an int64 series alive
+            # through the top step would raise the peak by 4 bytes a coefficient
+            coeffs = _newton_inverse(dense, modulus, prefix).astype(np.int64)
+            coeffs.flags.writeable = False
+            _held = (key, modulus, coeffs)
+        if numerator:
+            coeffs = coeffs.copy()
     for terms in numerator:
         _multiply_by_sparse_shifted(coeffs, terms, modulus)
     return coeffs
@@ -452,39 +486,34 @@ def euler_product_coefficients(
     """Coefficients of prod_{r=1..n} (1 - q^r)^(-c(r)) through q^n.
 
     Two paths.  A rule whose value depends only on gcd(r, period) is an
-    eta-quotient, prod_d (q^d; q^d)_inf^(-m_d), and is expanded from the
-    sparse pentagonal series of its factors as below.  Every other integer
-    rule, periodic or carrying the linear factor r, runs the logarithmic
-    derivative recurrence of _euler_product_log_derivative, O(n^2) exact
-    integer operations; rules with the factor r (plane partitions) are
-    capped at n = 5000 unless allow_large.
+    eta-quotient A = prod_d f(q^d)^(-m_d), f = (q;q)_inf, expanded by
+    _euler_product_grouped as numerator / denominator: the numerator is
+    the pentagonal series of f(q^d)^|m_d| for m_d < 0, the denominator
+    that of f(q^d)^m_d for m_d > 0, except that the overpartitions'
+    f(q)^2 / f(q^2) is Gauss's theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2}.
+    Every other integer rule, periodic or carrying the linear factor r,
+    runs the logarithmic derivative recurrence of
+    _euler_product_log_derivative, O(n^2) exact integer operations; rules
+    with the factor r (plane partitions) are capped at n = 5000 unless
+    allow_large.
 
-    Over Z/N, when fits_newton(n, N), the eta-quotient runs by Newton
-    inversion: A = prod_{m_d<0} f(q^d)^|m_d| / prod_{m_d>0} f(q^d)^m_d with
-    f = (q;q)_inf.  The denominator is built densely by shifted-slice
-    multiplications, inverted once by Newton's iteration
-    g <- g - g*(f*g - 1) at doubling precision, and the numerator's
-    pentagonal factors are multiplied in the same way (eta powers have no
-    denominator and need no inverse).  A Newton step from k to k2 <= 2k
-    terms runs as two float64 FFT products of size S = 2**ceil(log2 k2)
-    sharing one transform of g: the error f*g - 1 is a cyclic middle
-    product whose wrapped terms land below k, where it is already known to
-    vanish, and the correction has degree below S.  Exactness: the step
-    runs only under fits_fft(k2, k, N), which is conservative here (S is at
-    most the size it assumes, and a cyclic coefficient sums at most k
-    products), so Percival's bound puts every output within 1/4 of the
-    exact integer; each output is also checked to lie within 1/4 of an
-    integer, and if one does not, the step is recomputed by two exact
-    _convolve_mod products.  Steps below FFT_MIN_TERMS terms are two
-    direct _convolve_mod products.  The whole costs O(n log n) plus
-    O(n^1.5 * (sum |m_d| - 1)) for the shifted-slice multiplications.
+    Over Z/N under fits_newton(n, N), the denominator is written densely
+    by shifted-slice products and inverted by _newton_inverse, O(n log n).
+    The last inverse is held: a request for the same decomposition and
+    modulus up to its length is a read-only prefix view of it (so ordinary
+    partitions and coloured(1) share one), a longer one continues Newton's
+    iteration from it into a new array, and another decomposition drops it
+    before anything is built, so at most one series is held.  The
+    numerator is multiplied into a copy by shifted-slice products,
+    O(n^1.5) each; a product without a denominator (eta powers) is that
+    product alone and leaves the hold as it is.
 
-    Over Z, and over Z/N past that guard, the denominator is
+    Over Z, and over Z/N past fits_newton, each denominator factor is
     divided out by the scalar subtraction recurrence of _divide_by_sparse,
-    O(n^1.5 * sum_{m_d > 0} m_d) interpreted ring operations, and the
-    numerator's factors are multiplied in by the same shifted-slice
-    products on an object array.  Nothing is rounded unchecked on any path,
-    so a certification built on them remains a proof.
+    O(n^1.5) interpreted ring operations, and the numerator's factors are
+    multiplied in by the same shifted-slice products on an object array.
+    Nothing is rounded unchecked on any path, so a certification built on
+    them remains a proof.
     """
     if n < 0:
         raise ValueError("truncation must be >= 0")
@@ -539,83 +568,17 @@ def r2_coefficients(n: int) -> Series:
     return Series(CoefficientRing.exact_integers(), counts)
 
 
-def _theta4_terms(n_max: int) -> list[tuple[int, int]]:
-    """Nonconstant terms of theta_4(q) = 1 + 2 * sum_{k>=1} (-1)^k q^{k^2}
-    through q^n_max as (exponent, sign), ascending; each carries a factor 2."""
-    return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(n_max) + 1)]
-
-
-# Eta-quotients prod_d (q^d; q^d)_inf^(-m_d) that are 1/S for one sparse
-# series S = 1 + scale * sum sign*q^exp, keyed by their sorted (d, m_d):
-# f = (q;q)_inf by Euler's pentagonal theorem (ordinary partitions and
-# coloured(1)), and f(q)^2 / f(q^2) = theta_4 by Gauss (overpartitions).
-# Each maps to the function giving S's terms through q^n, and the scale.
-_SPARSE_RECIPROCALS = {
-    ((1, 1),): (lambda n: _pentagonal_terms(1, n), 1),
-    ((1, 2), (2, -1)): (_theta4_terms, 2),
-}
-
-# The last companion _reciprocal_companion built: (key, modulus, read-only
-# int64 coefficients), or None.
-_held = None
-
-
-def _reciprocal_companion(key: tuple, n: int, modulus: int) -> np.ndarray:
-    """1/S mod modulus through q^n, S the sparse series of
-    _SPARSE_RECIPROCALS[key], by _newton_inverse of S written densely as
-    int32 (the caller checks fits_newton(n, modulus)).
-
-    The last series built is held.  A request for the same (key, modulus)
-    up to its length is a read-only prefix view of it; a longer one
-    continues Newton's iteration from it into a new array, so an array
-    handed out earlier never changes; another key drops it before anything
-    is built, so at most one companion is held at a time.
-    """
-    global _held
-    prefix = None
-    if _held is not None and _held[:2] == (key, modulus):
-        prefix = _held[2]
-        if n < len(prefix):
-            return prefix[: n + 1]
-    _held = None
-    sparse_terms, scale = _SPARSE_RECIPROCALS[key]
-    denominator = np.zeros(n + 1, dtype=np.int32)
-    denominator[0] = 1
-    for e, sign in sparse_terms(n):
-        denominator[e] = scale * sign % modulus
-    # Newton runs in int32, like the denominator: an int64 series alive
-    # through the top step would raise the peak by 4 bytes a coefficient
-    coeffs = _newton_inverse(denominator, modulus, prefix).astype(np.int64)
-    coeffs.flags.writeable = False
-    _held = (key, modulus, coeffs)
-    return coeffs
-
-
 def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow_large: bool = False) -> Series:
     """The companion coefficients b(0..n) for an ensemble, in the given ring.
 
-    An ensemble whose product is 1/S for a sparse S of _SPARSE_RECIPROCALS
-    (ordinary partitions, coloured(1), overpartitions) inverts S: over Z/N
-    under fits_newton(n, N) by _reciprocal_companion, which serves requests
-    from the last series it built, and otherwise by the scalar recurrence
-    of _divide_by_sparse.  Theta's companion is r2, and every other
-    ensemble's is euler_product_coefficients.
+    Theta's companion is r2.  Every other ensemble is its own companion,
+    euler_product_coefficients of its exponents: over Z/N under
+    fits_newton(n, N) an eta-quotient's request is served from, or extends,
+    the inverse held there.
     """
     if ensemble.companion != "self":
         return make_series(ring, r2_coefficients(n).coeffs)
-    decomp = _indicator_decomposition(ensemble.exponents)
-    key = None if decomp is None else tuple(sorted(decomp.items()))
-    if key not in _SPARSE_RECIPROCALS:
-        return euler_product_coefficients(ensemble.exponents, n, ring, allow_large=allow_large)
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    modulus = ring.modulus
-    if modulus is not None and fits_newton(n, modulus):
-        return Series(ring, _reciprocal_companion(key, n, modulus))
-    sparse_terms, scale = _SPARSE_RECIPROCALS[key]
-    coeffs = [1] + [0] * n
-    _divide_by_sparse(coeffs, sparse_terms(n), modulus, scale)
-    return Series(ring, coeffs)
+    return euler_product_coefficients(ensemble.exponents, n, ring, allow_large=allow_large)
 
 
 # ---------------------------------------------------------------------------

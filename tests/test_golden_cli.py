@@ -3,7 +3,7 @@
 Each case in cli_outputs.json runs `python -m freqmoments.cli <argv>` in a
 fresh process; its stdout must equal <name>.out exactly and its exit code
 must match.  The cases cover the published tables in every format, the
-README certify examples, and two FAIL records.
+README certify examples, two FAIL records, and three companion dumps.
 """
 
 from __future__ import annotations

@@ -753,6 +753,7 @@ def grouped_with_path(patch, rule, n, modulus):
     the scalar recurrence ran."""
     ran = []
     pentagonal_product = qseries._pentagonal_product
+    patch.setattr(qseries, "_held", None)
     patch.setattr(qseries, "_pentagonal_product", lambda *a: ran.append(1) or pentagonal_product(*a))
     out = euler_product_coefficients(rule, n, CoefficientRing.integers_mod(modulus)).coeffs
     return out.tolist(), "newton" if ran else "scalar"
@@ -802,6 +803,7 @@ def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch)
         steps = []
         step, irfft = qseries._newton_step_fft, np.fft.irfft
         with monkeypatch.context() as patch:
+            patch.setattr(qseries, "_held", None)
             patch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + perturb)
             patch.setattr(qseries, "_newton_step_fft", lambda *a: steps.append(step(*a)) or steps[-1])
             got = euler_product_coefficients(ordinary(), n, CoefficientRing.integers_mod(modulus))
@@ -886,18 +888,50 @@ def test_held_companion_is_shared_by_ensembles_with_the_same_product(monkeypatch
     assert builds == [901]
 
 
+def test_a_quotient_and_a_companion_with_one_product_share_the_held_series(monkeypatch):
+    builds = newton_builds(monkeypatch)
+    ring = CoefficientRing.integers_mod(11)
+    counts = partition_counts(900, ring)
+    assert companion_series(ORDINARY, 600, ring) == Series(ring, counts.coeffs[:601])
+    assert builds == [901]
+
+
+def test_overpartition_product_inverts_theta4(monkeypatch):
+    lengths, nonzero = [], []
+    inverse = qseries._newton_inverse
+    monkeypatch.setattr(qseries, "_held", None)
+    monkeypatch.setattr(
+        qseries, "_newton_inverse",
+        lambda a, *rest: lengths.append(len(a)) or nonzero.append(np.count_nonzero(a)) or inverse(a, *rest),
+    )
+    euler_product_coefficients(overpartition(), 3000, CoefficientRing.integers_mod(11))
+    # theta_4 = 1 + 2 sum (-1)^k q^(k^2): 1 + isqrt(3000) terms, not the dense f(q)^2
+    assert (lengths, nonzero) == ([3001], [1 + isqrt(3000)])
+
+
+def test_a_shorter_coloured_request_is_a_view_of_the_held_series(monkeypatch):
+    builds = newton_builds(monkeypatch)
+    ring = CoefficientRing.integers_mod(13)
+    long = euler_product_coefficients(coloured(3), 2000, ring)
+    short = euler_product_coefficients(coloured(3), 700, ring)
+    assert builds == [2001]
+    assert not short.coeffs.flags.writeable
+    assert np.shares_memory(short.coeffs, long.coeffs)
+    assert short.coeffs.tolist() == exact_mod(coloured(3), 700, 13)
+
+
 @pytest.mark.parametrize("modulus", [None, 7, 1_000_003, ABOVE_INT64], ids=str)
 def test_overpartition_companion_is_one_over_theta4(monkeypatch, modulus):
-    # companion_series inverts theta_4 = 1 + 2 sum (-1)^k q^(k^2) (Gauss);
-    # the grouped expansion f(q^2) / f(q)^2 is the reference.  7 takes
-    # Newton, 1000003 is past fits_newton and 2**64 + 13 past int64: both
-    # run the scalar recurrence
+    # the companion inverts theta_4 = 1 + 2 sum (-1)^k q^(k^2) (Gauss); the
+    # log-derivative recurrence over Z is the reference.  7 takes Newton,
+    # 1000003 is past fits_newton and 2**64 + 13 past int64: both run the
+    # scalar recurrence
     builds = newton_builds(monkeypatch)
     n = 1500
     ring = Z if modulus is None else CoefficientRing.integers_mod(modulus)
     got = companion_series(OVERPARTITION, n, ring)
     assert builds == ([n + 1] if modulus == 7 else [])
-    assert got == euler_product_coefficients(overpartition(), n, ring)
+    assert got == make_series(ring, qseries._euler_product_log_derivative(overpartition(), n, Z))
     if modulus is None:
         theta4 = [1] + [0] * n
         for k in range(1, isqrt(n) + 1):

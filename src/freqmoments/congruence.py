@@ -35,6 +35,7 @@ from .moments import fermat_reduce, master_transform  # noqa: F401
 from .qseries import (
     CoefficientRing,
     Ensemble,
+    ResourceLimitError,
     Series,
     _convolve_mod,
     _indicator_decomposition,
@@ -78,10 +79,6 @@ _PROBE_ROWS = 64
 # (theta_4, sqrt(N) terms) 0.3 s and 2.8 s; at ell = 281 and
 # conservative12/safe (N = 33,400,503) it would run for hours.
 _SCALAR_COMPANION_MAX_N = 10**5
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested series would exceed the configured coefficient budget."""
 
 
 class _ProgressionFields(NamedTuple):
@@ -204,21 +201,14 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
 
 def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
     """The L of Gamma0(4L) a certification of this weight runs at: L =
-    lcm(ell, conductor) (natural), its square (safe), or the custom L.  The
-    conductor is a character's level factor, a filter's level over 4, and 1
-    for plain and canonical weights.
+    lcm(ell, weight.conductor) (natural), its square (safe), or the custom
+    L.  The conductor is a twist's or filter's, the period of its weights,
+    and 1 for plain and canonical weights.
 
     The natural level, and lcm(ell, conductor) for twists and filters, are
     the paper's convention, not a level the code proves the projected
     moment series lives on."""
-    sel = weight.selector
-    if isinstance(sel, DirichletCharacterSpec):
-        conductor = sel.level_factor
-    elif isinstance(sel, GlaisherFilter):
-        conductor = filter_modular_data(sel, weight.exponent).level // 4
-    else:
-        conductor = 1
-    return config.resolve_level(lcm(ell, conductor))
+    return config.resolve_level(lcm(ell, weight.conductor))
 
 
 def certify(
@@ -261,6 +251,39 @@ def certify(
     coefficients, or a companion past fits_newton beyond
     q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
     """
+    weight, level, bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs)
+    ring = CoefficientRing.integers_mod(modulus)
+    witness = None
+    # a short probe first: a FAIL usually shows in its first rows, and then
+    # the series up to n_max are never built
+    for rows in sorted({min(bound, _PROBE_ROWS), bound}):
+        top = prog.ell * rows + prog.r
+        # the companion first, so that Newton's FFT workspace is freed
+        # before sigma's table is built; the full series continues from the
+        # probe's, which euler_product_coefficients holds
+        comp = companion_series(ensemble, top, ring)
+        sigma = weighted_sigma_table(weight, top, ring)
+        values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
+        for n, value in enumerate(values):
+            if value != 0:
+                witness = (n, prog.ell * n + prog.r, value)
+                break
+        if witness is not None:
+            break
+    max_index = n_max if witness is None else witness[1]
+    return CertificationRecord(
+        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * level, bound,
+        max_index_checked=max_index,
+        status="PASS" if witness is None else "FAIL",
+        fail_witness=witness,
+    )
+
+
+def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> tuple[DivisorWeight, int, int, int]:
+    """certify's checks and sizing, before anything is built: (weight, L,
+    B, ell*B + r), the weight the canonical one when None, or the
+    ValueError or ResourceLimitError certify raises."""
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
@@ -302,32 +325,7 @@ def certify(
             f"the companion to q^{n_max} mod {modulus} is past the FFT guard of Newton "
             f"inversion, and the scalar recurrence is capped at q^{_SCALAR_COMPANION_MAX_N}"
         )
-    ring = CoefficientRing.integers_mod(modulus)
-    witness = None
-    # a short probe first: a FAIL usually shows in its first rows, and then
-    # the series up to n_max are never built
-    for rows in sorted({min(bound, _PROBE_ROWS), bound}):
-        top = prog.ell * rows + prog.r
-        # the companion first, so that Newton's FFT workspace is freed
-        # before sigma's table is built; the full series continues from the
-        # probe's, which euler_product_coefficients holds
-        comp = companion_series(ensemble, top, ring)
-        sigma = weighted_sigma_table(weight, top, ring)
-        values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
-        for n, value in enumerate(values):
-            if value != 0:
-                witness = (n, prog.ell * n + prog.r, value)
-                break
-        if witness is not None:
-            break
-    max_index = n_max if witness is None else witness[1]
-    return CertificationRecord(
-        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
-        config.mode, config.level_model, 4 * level, bound,
-        max_index_checked=max_index,
-        status="PASS" if witness is None else "FAIL",
-        fail_witness=witness,
-    )
+    return weight, level, bound, n_max
 
 
 def certify_filtered(
@@ -573,20 +571,16 @@ def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
     """Run a list of certification task tuples, optionally in parallel.
 
     Each task is (ensemble, m, prog, modulus, config) or the same with a
-    weight appended.  The tasks run on up to jobs worker processes when
-    _CERTIFY_COEFF_COST times the sum of their ell*B + r + 1 reaches
-    _POOL_MIN_COEFFS, and in this process otherwise.  Results come back in
-    task order regardless of jobs.
+    weight appended.  Every task is checked and sized by certify's own
+    _certify_plan before any series is built, so a task certify would
+    refuse raises its ValueError or ResourceLimitError first.  The tasks
+    run on up to jobs worker processes when _CERTIFY_COEFF_COST times the
+    sum of their ell*B + r + 1 reaches _POOL_MIN_COEFFS, and in this process
+    otherwise.  Results come back in task order regardless of jobs.
     """
     normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
-    coeffs = sum(_certified_coeffs(*task) for task in normalized)
+    coeffs = sum(_certify_plan(*task, DEFAULT_COEFF_BUDGET)[3] + 1 for task in normalized)
     return _map_tasks(_certify_task, normalized, _pool_jobs(jobs, _CERTIFY_COEFF_COST * coeffs))
-
-
-def _certified_coeffs(ensemble, m, prog, modulus, config, weight) -> int:
-    """ell*B + r + 1, the coefficients a PASS of this task checks."""
-    weight = DivisorWeight(m, ensemble.exponents) if weight is None else weight
-    return prog.ell * sturm_bound_for_level(m, config.mode, _level(weight, prog.ell, config)) + prog.r + 1
 
 
 def _certify_task(task) -> CertificationRecord:

@@ -8,6 +8,8 @@ character values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -28,6 +30,15 @@ __all__ = [
 ]
 
 
+def _discriminant(D: int | None) -> int:
+    """D if (D|.) is a real character mod |D|, that is D = 0, 1 (mod 4) and
+    nonzero (Cohen, A Course in Computational Algebraic Number Theory, 1.4);
+    else ValueError: (2|.) has period 8, and (3|.) none below 200."""
+    if not D or D % 4 > 1:
+        raise ValueError(f"the Kronecker symbol (D|.) needs a nonzero discriminant D = 0, 1 (mod 4), not {D}")
+    return D
+
+
 class _DirichletCharacterSpecFields(NamedTuple):
     kind: str
     parameter: int | None = None
@@ -37,8 +48,9 @@ class _DirichletCharacterSpecFields(NamedTuple):
 class DirichletCharacterSpec(_DirichletCharacterSpecFields):
     """A real Dirichlet character: trivial, principal mod m, or Kronecker.
 
-    kind "kronecker" evaluates kronecker_symbol(parameter, d), optionally
-    forced to zero off units of a larger modulus (the imprimitive version).
+    kind "kronecker" evaluates kronecker_symbol(parameter, d) for a
+    discriminant parameter, optionally forced to zero off units of a larger
+    modulus (the imprimitive version).
     """
 
     __slots__ = ()
@@ -51,11 +63,8 @@ class DirichletCharacterSpec(_DirichletCharacterSpecFields):
             raise ValueError("the trivial character has modulus 1")
         if self.kind == "principal" and self.modulus < 1:
             raise ValueError("principal character needs modulus >= 1")
-        if self.kind == "kronecker":
-            if self.parameter in (None, 0):
-                raise ValueError("kronecker character needs a nonzero discriminant")
-            if self.modulus % abs(self.parameter) != 0:
-                raise ValueError("modulus must be a multiple of |D|")
+        if self.kind == "kronecker" and self.modulus % abs(_discriminant(self.parameter)) != 0:
+            raise ValueError("modulus must be a multiple of |D|")
         return self
 
     @classmethod
@@ -81,8 +90,9 @@ class DirichletCharacterSpec(_DirichletCharacterSpecFields):
         return kronecker_symbol(self.parameter, d)
 
     @property
-    def level_factor(self) -> int:
-        """The modulus the character contributes to a twisted form's level."""
+    def conductor(self) -> int:
+        """The modulus: the period of the values, and the factor the level
+        of a twisted form takes."""
         return self.modulus
 
     def describe(self) -> str:
@@ -95,30 +105,37 @@ class DirichletCharacterSpec(_DirichletCharacterSpecFields):
         return f"kronecker({self.parameter})"
 
 
+# One row per filter kind: its parameters -> (w, conductor, character), the
+# weight w(d), the period of w (the filtered moment series lives on
+# Gamma0(4 * conductor)), and the dictionary's character.
+_FILTER_ROWS: dict[str, Callable[..., tuple[Callable[[int], int], int, str]]] = {
+    "all": lambda: ((lambda d: 1), 1, "trivial"),
+    "coprime": lambda m: ((lambda d: int(gcd(d, m) == 1)), m, f"chi0({m})"),
+    "odd": lambda: ((lambda d: d % 2), 2, "chi0(2)"),
+    # level 8 is recorded with no named character for this row
+    "even": lambda: ((lambda d: 1 - d % 2), 2, "unspecified"),
+    "residue": lambda a, m: ((lambda d: int(d % m == a)), m, f"character mixture mod {m}"),
+    "quadratic-residues": lambda p: (
+        (lambda d: int(pow(d, (p - 1) // 2, p) == 1)), p, f"(chi0({p}) + chi_{p})/2"),
+    "kronecker-weight": lambda D: (partial(kronecker_symbol, D), abs(D), f"chi_D, D={D}"),
+    "exclude-multiples": lambda p: ((lambda d: int(d % p != 0)), p, f"chi0({p})"),
+}
+
+
 class _GlaisherFilterFields(NamedTuple):
     kind: str
     params: tuple[int, ...] = ()
 
 
 class GlaisherFilter(_GlaisherFilterFields):
-    """A divisor-selection rule with weights in {-1, 0, 1}."""
+    """A divisor-selection rule with weights in {-1, 0, 1}: a row of
+    _FILTER_ROWS and its parameters."""
 
     __slots__ = ()
 
-    _KINDS = (
-        "all",
-        "coprime",
-        "odd",
-        "even",
-        "residue",
-        "quadratic-residues",
-        "kronecker-weight",
-        "exclude-multiples",
-    )
-
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in self._KINDS:
+        if self.kind not in _FILTER_ROWS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "coprime":
             if len(self.params) != 1 or self.params[0] < 1:
@@ -135,8 +152,7 @@ class GlaisherFilter(_GlaisherFilterFields):
             if self.kind == "quadratic-residues" and self.params[0] == 2:
                 raise ValueError("quadratic residue filter needs an odd prime")
         elif self.kind == "kronecker-weight":
-            if len(self.params) != 1 or self.params[0] == 0:
-                raise ValueError("kronecker weight needs a nonzero discriminant")
+            _discriminant(self.params[0] if len(self.params) == 1 else None)
         elif self.params:
             raise ValueError(f"{self.kind} filter takes no parameters")
         return self
@@ -173,25 +189,16 @@ class GlaisherFilter(_GlaisherFilterFields):
     def exclude_multiples_of(cls, p: int) -> GlaisherFilter:
         return cls("exclude-multiples", (p,))
 
+    def _row(self) -> tuple[Callable[[int], int], int, str]:
+        return _FILTER_ROWS[self.kind](*self.params)
+
     def weight(self, d: int) -> int:
-        kind = self.kind
-        if kind == "all":
-            return 1
-        if kind == "coprime":
-            return 1 if gcd(d, self.params[0]) == 1 else 0
-        if kind == "odd":
-            return d % 2
-        if kind == "even":
-            return 1 - d % 2
-        if kind == "residue":
-            a, m = self.params
-            return 1 if d % m == a else 0
-        if kind == "quadratic-residues":
-            p = self.params[0]
-            return 1 if d % p != 0 and pow(d, (p - 1) // 2, p) == 1 else 0
-        if kind == "kronecker-weight":
-            return kronecker_symbol(self.params[0], d)
-        return 1 if d % self.params[0] != 0 else 0
+        return self._row()[0](d)
+
+    @property
+    def conductor(self) -> int:
+        """The period of the weights, and the level over 4."""
+        return self._row()[1]
 
     def describe(self) -> str:
         if self.params:
@@ -230,6 +237,13 @@ class DivisorWeight(_DivisorWeightFields):
         if isinstance(sel, GlaisherFilter):
             return sel.weight(d)
         return sel.value_at(d)
+
+    @property
+    def conductor(self) -> int:
+        """The selector's conductor for a twist or filter, 1 for plain and
+        canonical weights: the one place a certification's level reads it."""
+        sel = self.selector
+        return 1 if sel is None or isinstance(sel, ExponentSequence) else sel.conductor
 
     def describe(self) -> str:
         sel = self.selector
@@ -277,22 +291,26 @@ def _powers_mod(exponents, span: int, modulus: int) -> np.ndarray:
 def _weight_values_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray | None:
     """w(d) mod modulus for d = 0..n as int64, or None when w = 1 mod modulus.
 
-    w does not depend on the exponent.  Ensemble weights are periodic, so a
-    short table is tiled (times d mod modulus when the rule has a power
-    factor); characters and filters are evaluated once per d.
+    w does not depend on the exponent, and it is periodic: an ensemble
+    rule's with its period (times d mod modulus when the rule has a power
+    factor), a twist's or filter's with its conductor.  So one period is
+    tiled; for a twist or filter that is min(conductor, n + 1) calls of
+    weight_of, whatever the conductor.
     """
     sel = weight.selector
     if sel is None:
         return None
     if isinstance(sel, ExponentSequence):
-        if not sel.power_factor and all(v % modulus == 1 for v in sel.values):
-            return None
-        w = _tiled(np.array([v % modulus for v in sel.values], dtype=np.int64), n + 1)
-        if sel.power_factor:
-            w *= _tiled(np.arange(min(modulus, n + 1), dtype=np.int64), n + 1)
-            w %= modulus
-        return w
-    return np.array([0] + [weight.weight_of(k) % modulus for k in range(1, n + 1)], dtype=np.int64)
+        values, power_factor = sel.values, sel.power_factor
+    else:
+        values, power_factor = [weight.weight_of(d) for d in range(min(weight.conductor, n + 1))], 0
+    if not power_factor and all(v % modulus == 1 for v in values):
+        return None
+    w = _tiled(np.array([v % modulus for v in values], dtype=np.int64), n + 1)
+    if power_factor:
+        w *= _tiled(np.arange(min(modulus, n + 1), dtype=np.int64), n + 1)
+        w %= modulus
+    return w
 
 
 def _weight_terms_mod(exponents, w: np.ndarray | None, n: int, modulus: int) -> np.ndarray:
@@ -403,29 +421,9 @@ class FilterModularData(_FilterModularDataFields):
 
 def filter_modular_data(filt: GlaisherFilter, s: int) -> FilterModularData:
     """Dictionary row for a filter at odd exponent s: the filtered moment
-    series lives in weight s + 1/2 at the listed level."""
+    series lives in weight s + 1/2 at level 4 * conductor, with the
+    character of the filter's row in _FILTER_ROWS."""
     if s < 1 or s % 2 == 0:
         raise ValueError("s must be odd and >= 1")
-    k = 2 * s + 1
-    kind = filt.kind
-    if kind == "all":
-        return FilterModularData(k, 4, "trivial")
-    if kind == "coprime":
-        m = filt.params[0]
-        return FilterModularData(k, 4 * m, f"chi0({m})")
-    if kind == "odd":
-        return FilterModularData(k, 8, "chi0(2)")
-    if kind == "even":
-        # Level 8 is recorded with no named character for this row.
-        return FilterModularData(k, 8, "unspecified")
-    if kind == "residue":
-        m = filt.params[1]
-        return FilterModularData(k, 4 * m, f"character mixture mod {m}")
-    if kind == "quadratic-residues":
-        p = filt.params[0]
-        return FilterModularData(k, 4 * p, f"(chi0({p}) + chi_{p})/2")
-    if kind == "kronecker-weight":
-        D = filt.params[0]
-        return FilterModularData(k, 4 * abs(D), f"chi_D, D={D}")
-    p = filt.params[0]
-    return FilterModularData(k, 4 * p, f"chi0({p})")
+    _, conductor, character = filt._row()
+    return FilterModularData(2 * s + 1, 4 * conductor, character)

@@ -30,6 +30,7 @@ __all__ = [
     "OVERPARTITION",
     "PLANE_PARTITION",
     "PLANE_PARTITION_DEFAULT_CAP",
+    "ResourceLimitError",
     "RingMismatchError",
     "Series",
     "THETA",
@@ -51,6 +52,10 @@ __all__ = [
 ]
 
 PLANE_PARTITION_DEFAULT_CAP = 5000
+
+
+class ResourceLimitError(RuntimeError):
+    """A requested series would exceed a coefficient budget or size cap."""
 
 
 class RingMismatchError(ValueError):
@@ -495,7 +500,7 @@ def euler_product_coefficients(
     runs the logarithmic derivative recurrence of
     _euler_product_log_derivative, O(n^2) exact integer operations; rules
     with the factor r (plane partitions) are capped at n = 5000 unless
-    allow_large.
+    allow_large, and past it raise ResourceLimitError.
 
     Over Z/N under fits_newton(n, N), the denominator is written densely
     by shifted-slice products and inverted by _newton_inverse, O(n log n).
@@ -521,9 +526,9 @@ def euler_product_coefficients(
     if decomp is not None:
         return Series(ring, _euler_product_grouped(decomp, n, ring))
     if c.power_factor and n > PLANE_PARTITION_DEFAULT_CAP and not allow_large:
-        raise ValueError(
+        raise ResourceLimitError(
             f"linear exponent rules are capped at N={PLANE_PARTITION_DEFAULT_CAP}; "
-            "pass allow_large=True to override"
+            "allow_large=True (dump-series --allow-large) lifts the cap"
         )
     return Series(ring, _euler_product_log_derivative(c, n, ring))
 

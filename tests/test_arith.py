@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from freqmoments.arith import (
     CONSERVATIVE12,
@@ -207,9 +207,19 @@ def test_kronecker_chi_minus_four():
     st.integers(min_value=-200, max_value=200),
 )
 def test_kronecker_completely_multiplicative(D, m, n):
+    # a theorem for nonzero m and n only: D = -1, m = 0, n = -1 gives
+    # (-1|0) = 1 against (-1|0)(-1|-1) = -1 (Cohen, Def. 1.4.8)
+    assume(m != 0 and n != 0)
     if D == 0:
         D = 5
     assert kronecker_symbol(D, m * n) == kronecker_symbol(D, m) * kronecker_symbol(D, n)
+
+
+def test_kronecker_at_zero():
+    # (D|0) = 1 for D = +-1 and 0 for |D| > 1 (Cohen, Def. 1.4.8)
+    assert kronecker_symbol(1, 0) == kronecker_symbol(-1, 0) == 1
+    for D in (-8, -4, -3, 2, 3, 5, 12):
+        assert kronecker_symbol(D, 0) == 0
 
 
 def test_kronecker_periodicity_mod_positive_one_mod_four():

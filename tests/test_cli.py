@@ -183,6 +183,33 @@ def test_certify_without_modular_data_exits_two(args, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("D", [3, -1, 2, 6])
+@pytest.mark.parametrize("selector", ["twist=kronecker", "filter=kronweight"])
+def test_non_discriminant_kronecker_exits_two(selector, D, capsys):
+    # (D|.) is a character mod |D| only for D = 0, 1 (mod 4), so no level
+    # the record could store would be the twist's
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--weight", f"m=3,{selector}({D})", "--ell", "7", "--r", "0", "--prime", "7"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "discriminant" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dump-series", "--ensemble", "plane-partition", "--n", "5001", "--ring", "mod:7"],
+        ["scan", "--ensemble", "plane-partition", "--m", "1", "--ell", "5", "--nscan", "5001"],
+    ],
+    ids=["dump-series", "scan"],
+)
+def test_plane_partition_cap_exits_three(args, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+
+
 def test_certify_coloured_one_still_passes(capsys):
     code, out = run_cli(
         ["certify", "--ensemble", "coloured(1)", "--m", "1", "--ell", "5", "--r", "0",

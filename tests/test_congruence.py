@@ -454,6 +454,26 @@ def test_certify_refuses_the_even_filter():
         certify_batch([(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight)])
 
 
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        ((THETA, 1, Progression(5, 0), 5, SturmConfig()), ValueError),
+        # 34,117,915 coefficients, over the default budget of 2**25
+        ((ORDINARY, 1, Progression(283, 0), 283, SturmConfig(CONSERVATIVE12, "safe")), ResourceLimitError),
+        # inside the budget, but past the scalar companion cap
+        ((ORDINARY, 1, Progression(281, 0), 281, SturmConfig(CONSERVATIVE12, "safe")), ResourceLimitError),
+    ],
+    ids=["theta", "over-budget", "past-scalar-cap"],
+)
+def test_certify_batch_refuses_before_it_builds_anything(monkeypatch, refused, error):
+    # the first task alone would build companions to q^453 and q^691
+    built = []
+    monkeypatch.setattr(congruence, "companion_series", lambda *a, **k: built.append(a[1]))
+    with pytest.raises(error):
+        certify_batch([(ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE), refused])
+    assert built == []
+
+
 def test_zero_class_first_moment_all_self_ensembles():
     from freqmoments.arith import primes_up_to
     from freqmoments.qseries import PLANE_PARTITION, coloured_ensemble
@@ -744,7 +764,8 @@ def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):
     ells = (5, 7, 11, 13)
     chi5 = DirichletCharacterSpec.kronecker(5)
     scan(ORDINARY, range(1, 40, 2), ells, 600, weight_selector=chi5)
-    assert calls == Counter({d: len(ells) for d in range(1, 601)})
+    # the weights have period 5, the conductor: one period is evaluated and tiled
+    assert calls == Counter({d: len(ells) for d in range(5)})
 
 
 # --- probe-then-extend scan ---------------------------------------------------

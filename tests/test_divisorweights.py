@@ -14,6 +14,7 @@ from freqmoments.divisorweights import (
     sigma_table,
     weighted_sigma_table,
 )
+from freqmoments.arith import kronecker_symbol
 from freqmoments.divisorweights import _divisor_sums_mod, _powers_mod, _weight_terms_mod, _weight_values_mod
 from freqmoments.qseries import CoefficientRing, ORDINARY, fits_int64, make_series, overpartition, plane_partition, theta
 
@@ -177,7 +178,7 @@ def legendre_character(p: int) -> DirichletCharacterSpec:
 def test_legendre_character_matches_euler_criterion():
     for p in (3, 5, 7, 11, 13):
         chi = legendre_character(p)
-        assert chi.level_factor == p
+        assert chi.conductor == p
         for d in range(1, 3 * p):
             if d % p == 0:
                 assert chi.value(d) == 0
@@ -316,6 +317,81 @@ def test_filter_modular_data_unnamed_even_character():
 def test_filter_modular_data_rejects_even_exponent():
     with pytest.raises(ValueError):
         filter_modular_data(GlaisherFilter.all_divisors(), 2)
+
+
+# --- one row per twist and filter ------------------------------------------
+
+# each selector with an independent definition of its weight w(d), d >= 1
+ROW_SELECTORS = [
+    (DirichletCharacterSpec.trivial(), lambda d: 1),
+    (DirichletCharacterSpec.principal(6), lambda d: int(gcd(d, 6) == 1)),
+    (DirichletCharacterSpec.kronecker(5), lambda d: kronecker_symbol(5, d)),
+    (DirichletCharacterSpec.kronecker(-3, modulus=6), lambda d: kronecker_symbol(-3, d) if gcd(d, 6) == 1 else 0),
+    (DirichletCharacterSpec.kronecker(8), lambda d: kronecker_symbol(8, d)),
+    (DirichletCharacterSpec.kronecker(-4), lambda d: kronecker_symbol(-4, d)),
+    (GlaisherFilter.all_divisors(), lambda d: 1),
+    (GlaisherFilter.odd_divisors(), lambda d: int(d % 2 == 1)),
+    (GlaisherFilter.even_divisors(), lambda d: int(d % 2 == 0)),
+    (GlaisherFilter.coprime_to(6), lambda d: int(gcd(d, 6) == 1)),
+    (GlaisherFilter.residue_class(1, 4), lambda d: int(d % 4 == 1)),
+    (GlaisherFilter.residue_class(0, 3), lambda d: int(d % 3 == 0)),
+    (GlaisherFilter.quadratic_residues(7), lambda d: int(pow(d, 3, 7) == 1)),
+    (GlaisherFilter.kronecker_weight(12), lambda d: kronecker_symbol(12, d)),
+    (GlaisherFilter.exclude_multiples_of(3), lambda d: int(d % 3 != 0)),
+]
+ROW_IDS = [
+    "trivial", "principal6", "kronecker5", "kronecker-3@6", "kronecker8", "kronecker-4",
+    "all", "odd", "even", "coprime6", "residue1,4", "residue0,3", "qr7", "kronweight12", "exclude3",
+]
+
+
+@pytest.mark.parametrize("p", [5, 12, 691])
+@pytest.mark.parametrize("n", [0, 1, 29, 360])
+@pytest.mark.parametrize("selector, w", ROW_SELECTORS, ids=ROW_IDS)
+def test_weight_values_tile_the_row(selector, w, n, p):
+    values = _weight_values_mod(DivisorWeight(3, selector), n, p)
+    want = [w(d) % p for d in range(1, n + 1)]
+    if values is None:  # w = 1 mod p
+        assert want == [1] * n
+    else:
+        assert values.shape == (n + 1,)
+        # d = 0 divides nothing; _weight_terms_mod zeroes its term
+        assert values[1:].tolist() == want
+
+
+@pytest.mark.parametrize("selector", [s for s, _ in ROW_SELECTORS], ids=ROW_IDS)
+def test_the_conductor_is_the_period_and_the_level_factor(selector):
+    conductor = DivisorWeight(3, selector).conductor
+    assert conductor == selector.conductor
+    weight = selector.value if isinstance(selector, DirichletCharacterSpec) else selector.weight
+    assert all(weight(d) == weight(d + conductor) for d in range(1, 3 * conductor + 1))
+    if isinstance(selector, GlaisherFilter):
+        assert filter_modular_data(selector, 3).level == 4 * conductor
+
+
+def test_plain_and_canonical_weights_have_conductor_one():
+    assert DivisorWeight(3).conductor == 1
+    assert DivisorWeight(3, overpartition()).conductor == 1
+
+
+def test_a_huge_conductor_evaluates_at_most_n_plus_one_weights(monkeypatch):
+    calls = []
+    weight_of = DivisorWeight.weight_of
+    monkeypatch.setattr(DivisorWeight, "weight_of", lambda self, d: calls.append(d) or weight_of(self, d))
+    values = _weight_values_mod(DivisorWeight(3, GlaisherFilter.coprime_to(10**9)), 100, 7)
+    assert calls == list(range(101))
+    assert values.tolist() == [0] + [int(gcd(d, 10) == 1) for d in range(1, 101)]
+
+
+@pytest.mark.parametrize("D", [3, -1, 2, 6])
+def test_kronecker_needs_a_discriminant(D):
+    # (D|.) is a character mod |D| only for D = 0, 1 (mod 4)
+    with pytest.raises(ValueError, match="discriminant"):
+        DirichletCharacterSpec.kronecker(D)
+    with pytest.raises(ValueError, match="discriminant"):
+        DirichletCharacterSpec.kronecker(D, modulus=24 * abs(D))
+    with pytest.raises(ValueError, match="discriminant"):
+        GlaisherFilter.kronecker_weight(D)
 
 
 def test_divisor_weight_descriptors():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from freqmoments.qseries import (
     CoefficientRing,
     ExponentSequence,
+    ResourceLimitError,
     Series,
     companion_series,
     coloured,
@@ -269,7 +270,7 @@ def test_plane_partition_series():
 
 
 def test_plane_partition_cap():
-    with pytest.raises(ValueError, match="allow_large"):
+    with pytest.raises(ResourceLimitError, match="allow_large"):
         euler_product_coefficients(plane_partition(), 5001, Z)
 
 

@@ -58,14 +58,12 @@ _EXPORTS = {
     "qseries": (
         "CoefficientRing",
         "Ensemble",
-        "ExponentSequence",
         "Series",
         "companion_series",
         "ensemble_by_name",
         "eta_power_coefficients",
         "euler_product_coefficients",
         "partition_counts",
-        "r2_coefficients",
         "tau_coefficients",
     ),
 }

@@ -272,7 +272,7 @@ def _run_certify(args) -> int:
     else:
         m, selector = args.m, None
     # no twist or filter means the ensemble's canonical weights c(d) * d^m
-    weight = DivisorWeight(m, selector or ensemble.exponents)
+    weight = DivisorWeight(m, selector or ensemble)
     prog = Progression(args.ell, args.r)
     levels = ["natural", "safe"] if args.both_levels else [args.level]
     budget = _coefficient_budget()
@@ -397,7 +397,7 @@ def _run_dump_series(args) -> int:
     budget = _coefficient_budget()
     if args.n + 1 > budget:
         raise ResourceLimitError(f"dump of {args.n + 1} coefficients exceeds budget {budget}")
-    series = companion_series(ensemble, args.n, ring, allow_large=args.allow_large)
+    series = companion_series(ensemble, args.n, ring)
     _emit(args, dump_series(series, ensemble.name))
     return 0
 
@@ -492,14 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--ensemble", default="ordinary")
     p_dump.add_argument("--n", type=int, required=True, help="truncation order")
     p_dump.add_argument("--ring", default="exact", help="exact or mod:<N>")
-    p_dump.add_argument("--allow-large", action="store_true")
     add_common(p_dump)
     p_dump.set_defaults(func=_run_dump_series)
 
     return parser
 
 
-_BOOLEAN_FLAGS = {"nonzero_only", "both_levels", "allow_large"}
+_BOOLEAN_FLAGS = {"nonzero_only", "both_levels"}
 
 
 def _inject_config(argv: list[str]) -> list[str]:

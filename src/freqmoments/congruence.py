@@ -38,7 +38,6 @@ from .qseries import (
     ResourceLimitError,
     Series,
     _convolve_mod,
-    _indicator_decomposition,
     companion_series,
     fits_newton,
     ORDINARY,
@@ -232,14 +231,12 @@ def certify(
     modular form only through E_{ell-1} = 1 and E_2 = E_{ell+1}, which can
     raise the weight and with it B.
 
-    The weight comes from the exponent rule.  With the Euler product as its
-    own companion and c(r) a function of gcd(r, P), the product is the
-    eta-quotient prod_d (q^d; q^d)_inf^(-m_d) of weight -k/2, k = sum m_d,
-    and the moments have weight m + 1 - k/2.  Anything but k = 1 (ordinary
-    partitions, overpartitions, coloured(1)) raises ValueError: theta (its
-    companion r2 has weight 1), a rule not of that shape (plane partitions'
-    factor r), k != 1 (coloured(k), k >= 2), and a filter whose character
-    is unspecified (the even filter).  No bound here backs a PASS for them.
+    The weight comes from the ensemble's eta-quotient prod_d (q^d;
+    q^d)_inf^(-m_d), its own companion, of weight -k/2 with k = sum m_d:
+    the moments have weight m + 1 - k/2.  Anything but k = 1 (ordinary
+    partitions, overpartitions, coloured(1)) raises ValueError, as does a
+    filter whose character is unspecified (the even filter).  No bound here
+    backs a PASS for them.
 
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
     must equal m.  The level L of Gamma0(4L) is _level's; the record stores
@@ -288,21 +285,13 @@ def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> tup
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
         raise ValueError("modulus must be prime")
-    rule = ensemble.exponents
-    decomposition = _indicator_decomposition(rule)
-    if ensemble.companion != "self":
-        why = f"its companion is {ensemble.companion} = theta^2, of weight 1, not -1/2"
-    elif decomposition is None:
-        why = ("its exponent rule carries the factor r or is not a function of "
-               "gcd(r, period), so its product is not an eta-quotient")
-    elif sum(decomposition.values()) != 1:
-        why = f"its moments have weight m + 1 - k/2 with k = {sum(decomposition.values())}"
-    else:
-        why = None
-    if why:
-        raise ValueError(f"no Sturm bound applies to {ensemble.name}: {why}; the bound assumes weight m + 1/2")
+    if ensemble.k != 1:
+        raise ValueError(
+            f"no Sturm bound applies to {ensemble.name}: its moments have weight m + 1 - k/2 "
+            f"with k = {ensemble.k}; the bound assumes weight m + 1/2"
+        )
     if weight is None:
-        weight = DivisorWeight(m, rule)
+        weight = DivisorWeight(m, ensemble)
     elif weight.exponent != m:
         raise ValueError("weight exponent disagrees with m")
     if (
@@ -498,7 +487,7 @@ def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
     for m in ms:
         classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
     mbars = list(classes)
-    selector = ensemble.exponents if weight_selector is None else weight_selector
+    selector = ensemble if weight_selector is None else weight_selector
     w = _weight_values_mod(DivisorWeight(mbars[0], selector), n_scan, ell)
     found: dict[int, tuple[int, ...]] = {}
     live = mbars

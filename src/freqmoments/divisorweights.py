@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import is_prime, kronecker_symbol
-from .qseries import CoefficientRing, ExponentSequence, Series, fits_int64
+from .qseries import CoefficientRing, Ensemble, Series, fits_int64
 
 __all__ = [
     "DirichletCharacterSpec",
@@ -209,15 +209,15 @@ class GlaisherFilter(_GlaisherFilterFields):
 
 class _DivisorWeightFields(NamedTuple):
     exponent: int
-    selector: DirichletCharacterSpec | GlaisherFilter | ExponentSequence | None = None
+    selector: DirichletCharacterSpec | GlaisherFilter | Ensemble | None = None
 
 
 class DivisorWeight(_DivisorWeightFields):
     """The rule d -> w(d) * d^exponent feeding the master transform.
 
     The selector is None for plain power sums, a character spec for twisted
-    sums, a Glaisher filter for filtered sums, or an exponent sequence for an
-    ensemble's canonical weights w(d) = c(d).
+    sums, a Glaisher filter for filtered sums, or an ensemble for its
+    canonical weights w(d) = c(d) = sum_{e | d} m_e.
     """
 
     __slots__ = ()
@@ -234,16 +234,14 @@ class DivisorWeight(_DivisorWeightFields):
             return 1
         if isinstance(sel, DirichletCharacterSpec):
             return sel.value(d)
-        if isinstance(sel, GlaisherFilter):
-            return sel.weight(d)
-        return sel.value_at(d)
+        return sel.weight(d)
 
     @property
     def conductor(self) -> int:
         """The selector's conductor for a twist or filter, 1 for plain and
         canonical weights: the one place a certification's level reads it."""
         sel = self.selector
-        return 1 if sel is None or isinstance(sel, ExponentSequence) else sel.conductor
+        return 1 if sel is None or isinstance(sel, Ensemble) else sel.conductor
 
     def describe(self) -> str:
         sel = self.selector
@@ -291,26 +289,19 @@ def _powers_mod(exponents, span: int, modulus: int) -> np.ndarray:
 def _weight_values_mod(weight: DivisorWeight, n: int, modulus: int) -> np.ndarray | None:
     """w(d) mod modulus for d = 0..n as int64, or None when w = 1 mod modulus.
 
-    w does not depend on the exponent, and it is periodic: an ensemble
-    rule's with its period (times d mod modulus when the rule has a power
-    factor), a twist's or filter's with its conductor.  So one period is
-    tiled; for a twist or filter that is min(conductor, n + 1) calls of
-    weight_of, whatever the conductor.
+    w does not depend on the exponent, and it is periodic: an ensemble's
+    canonical weight with the ensemble's period, a twist's or filter's with
+    its conductor.  So one period is tiled, min(period, n + 1) calls of
+    weight_of, whatever the period.
     """
     sel = weight.selector
     if sel is None:
         return None
-    if isinstance(sel, ExponentSequence):
-        values, power_factor = sel.values, sel.power_factor
-    else:
-        values, power_factor = [weight.weight_of(d) for d in range(min(weight.conductor, n + 1))], 0
-    if not power_factor and all(v % modulus == 1 for v in values):
+    period = sel.period if isinstance(sel, Ensemble) else weight.conductor
+    values = [weight.weight_of(d) % modulus for d in range(min(period, n + 1))]
+    if all(v == 1 for v in values):
         return None
-    w = _tiled(np.array([v % modulus for v in values], dtype=np.int64), n + 1)
-    if power_factor:
-        w *= _tiled(np.arange(min(modulus, n + 1), dtype=np.int64), n + 1)
-        w %= modulus
-    return w
+    return _tiled(np.array(values, dtype=np.int64), n + 1)
 
 
 def _weight_terms_mod(exponents, w: np.ndarray | None, n: int, modulus: int) -> np.ndarray:

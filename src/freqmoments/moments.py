@@ -97,14 +97,13 @@ def ensemble_moments(
     ring: CoefficientRing,
     *,
     weight: DivisorWeight | None = None,
-    allow_large: bool = False,
 ) -> Series:
     """Moment series for an ensemble: canonical weights c(d) * d^m unless an
     explicit divisor weight (e.g. a character twist) is supplied."""
     if weight is None:
-        weight = DivisorWeight(m, ensemble.exponents)
+        weight = DivisorWeight(m, ensemble)
     sigma = weighted_sigma_table(weight, n, ring)
-    comp = companion_series(ensemble, n, ring, allow_large=allow_large)
+    comp = companion_series(ensemble, n, ring)
     return master_transform(sigma, comp)
 
 
@@ -231,7 +230,7 @@ def j_identity_check(n_max: int) -> IdentityCheckResult:
         raise ValueError("n_max must be >= 1")
     ring = CoefficientRing.exact_integers()
     num, den = C12
-    p24 = euler_product_coefficients(coloured_ensemble(24).exponents, n_max, ring)
+    p24 = euler_product_coefficients(coloured_ensemble(24), n_max, ring)
     sig11 = sigma_table(11, n_max, ring)
     e12_scaled = Series(ring, (den,) + tuple(num * sig11[i] for i in range(1, n_max + 1)))
     moments24 = ensemble_moments(coloured_ensemble(24), 11, n_max, ring)
@@ -267,9 +266,8 @@ def fermat_congruence_check(
 
 
 def first_moment_identity_check(ensemble: Ensemble, n_max: int) -> IdentityCheckResult:
-    """M_1(n) = n * b(n) over exact integers, for the inverse-companion case."""
-    if ensemble.companion != "self":
-        raise ValueError("the first-moment identity needs the self-companion case")
+    """M_1(n) = n * b(n) over exact integers: with canonical weights the
+    first moment series is q d/dq of the ensemble's product b."""
     ring = CoefficientRing.exact_integers()
     moments = ensemble_moments(ensemble, 1, n_max, ring)
     comp = companion_series(ensemble, n_max, ring)

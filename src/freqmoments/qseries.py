@@ -1,13 +1,14 @@
 """Truncated formal power series over Z and Z/N, plus the coefficient
 generators for every Euler product the moment pipeline uses.
 
-Convention: an exponent sequence c defines the product
+Every ensemble is an eta-quotient: its product is
 
-    A(q) = prod_{r >= 1} (1 - q^r)^(-c(r)),
+    A(q) = prod_d (q^d; q^d)_inf^(-m_d) = prod_{r >= 1} (1 - q^r)^(-c(r)),
 
-so positive c(r) means 1/(1 - q^r) factors (things are being counted).
-Ordinary partitions are c(r) = 1, overpartitions c(r) = 2 for odd r and 1
-for even r, k-coloured partitions c(r) = k, plane partitions c(r) = r.
+with canonical weight c(r) = sum_{d | r} m_d, and A(q) is its own companion
+series.  Ordinary partitions are m_1 = 1 (c(r) = 1), overpartitions m_1 = 2,
+m_2 = -1 (c(r) = 2 for odd r and 1 for even r), and k-coloured partitions
+m_1 = k (c(r) = k).
 
 Truncation is a hard contract: a Series of truncation N is exact through
 q^N and says nothing beyond.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from functools import partial
-from math import expm1, gcd, isqrt, log1p, sqrt
+from math import expm1, isqrt, lcm, log1p, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -25,33 +26,21 @@ import numpy as np
 __all__ = [
     "CoefficientRing",
     "Ensemble",
-    "ExponentSequence",
     "ORDINARY",
     "OVERPARTITION",
-    "PLANE_PARTITION",
-    "PLANE_PARTITION_DEFAULT_CAP",
     "ResourceLimitError",
     "RingMismatchError",
     "Series",
-    "THETA",
     "companion_series",
-    "coloured",
     "coloured_ensemble",
     "dump_series",
     "ensemble_by_name",
     "eta_power_coefficients",
     "euler_product_coefficients",
     "make_series",
-    "ordinary",
-    "overpartition",
     "partition_counts",
-    "plane_partition",
-    "r2_coefficients",
     "tau_coefficients",
-    "theta",
 ]
-
-PLANE_PARTITION_DEFAULT_CAP = 5000
 
 
 class ResourceLimitError(RuntimeError):
@@ -156,114 +145,68 @@ def make_series(ring: CoefficientRing, values) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Exponent sequences and ensembles
+# Ensembles
 # ---------------------------------------------------------------------------
-
-
-class _ExponentSequenceFields(NamedTuple):
-    name: str
-    period: int
-    values: tuple[int, ...]
-    power_factor: int = 0
-
-
-class ExponentSequence(_ExponentSequenceFields):
-    """Periodic rule c(r) = values[r mod period] * r**power_factor.
-
-    Only integer exponents are supported; rational c(r) is deliberately
-    unimplemented.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if len(self.values) != self.period:
-            raise ValueError("need exactly one value per residue class")
-        if not all(isinstance(v, int) for v in self.values):
-            raise TypeError("exponent values must be integers (rational exponents unsupported)")
-        if not any(self.values):
-            raise ValueError("at least one value must be nonzero")
-        if self.power_factor not in (0, 1):
-            raise ValueError("power_factor must be 0 or 1")
-        return self
-
-    def value_at(self, r: int) -> int:
-        c = self.values[r % self.period]
-        return c * r if self.power_factor else c
-
-
-def ordinary() -> ExponentSequence:
-    """c(r) = 1: ordinary partitions, A(q) = 1/(q;q)_inf."""
-    return ExponentSequence("ordinary", 1, (1,))
-
-
-def coloured(k: int) -> ExponentSequence:
-    """c(r) = k: partitions with k colours, A(q) = (q;q)_inf^(-k)."""
-    if k < 1:
-        raise ValueError("number of colours must be >= 1")
-    return ExponentSequence(f"coloured({k})", 1, (k,))
-
-
-def plane_partition() -> ExponentSequence:
-    """c(r) = r: MacMahon's plane partitions."""
-    return ExponentSequence("plane-partition", 1, (1,), power_factor=1)
-
-
-def overpartition() -> ExponentSequence:
-    """c(r) = 2 for odd r, 1 for even r: A(q) = (-q;q)_inf / (q;q)_inf."""
-    return ExponentSequence("overpartition", 2, (1, 2))
-
-
-def theta() -> ExponentSequence:
-    """c(r) = 2 for odd r, -1 for even r (the theta exponent sequence)."""
-    return ExponentSequence("theta", 2, (-1, 2))
 
 
 class _EnsembleFields(NamedTuple):
     name: str
-    exponents: ExponentSequence
-    companion: str = "self"
+    eta: tuple[tuple[int, int], ...]
 
 
 class Ensemble(_EnsembleFields):
-    """An Euler product together with its companion series.
+    """A partition ensemble given by the eta-quotient of its product,
 
-    companion "self" means the companion coefficients b(n) are those of the
-    product itself; "r2" supplies the explicit theta companion b(n) = r2(n).
+        A(q) = prod_d (q^d; q^d)_inf^(-m_d),
+
+    eta holding the pairs (d, m_d), d >= 1 ascending and every m_d nonzero,
+    as a tuple of tuples whatever sequences it was given as.
+    A(q) is also the companion b of the ensemble's moments.  Its weight is
+    -k/2 with k = sum m_d, and its canonical divisor weight is c(r) =
+    sum_{d | r} m_d, so A(q) = prod_{r >= 1} (1 - q^r)^(-c(r)).
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.companion not in ("self", "r2"):
-            raise ValueError(f"unknown companion kind {self.companion!r}")
+    def __new__(cls, name: str, eta):
+        self = super().__new__(cls, name, tuple(map(tuple, eta)))
+        if not all(isinstance(v, int) for pair in self.eta for v in pair):
+            raise TypeError("eta entries must be integers")
+        ds = [d for d, _ in self.eta]
+        if not ds or ds != sorted(set(ds)) or ds[0] < 1 or not all(m for _, m in self.eta):
+            raise ValueError("eta lists (d, m_d) for distinct d >= 1, ascending, with m_d nonzero")
         return self
 
+    @property
+    def k(self) -> int:
+        """sum m_d: A(q) has weight -k/2."""
+        return sum(m for _, m in self.eta)
 
-ORDINARY = Ensemble("ordinary", ordinary())
-OVERPARTITION = Ensemble("overpartition", overpartition())
-PLANE_PARTITION = Ensemble("plane-partition", plane_partition())
-THETA = Ensemble("theta", theta(), companion="r2")
+    @property
+    def period(self) -> int:
+        """The lcm of the d, a period of the canonical weight."""
+        return lcm(*(d for d, _ in self.eta))
+
+    def weight(self, r: int) -> int:
+        """The canonical weight c(r) = sum_{d | r} m_d."""
+        return sum(m for d, m in self.eta if r % d == 0)
+
+
+ORDINARY = Ensemble("ordinary", ((1, 1),))
+OVERPARTITION = Ensemble("overpartition", ((1, 2), (2, -1)))
 
 
 def coloured_ensemble(k: int) -> Ensemble:
-    return Ensemble(f"coloured({k})", coloured(k))
+    """Partitions with k colours, A(q) = (q;q)_inf^(-k)."""
+    if k < 1:
+        raise ValueError("number of colours must be >= 1")
+    return Ensemble(f"coloured({k})", ((1, k),))
 
 
 def ensemble_by_name(name: str) -> Ensemble:
     """Resolve an ensemble from its CLI name, e.g. "ordinary", "coloured(3)"."""
     key = name.strip().lower()
-    fixed = {
-        "ordinary": ORDINARY,
-        "overpartition": OVERPARTITION,
-        "plane-partition": PLANE_PARTITION,
-        "planepartition": PLANE_PARTITION,
-        "theta": THETA,
-    }
+    fixed = {"ordinary": ORDINARY, "overpartition": OVERPARTITION}
     if key in fixed:
         return fixed[key]
     if key.startswith("coloured(") and key.endswith(")"):
@@ -318,31 +261,6 @@ def _divide_by_sparse(coeffs: list, terms: list[tuple[int, int]], modulus: int |
                 acc -= coeffs[n - e]
         v = coeffs[n] - scale * acc
         coeffs[n] = v % modulus if modulus is not None else v
-
-
-def _indicator_decomposition(c: ExponentSequence) -> dict[int, int] | None:
-    """Write c(r) = sum_{d | r, d | P} m_d when c(r) depends only on gcd(r, P).
-
-    Grouping the product over each indicator gives
-    prod_r (1-q^r)^(-c(r)) = prod_d ((q^d; q^d)_inf)^(-m_d),
-    which expands by sparse pentagonal passes.  Returns None when the rule
-    does not have this shape.
-    """
-    if c.power_factor != 0:
-        return None
-    P = c.period
-    divisors = [d for d in range(1, P + 1) if P % d == 0]
-    by_gcd: dict[int, int] = {}
-    for s in range(P):
-        g = gcd(s, P)  # gcd(0, P) = P
-        v = c.values[s]
-        if by_gcd.setdefault(g, v) != v:
-            return None
-    multiplicity: dict[int, int] = {}
-    for d in divisors:
-        lower = sum(multiplicity[e] for e in divisors if e < d and d % e == 0)
-        multiplicity[d] = by_gcd[d] - lower
-    return {d: m for d, m in multiplicity.items() if m != 0}
 
 
 def fits_int64(terms: int, modulus: int) -> bool:
@@ -413,25 +331,52 @@ def fits_newton(n: int, modulus: int) -> bool:
     return fits_fft(top, top, modulus)
 
 
-# The last denominator inverse _euler_product_grouped built by Newton:
-# (sorted decomposition, modulus, read-only int64 coefficients), or None.
+# The last denominator inverse euler_product_coefficients built by Newton:
+# (eta, modulus, read-only int64 coefficients), or None.
 _held = None
 
 
-def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing) -> np.ndarray:
+def euler_product_coefficients(ensemble: Ensemble, n: int, ring: CoefficientRing) -> Series:
+    """Coefficients of the ensemble's eta-quotient A = prod_d f(q^d)^(-m_d),
+    f = (q;q)_inf, through q^n.
+
+    A is expanded as numerator / denominator: the numerator is the
+    pentagonal series of f(q^d)^|m_d| for m_d < 0, the denominator that of
+    f(q^d)^m_d for m_d > 0, except that the overpartitions' f(q)^2 / f(q^2)
+    is Gauss's theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2}.
+
+    Over Z/N under fits_newton(n, N), the denominator is written densely
+    by shifted-slice products and inverted by _newton_inverse, O(n log n).
+    The last inverse is held: a request for the same eta and modulus up to
+    its length is a read-only prefix view of it (so ordinary partitions and
+    coloured(1) share one), a longer one continues Newton's iteration from
+    it into a new array, and another eta drops it before anything is built,
+    so at most one series is held.  The numerator is multiplied into a copy
+    by shifted-slice products, O(n^1.5) each; a product without a
+    denominator (eta powers) is that product alone and leaves the hold as
+    it is.
+
+    Over Z, and over Z/N past fits_newton, each denominator factor is
+    divided out by the scalar subtraction recurrence of _divide_by_sparse,
+    O(n^1.5) interpreted ring operations, and the numerator's factors are
+    multiplied in by the same shifted-slice products on an object array.
+    Nothing is rounded unchecked on any path, so a certification built on
+    them remains a proof.
+    """
     global _held
-    modulus = ring.modulus
-    # A = prod(numerator) / prod(denominator); each denominator factor is a
-    # sparse series 1 + scale * sum sign*q^exp, given by a function of n
-    # returning its terms through q^n
-    if decomp == {1: 2, 2: -1}:
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    eta, modulus = ensemble.eta, ring.modulus
+    # each denominator factor is a sparse series 1 + scale * sum sign*q^exp,
+    # given by a function of n returning its terms through q^n
+    if eta == ((1, 2), (2, -1)):
         # Gauss: f(q)^2 / f(q^2) = theta_4
         denominator, scale, numerator = [_theta4_terms], 2, []
     else:
-        steps = [d for d in sorted(decomp) if d <= n]
-        denominator = [partial(_pentagonal_terms, d) for d in steps for _ in range(decomp[d])]
+        factors = [(d, m) for d, m in eta if d <= n]
+        denominator = [partial(_pentagonal_terms, d) for d, m in factors for _ in range(m)]
         scale = 1
-        numerator = [_pentagonal_terms(d, n) for d in steps for _ in range(-decomp[d])]
+        numerator = [_pentagonal_terms(d, n) for d, m in factors for _ in range(-m)]
     if modulus is None or not fits_newton(n, modulus):
         scalar = [1] + [0] * n
         for terms in denominator:
@@ -439,10 +384,9 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
         # object dtype: no slice sum below can overflow, whatever the modulus
         coeffs = np.array(scalar, dtype=object)
     elif not denominator:
-        return _pentagonal_product(numerator, n + 1, modulus)
+        return Series(ring, _pentagonal_product(numerator, n + 1, modulus))
     else:
-        key = tuple(sorted(decomp.items()))
-        prefix = _held[2] if _held is not None and _held[:2] == (key, modulus) else None
+        prefix = _held[2] if _held is not None and _held[:2] == (eta, modulus) else None
         if prefix is not None and n < len(prefix):
             coeffs = prefix[: n + 1]
         else:
@@ -452,85 +396,16 @@ def _euler_product_grouped(decomp: dict[int, int], n: int, ring: CoefficientRing
             # through the top step would raise the peak by 4 bytes a coefficient
             coeffs = _newton_inverse(dense, modulus, prefix).astype(np.int64)
             coeffs.flags.writeable = False
-            _held = (key, modulus, coeffs)
+            _held = (eta, modulus, coeffs)
         if numerator:
             coeffs = coeffs.copy()
     for terms in numerator:
         _multiply_by_sparse_shifted(coeffs, terms, modulus)
-    return coeffs
+    return Series(ring, coeffs)
 
 
-def _euler_product_log_derivative(c: ExponentSequence, n: int, ring: CoefficientRing) -> list:
-    """Any integer rule by the logarithmic derivative recurrence
-    n*b(n) = sum_d sigma_c1(d) b(n-d), sigma_c1(d) = sum_{r | d} c(r)*r, run
-    over exact integers (object arrays, one dot product per n) so the
-    division by n is exact, then reduced into the ring.  O(n^2) integer
-    operations."""
-    sigma1 = np.zeros(n + 1, dtype=object)
-    for r in range(1, n + 1):
-        w = c.value_at(r) * r
-        if w:
-            sigma1[r::r] += w
-    b = np.zeros(n + 1, dtype=object)
-    b[0] = 1
-    for i in range(1, n + 1):
-        q, rem = divmod(sigma1[1 : i + 1].dot(b[i - 1 :: -1]), i)
-        if rem:
-            raise ArithmeticError("non-integral coefficient; exponent rule is inconsistent")
-        b[i] = q
-    return [ring.reduce(v) for v in b]
-
-
-def euler_product_coefficients(
-    c: ExponentSequence,
-    n: int,
-    ring: CoefficientRing,
-    *,
-    allow_large: bool = False,
-) -> Series:
-    """Coefficients of prod_{r=1..n} (1 - q^r)^(-c(r)) through q^n.
-
-    Two paths.  A rule whose value depends only on gcd(r, period) is an
-    eta-quotient A = prod_d f(q^d)^(-m_d), f = (q;q)_inf, expanded by
-    _euler_product_grouped as numerator / denominator: the numerator is
-    the pentagonal series of f(q^d)^|m_d| for m_d < 0, the denominator
-    that of f(q^d)^m_d for m_d > 0, except that the overpartitions'
-    f(q)^2 / f(q^2) is Gauss's theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2}.
-    Every other integer rule, periodic or carrying the linear factor r,
-    runs the logarithmic derivative recurrence of
-    _euler_product_log_derivative, O(n^2) exact integer operations; rules
-    with the factor r (plane partitions) are capped at n = 5000 unless
-    allow_large, and past it raise ResourceLimitError.
-
-    Over Z/N under fits_newton(n, N), the denominator is written densely
-    by shifted-slice products and inverted by _newton_inverse, O(n log n).
-    The last inverse is held: a request for the same decomposition and
-    modulus up to its length is a read-only prefix view of it (so ordinary
-    partitions and coloured(1) share one), a longer one continues Newton's
-    iteration from it into a new array, and another decomposition drops it
-    before anything is built, so at most one series is held.  The
-    numerator is multiplied into a copy by shifted-slice products,
-    O(n^1.5) each; a product without a denominator (eta powers) is that
-    product alone and leaves the hold as it is.
-
-    Over Z, and over Z/N past fits_newton, each denominator factor is
-    divided out by the scalar subtraction recurrence of _divide_by_sparse,
-    O(n^1.5) interpreted ring operations, and the numerator's factors are
-    multiplied in by the same shifted-slice products on an object array.
-    Nothing is rounded unchecked on any path, so a certification built on
-    them remains a proof.
-    """
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    decomp = _indicator_decomposition(c)
-    if decomp is not None:
-        return Series(ring, _euler_product_grouped(decomp, n, ring))
-    if c.power_factor and n > PLANE_PARTITION_DEFAULT_CAP and not allow_large:
-        raise ResourceLimitError(
-            f"linear exponent rules are capped at N={PLANE_PARTITION_DEFAULT_CAP}; "
-            "allow_large=True (dump-series --allow-large) lifts the cap"
-        )
-    return Series(ring, _euler_product_log_derivative(c, n, ring))
+# Every ensemble is its own companion: b(n) are the coefficients of A(q).
+companion_series = euler_product_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +415,16 @@ def euler_product_coefficients(
 
 def partition_counts(n: int, ring: CoefficientRing) -> Series:
     """p(0..n), the ordinary-partition Euler product."""
-    return euler_product_coefficients(ordinary(), n, ring)
+    return euler_product_coefficients(ORDINARY, n, ring)
 
 
 def eta_power_coefficients(k: int, n: int, ring: CoefficientRing) -> Series:
-    """Coefficients of (q;q)_inf^k, i.e. the Euler product with c(r) = -k."""
+    """Coefficients of (q;q)_inf^k, the eta-quotient with m_1 = -k."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
     if k == 0:
         return Series(ring, [1] + [0] * n)
-    rule = ExponentSequence(f"eta-power({k})", 1, (-k,))
-    return euler_product_coefficients(rule, n, ring)
+    return euler_product_coefficients(Ensemble(f"eta-power({k})", ((1, -k),)), n, ring)
 
 
 def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
@@ -559,31 +433,6 @@ def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
         raise ValueError("need n >= 1 for tau")
     eta24 = eta_power_coefficients(24, n - 1, ring).coeffs
     return Series(ring, np.concatenate(([0], eta24)))
-
-
-def r2_coefficients(n: int) -> Series:
-    """r2(0..n): lattice points on x^2 + y^2 = m, by direct counting."""
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    counts = [0] * (n + 1)
-    for x in range(-isqrt(n), isqrt(n) + 1):
-        rem = n - x * x
-        for y in range(-isqrt(rem), isqrt(rem) + 1):
-            counts[x * x + y * y] += 1
-    return Series(CoefficientRing.exact_integers(), counts)
-
-
-def companion_series(ensemble: Ensemble, n: int, ring: CoefficientRing, *, allow_large: bool = False) -> Series:
-    """The companion coefficients b(0..n) for an ensemble, in the given ring.
-
-    Theta's companion is r2.  Every other ensemble is its own companion,
-    euler_product_coefficients of its exponents: over Z/N under
-    fits_newton(n, N) an eta-quotient's request is served from, or extends,
-    the inverse held there.
-    """
-    if ensemble.companion != "self":
-        return make_series(ring, r2_coefficients(n).coeffs)
-    return euler_product_coefficients(ensemble.exponents, n, ring, allow_large=allow_large)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +478,16 @@ def fits_fft(len_a: int, len_b: int, modulus: int) -> bool:
 
 def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
     """values rounded to integers and reduced mod modulus, as int64, or None
-    when some value is not within 1/4 of an integer.  Overwrites values."""
-    rounded = np.rint(values)
-    values -= rounded
+    when some value is not within 1/4 of an integer.  Overwrites values.
+
+    The rounding goes straight into the int64 result, so no float64 copy of
+    values is alive beside it."""
+    out = np.empty(values.shape, dtype=np.int64)
+    np.rint(values, out=out, casting="unsafe")
+    values -= out
     np.abs(values, out=values)
     if values.max() > 0.25:
         return None
-    out = rounded.astype(np.int64)
     out %= modulus
     return out
 

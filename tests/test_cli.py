@@ -153,13 +153,14 @@ def test_certify_weight_with_m_is_a_usage_error(capsys):
 
 
 def test_certify_plane_partition_exits_two(capsys):
+    # plane partitions are no eta-quotient, so they are no ensemble
     with pytest.raises(SystemExit) as info:
         main(["certify", "--ensemble", "plane-partition", "--m", "1", "--ell", "5",
               "--r", "0", "--prime", "5"])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "factor r" in captured.err
+    assert "unknown ensemble" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -169,8 +170,9 @@ def test_certify_plane_partition_exits_two(capsys):
          "m + 1 - k/2"),
         (["--weight", "m=3,filter=even", "--ell", "7", "--r", "0", "--prime", "7"],
          "no known character"),
+        # theta's companion r2 has weight 1: it is no ensemble
         (["--ensemble", "theta", "--m", "1", "--ell", "5", "--r", "0", "--prime", "5"],
-         "companion is r2"),
+         "unknown ensemble"),
     ],
     ids=["coloured3", "even-filter", "theta"],
 )
@@ -194,20 +196,6 @@ def test_non_discriminant_kronecker_exits_two(selector, D, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "discriminant" in captured.err
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["dump-series", "--ensemble", "plane-partition", "--n", "5001", "--ring", "mod:7"],
-        ["scan", "--ensemble", "plane-partition", "--m", "1", "--ell", "5", "--nscan", "5001"],
-    ],
-    ids=["dump-series", "scan"],
-)
-def test_plane_partition_cap_exits_three(args, capsys):
-    code, out = run_cli(args, capsys)
-    assert code == 3
-    assert out == ""
 
 
 def test_certify_coloured_one_still_passes(capsys):

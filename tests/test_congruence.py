@@ -38,11 +38,8 @@ from freqmoments.moments import ORACLE_GUARD, ensemble_moments, frequency_oracle
 from freqmoments.qseries import (
     CoefficientRing,
     Ensemble,
-    ExponentSequence,
     ORDINARY,
     OVERPARTITION,
-    PLANE_PARTITION,
-    THETA,
     coloured_ensemble,
     companion_series,
     fits_float64,
@@ -51,6 +48,9 @@ from freqmoments.qseries import (
 )
 
 Z = CoefficientRing.exact_integers()
+# the Euler product of c(r) = 2 for odd r and -1 for even r, f(q)^-2 f(q^2)^3
+# with f = (q;q)_inf: an eta-quotient with k = -1
+THETA_PRODUCT = Ensemble("theta", ((1, 2), (2, -3)))
 SHARP_NATURAL = SturmConfig(SHARP24, "natural")
 SHARP_SAFE = SturmConfig(SHARP24, "safe")
 
@@ -181,7 +181,7 @@ def test_projected_values_exact_in_every_dot_tier(modulus):
     assert fits_float64(n + 1, modulus) == (modulus == 97)
     assert fits_int64(n + 1, modulus) == (modulus != 2**61 - 1)
     ring = CoefficientRing.integers_mod(modulus)
-    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY.exponents), n, ring)
+    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY), n, ring)
     comp = companion_series(ORDINARY, n, ring)
     count = (n - r) // ell + 1
     got = list(_projected_moment_values(sigma, comp, ell, r, count))
@@ -208,7 +208,7 @@ def test_polyphase_projection_matches_exact_moments_for_every_r(
 ):
     n = 1100
     ring = CoefficientRing.integers_mod(modulus)
-    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY.exponents), n, ring)
+    sigma = weighted_sigma_table(DivisorWeight(3, ORDINARY), n, ring)
     comp = companion_series(ORDINARY, n, ring)
     fft_ran = []
     irfft = np.fft.irfft
@@ -300,7 +300,7 @@ def test_fail_witnesses_match_the_enumeration_oracle(oracle_table, selector, ell
     config = SturmConfig(CONSERVATIVE12, "safe")
     later_rows = 0
     for m in range(1, 26, 2):
-        weight = DivisorWeight(m, ORDINARY.exponents if selector is None else selector)
+        weight = DivisorWeight(m, ORDINARY if selector is None else selector)
 
         def moment(t: int) -> int:
             return oracle_moment(lambda k: weight.weight_of(k) * k**m, t, oracle_table)
@@ -388,15 +388,6 @@ def test_scalar_companion_cap_is_on_the_top_index(monkeypatch):
         certify(*args)
 
 
-def test_certify_refuses_an_exponent_rule_with_the_factor_r():
-    # MacMahon's plane-partition product is not an eta-quotient, so no Sturm
-    # bound backs a PASS; m = 1 at ell = 5 would otherwise print one
-    with pytest.raises(ValueError, match="factor r"):
-        certify(PLANE_PARTITION, 1, Progression(5, 0), 5, SHARP_SAFE)
-    with pytest.raises(ValueError, match="factor r"):
-        certify_batch([(PLANE_PARTITION, 1, Progression(5, 0), 5, SHARP_SAFE)])
-
-
 @pytest.mark.parametrize("colours", [2, 3, 24])
 def test_certify_refuses_coloured_partitions(colours):
     # (q;q)^-k moments have weight m + 1 - k/2, so the m + 1/2 bound backs
@@ -408,28 +399,16 @@ def test_certify_refuses_coloured_partitions(colours):
         certify_batch([(ensemble, 1, Progression(5, 0), 5, SHARP_SAFE)])
 
 
-def test_certify_refuses_the_theta_companion():
-    # the companion r2 = theta^2 has weight 1, so the moments do not have
-    # weight m + 1/2; m = 1 at ell = 5 once ran at that bound, B = 45
-    with pytest.raises(ValueError, match="companion is r2"):
-        certify(THETA, 1, Progression(5, 0), 5, SturmConfig())
-    with pytest.raises(ValueError, match="companion is r2"):
-        certify_batch([(THETA, 1, Progression(5, 0), 5, SturmConfig())])
-
-
 @pytest.mark.parametrize(
-    "values, message",
+    "eta, message",
     [
-        # c(r) = 1 for r = 1 (mod 4) only: not a function of gcd(r, 4)
-        ((0, 1, 0, 0), "not an eta-quotient"),
         # partitions into odd parts, (q^2;q^2)/(q;q): an eta-quotient of weight 0
-        ((0, 1), "k = 0"),
+        (((1, 1), (2, -1)), "k = 0"),
     ],
-    ids=["p1mod4", "odd-parts"],
+    ids=["odd-parts"],
 )
-def test_certify_refuses_rules_without_weight_one_half(values, message):
-    rule = ExponentSequence("rule", len(values), values)
-    ensemble = Ensemble("rule", rule)
+def test_certify_refuses_rules_without_weight_one_half(eta, message):
+    ensemble = Ensemble("rule", eta)
     with pytest.raises(ValueError, match=message):
         certify(ensemble, 1, Progression(5, 0), 5, SturmConfig())
     with pytest.raises(ValueError, match=message):
@@ -457,7 +436,8 @@ def test_certify_refuses_the_even_filter():
 @pytest.mark.parametrize(
     "refused, error",
     [
-        ((THETA, 1, Progression(5, 0), 5, SturmConfig()), ValueError),
+        # k = -1
+        ((THETA_PRODUCT, 1, Progression(5, 0), 5, SturmConfig()), ValueError),
         # 34,117,915 coefficients, over the default budget of 2**25
         ((ORDINARY, 1, Progression(283, 0), 283, SturmConfig(CONSERVATIVE12, "safe")), ResourceLimitError),
         # inside the budget, but past the scalar companion cap
@@ -476,9 +456,8 @@ def test_certify_batch_refuses_before_it_builds_anything(monkeypatch, refused, e
 
 def test_zero_class_first_moment_all_self_ensembles():
     from freqmoments.arith import primes_up_to
-    from freqmoments.qseries import PLANE_PARTITION, coloured_ensemble
 
-    for ensemble in (ORDINARY, OVERPARTITION, coloured_ensemble(2), PLANE_PARTITION):
+    for ensemble in (ORDINARY, OVERPARTITION, coloured_ensemble(2), THETA_PRODUCT):
         for ell in primes_up_to(31).primes:
             if ell < 5:
                 continue
@@ -518,7 +497,7 @@ def test_filtered_level_rule():
     assert _level(DivisorWeight(3, DirichletCharacterSpec.principal(12)), 3, natural) == 12
     # filters contribute their level over 4; plain and canonical weights 1
     assert _level(DivisorWeight(3, GlaisherFilter.odd_divisors()), 7, safe) == 14**2
-    for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY.exponents)):
+    for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY)):
         assert _level(weight, 7, safe) == 49
         assert _level(weight, 7, natural) == 7
     # a custom level is taken as given, twisted or not
@@ -567,7 +546,7 @@ def test_certify_twisted_weight_takes_the_twisted_level():
 
 
 def test_certify_rejects_weight_exponent_mismatch():
-    for selector in (DirichletCharacterSpec.kronecker(5), ORDINARY.exponents, None):
+    for selector in (DirichletCharacterSpec.kronecker(5), ORDINARY, None):
         weight = DivisorWeight(5, selector)
         with pytest.raises(ValueError, match="disagrees"):
             certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
@@ -646,7 +625,7 @@ def scan_reference(ensemble, selector, n_scan, include_r0, ms=GRID_MS, ells=GRID
     for ell in ells:
         ring = CoefficientRing.integers_mod(ell)
         for m in ms:
-            weight = DivisorWeight(m, ensemble.exponents if selector is None else selector)
+            weight = DivisorWeight(m, ensemble if selector is None else selector)
             values = ensemble_moments(ensemble, m, n_scan, ring, weight=weight)
             for r in range(0 if include_r0 else 1, ell):
                 if all(values[t] == 0 for t in range(r or ell, n_scan + 1, ell)):
@@ -874,7 +853,7 @@ def test_predicted_hits_overpartition_rule():
     assert predicted_hits(ms, ells, ensemble=OVERPARTITION) < predicted_hits(ms, ells)
 
 
-@pytest.mark.parametrize("ensemble", [PLANE_PARTITION, THETA, coloured_ensemble(3)], ids=lambda e: e.name)
+@pytest.mark.parametrize("ensemble", [THETA_PRODUCT, coloured_ensemble(3)], ids=lambda e: e.name)
 def test_predicted_hits_refuses_ensembles_without_a_rule(ensemble):
     with pytest.raises(ValueError):
         predicted_hits([1], [5], ensemble=ensemble)

@@ -16,9 +16,12 @@ from freqmoments.divisorweights import (
 )
 from freqmoments.arith import kronecker_symbol
 from freqmoments.divisorweights import _divisor_sums_mod, _powers_mod, _weight_terms_mod, _weight_values_mod
-from freqmoments.qseries import CoefficientRing, ORDINARY, fits_int64, make_series, overpartition, plane_partition, theta
+from freqmoments.qseries import CoefficientRing, Ensemble, ORDINARY, OVERPARTITION, fits_int64, make_series
 
 Z = CoefficientRing.exact_integers()
+
+# canonical weights c(d) = 2 for odd d and -1 for even d, some of them negative
+THETA_WEIGHTS = Ensemble("theta-weights", ((1, 2), (2, -3)))
 
 
 def divisors(n: int) -> list[int]:
@@ -80,14 +83,15 @@ def test_sigma_mod_ring_matches_reduction():
     "selector",
     [
         None,
-        ORDINARY.exponents,
-        overpartition(),
-        theta(),
-        plane_partition(),
+        ORDINARY,
+        OVERPARTITION,
+        pytest.param(THETA_WEIGHTS, id="theta"),
+        # c(d) has period 12, longer than the tables at n = 0, 1 and 2
+        Ensemble("period-12", ((1, 1), (4, 2), (6, -1), (12, 3))),
         DirichletCharacterSpec.kronecker(5),
         GlaisherFilter.residue_class(1, 4),
     ],
-    ids=lambda s: "plain" if s is None else s.describe() if hasattr(s, "describe") else s.name,
+    ids=lambda s: "plain" if s is None else s.name if isinstance(s, Ensemble) else s.describe(),
 )
 def test_weighted_sigma_mod_matches_exact_reduction(selector, modulus, n):
     for m in (0, 3, 11):
@@ -102,8 +106,8 @@ def test_weighted_sigma_mod_matches_exact_reduction(selector, modulus, n):
 @pytest.mark.parametrize("modulus", [5, 12, 97, 2**31 - 1])
 @pytest.mark.parametrize(
     "selector",
-    [None, overpartition(), plane_partition(), DirichletCharacterSpec.kronecker(5)],
-    ids=["plain", "overpartition", "plane-partition", "chi5"],
+    [None, OVERPARTITION, DirichletCharacterSpec.kronecker(5)],
+    ids=["plain", "overpartition", "chi5"],
 )
 def test_sigma_block_rows_equal_the_one_exponent_tables(selector, modulus, n):
     exponents = [0, 1, 3, 11, 97]
@@ -143,7 +147,7 @@ def test_powers_mod_equals_pow(modulus):
 
 def test_weighted_sigma_beyond_int64_guard_is_exact():
     modulus = 2**62 + 5
-    weight = DivisorWeight(5, theta())
+    weight = DivisorWeight(5, THETA_WEIGHTS)
     exact = weighted_sigma_table(weight, 50, Z)
     ring = CoefficientRing.integers_mod(modulus)
     modular = weighted_sigma_table(weight, 50, ring)
@@ -198,7 +202,7 @@ def test_weighted_unweighted_equals_sigma():
 
 
 def test_overpartition_rule_example():
-    weight = DivisorWeight(1, overpartition())
+    weight = DivisorWeight(1, OVERPARTITION)
     table = weighted_sigma_table(weight, 6, Z)
     assert table[6] == 16  # 2*1 + 1*2 + 2*3 + 1*6
 
@@ -217,7 +221,7 @@ def test_odd_divisor_filter_example():
 
 def test_overpartition_rule_is_sigma_plus_odd_part():
     for m in (1, 3, 5):
-        rule = weighted_sigma_table(DivisorWeight(m, overpartition()), 1000, Z)
+        rule = weighted_sigma_table(DivisorWeight(m, OVERPARTITION), 1000, Z)
         plain = sigma_table(m, 1000, Z)
         odd = weighted_sigma_table(DivisorWeight(m, GlaisherFilter.odd_divisors()), 1000, Z)
         for n in range(1, 1001):
@@ -371,7 +375,7 @@ def test_the_conductor_is_the_period_and_the_level_factor(selector):
 
 def test_plain_and_canonical_weights_have_conductor_one():
     assert DivisorWeight(3).conductor == 1
-    assert DivisorWeight(3, overpartition()).conductor == 1
+    assert DivisorWeight(3, OVERPARTITION).conductor == 1
 
 
 def test_a_huge_conductor_evaluates_at_most_n_plus_one_weights(monkeypatch):
@@ -401,4 +405,4 @@ def test_divisor_weight_descriptors():
         == "m=3, chi=kronecker(5)"
     )
     assert DivisorWeight(1, GlaisherFilter.odd_divisors()).describe() == "m=1, filter=odd"
-    assert DivisorWeight(2, overpartition()).describe() == "m=2, rule=overpartition"
+    assert DivisorWeight(2, OVERPARTITION).describe() == "m=2, rule=overpartition"

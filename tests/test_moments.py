@@ -244,13 +244,7 @@ def test_j_identity_small_and_forty():
 def test_first_moment_identity_both_ensembles():
     assert first_moment_identity_check(ORDINARY, 500).passed
     assert first_moment_identity_check(OVERPARTITION, 500).passed
-
-
-def test_first_moment_rejects_explicit_companion():
-    from freqmoments.qseries import THETA
-
-    with pytest.raises(ValueError):
-        first_moment_identity_check(THETA, 50)
+    assert first_moment_identity_check(coloured_ensemble(3), 500).passed
 
 
 def test_moebius_identity():
@@ -261,18 +255,3 @@ def test_overpartition_moment_against_hand_value():
     # Mbar_1(3) = 3 * pbar(3) = 24
     M = ensemble_moments(OVERPARTITION, 1, 3, Z)
     assert M[3] == 24
-
-
-def test_theta_ensemble_first_moment():
-    # explicit companion r2: M(1) = sigma(1) * r2(0) = c(1) * 1 = 2
-    from freqmoments.qseries import THETA
-
-    M = ensemble_moments(THETA, 1, 4, Z)
-    sigma1 = lambda n: sum(
-        THETA.exponents.value_at(d) * d for d in range(1, n + 1) if n % d == 0
-    )
-    from freqmoments.qseries import r2_coefficients
-
-    r2 = r2_coefficients(4)
-    for n in range(1, 5):
-        assert M[n] == sum(sigma1(d) * r2[n - d] for d in range(1, n + 1))

@@ -36,10 +36,9 @@ EXPORTS = {
         "tau_convolution_check",
     ),
     "qseries": (
-        "CoefficientRing", "Ensemble", "ExponentSequence", "Series",
+        "CoefficientRing", "Ensemble", "Series",
         "companion_series", "ensemble_by_name", "eta_power_coefficients",
-        "euler_product_coefficients", "partition_counts", "r2_coefficients",
-        "tau_coefficients",
+        "euler_product_coefficients", "partition_counts", "tau_coefficients",
     ),
 }
 NAMES = [(name, module) for module, names in EXPORTS.items() for name in names]
@@ -79,8 +78,7 @@ def _value_objects():
             arith.PrimeTable(11, primes=(2, 3, 5, 7, 11)),
             arith.SturmConfig(arith.SHARP24, level_model="natural"),
             qseries.CoefficientRing(modulus=7),
-            qseries.ExponentSequence("overpartition", 2, values=(1, 2)),
-            qseries.Ensemble("ordinary", qseries.ordinary()),
+            qseries.Ensemble("overpartition", eta=((1, 2), (2, -1))),
             divisorweights.DirichletCharacterSpec("kronecker", parameter=5, modulus=5),
             divisorweights.GlaisherFilter("coprime", params=(3,)),
             divisorweights.DivisorWeight(3, selector=odd),
@@ -100,7 +98,7 @@ def _value_objects():
 
 FIRST_FIELD = {
     "PrimeTable": "limit", "SturmConfig": "mode", "CoefficientRing": "modulus",
-    "ExponentSequence": "name", "Ensemble": "name", "DirichletCharacterSpec": "kind",
+    "Ensemble": "name", "DirichletCharacterSpec": "kind",
     "GlaisherFilter": "kind", "DivisorWeight": "exponent", "FilterModularData": "k",
     "Progression": "ell", "CertificationRecord": "ensemble", "ScanReport": "ensemble",
     "IdentityCheckResult": "name", "FrequencyTable": "n_max",
@@ -139,7 +137,7 @@ def test_series_is_immutable_and_unhashable():
 
 
 def test_all_lists_the_reexported_names():
-    assert len(NAMES) == 46
+    assert len(NAMES) == 44
     assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)
 
 

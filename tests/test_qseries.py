@@ -11,32 +11,28 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freqmoments.qseries import (
     CoefficientRing,
-    ExponentSequence,
-    ResourceLimitError,
+    Ensemble,
     Series,
     companion_series,
-    coloured,
+    coloured_ensemble,
     dump_series,
     ensemble_by_name,
     eta_power_coefficients,
     euler_product_coefficients,
     make_series,
-    ordinary,
-    overpartition,
     partition_counts,
-    plane_partition,
-    r2_coefficients,
     tau_coefficients,
-    theta,
     ORDINARY,
     OVERPARTITION,
-    THETA,
 )
 from freqmoments import qseries
 from freqmoments.qseries import _convolve_mod, _newton_inverse, fits_fft, fits_float64, fits_int64
 from freqmoments.qseries import FFT_MIN_TERMS, FLOAT64_DIRECT_MAX_TERMS
 
 Z = CoefficientRing.exact_integers()
+
+# c(r) = 2 for odd r and -1 for even r: f(q)^-2 f(q^2)^3, f = (q;q)_inf
+THETA_WEIGHTS = Ensemble("theta-weights", ((1, 2), (2, -3)))
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -51,20 +47,18 @@ def slow_poly_mult(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 def slow_euler_product(c, n: int) -> list[int]:
-    """Expand prod (1-q^r)^(-c(r)) by multiplying out geometric factors."""
+    """Expand prod (1-q^r)^(-c(r)) by multiplying in its factors 1/(1-q^r)
+    or (1-q^r) one at a time, each in place in one pass over the list."""
     result = [1] + [0] * n
     for r in range(1, n + 1):
         cr = c(r)
-        factor = [0] * (n + 1)
-        for j in range(0, n + 1, r):
-            factor[j] = 1  # 1/(1-q^r)
-        for _ in range(max(cr, 0)):
-            result = slow_poly_mult(result, factor, n)
-        neg = [1] + [0] * n
-        if cr < 0:
-            neg[r] = -1  # (1-q^r)
-            for _ in range(-cr):
-                result = slow_poly_mult(result, neg, n)
+        for _ in range(abs(cr)):
+            if cr > 0:  # times 1/(1-q^r): a running sum with stride r
+                for j in range(r, n + 1):
+                    result[j] += result[j - r]
+            else:  # times (1-q^r)
+                for j in range(n, r - 1, -1):
+                    result[j] -= result[j - r]
     return result
 
 
@@ -116,7 +110,7 @@ def test_mod_n_coeffs_are_a_read_only_int64_array():
     ring = CoefficientRing.integers_mod(7)
     for series in (
         partition_counts(600, ring),  # Newton
-        euler_product_coefficients(coloured(3), 40, ring),
+        euler_product_coefficients(coloured_ensemble(3), 40, ring),
         tau_coefficients(30, ring),
         Series(ring, _newton_inverse(partition_counts(30, ring).coeffs, 7)),
         make_series(ring, [1, -1, 9]),
@@ -151,7 +145,7 @@ def test_modulus_above_int64_gives_an_array_of_python_ints():
 
 def test_exact_rings_keep_tuples():
     # over Z the series are read-only object arrays of Python ints
-    for series in (partition_counts(10, Z), r2_coefficients(10), tau_coefficients(10, Z)):
+    for series in (partition_counts(10, Z), companion_series(OVERPARTITION, 10, Z), tau_coefficients(10, Z)):
         assert series.coeffs.dtype == object
         assert not series.coeffs.flags.writeable
         assert all(type(v) is int for v in series.coeffs)
@@ -162,45 +156,83 @@ def test_exact_rings_keep_tuples():
 def test_series_equality_across_producers():
     ring = CoefficientRing.integers_mod(11)
     newton = partition_counts(700, ring)
-    log_derivative = Series(ring, qseries._euler_product_log_derivative(ordinary(), 700, ring))
+    slow = make_series(ring, slow_euler_product(ORDINARY.weight, 700))
     reduced = make_series(ring, partition_counts(700, Z).coeffs)
     inverse = Series(ring, _newton_inverse(eta_power_coefficients(1, 700, ring).coeffs, 11))
-    assert newton == log_derivative == reduced == inverse
+    assert newton == slow == reduced == inverse
     assert newton != partition_counts(699, ring)
     assert newton != partition_counts(700, CoefficientRing.integers_mod(13))
     assert partition_counts(5, Z) != partition_counts(5, CoefficientRing.integers_mod(691))
     assert partition_counts(5, Z) == make_series(Z, [1, 1, 2, 3, 5, 7])
 
 
-# --- exponent sequences -----------------------------------------------------
+# --- ensembles ---------------------------------------------------------------
 
 
 def test_preset_values():
-    assert [ordinary().value_at(r) for r in (1, 2, 3)] == [1, 1, 1]
-    assert [coloured(4).value_at(r) for r in (1, 2)] == [4, 4]
-    assert [plane_partition().value_at(r) for r in (1, 2, 3)] == [1, 2, 3]
-    assert [overpartition().value_at(r) for r in (1, 2, 3, 4)] == [2, 1, 2, 1]
-    assert [theta().value_at(r) for r in (1, 2, 3, 4)] == [2, -1, 2, -1]
+    assert [ORDINARY.weight(r) for r in (1, 2, 3)] == [1, 1, 1]
+    assert [coloured_ensemble(4).weight(r) for r in (1, 2)] == [4, 4]
+    assert [OVERPARTITION.weight(r) for r in (1, 2, 3, 4)] == [2, 1, 2, 1]
+    assert [THETA_WEIGHTS.weight(r) for r in (1, 2, 3, 4)] == [2, -1, 2, -1]
 
 
-def test_exponent_sequence_validation():
-    with pytest.raises(ValueError):
-        ExponentSequence("bad", 0, ())
-    with pytest.raises(ValueError):
-        ExponentSequence("bad", 2, (0, 0))
-    with pytest.raises(TypeError):
-        ExponentSequence("bad", 1, (Fraction(1, 2),))  # rational exponents unsupported
-    with pytest.raises(ValueError):
-        ExponentSequence("bad", 1, (1,), power_factor=2)
+@pytest.mark.parametrize(
+    "ensemble, k, c",
+    [
+        pytest.param(ensemble, k, c, id=ensemble.name)
+        for ensemble, k, c in [
+            (ORDINARY, 1, lambda r: 1),
+            (OVERPARTITION, 1, lambda r: 2 if r % 2 else 1),
+            *((coloured_ensemble(j), j, lambda r, j=j: j) for j in range(1, 6)),
+        ]
+    ],
+)
+def test_ensemble_reads_its_data_from_the_eta_quotient(monkeypatch, ensemble, k, c):
+    assert ensemble.k == k
+    assert [ensemble.weight(r) for r in range(1, 61)] == [c(r) for r in range(1, 61)]
+    # the canonical weight is the product's exponent: A = prod (1-q^r)^(-c(r))
+    assert euler_product_coefficients(ensemble, 40, Z).coeffs.tolist() == slow_euler_product(c, 40)
+    # only the overpartitions' f(q)^2 / f(q^2) is Gauss's theta_4
+    theta4 = []
+    terms = qseries._theta4_terms
+    monkeypatch.setattr(qseries, "_theta4_terms", lambda n: theta4.append(n) or terms(n))
+    euler_product_coefficients(ensemble, 40, CoefficientRing.integers_mod(7))
+    assert bool(theta4) == (ensemble is OVERPARTITION)
+
+
+@pytest.mark.parametrize(
+    "eta, error",
+    [
+        ((), ValueError),
+        (((0, 1),), ValueError),  # d < 1
+        (((1, 1), (2, 0)), ValueError),  # m_d = 0
+        (((1, 1), (1, 2)), ValueError),  # a repeated d
+        (((2, 1), (1, 1)), ValueError),  # not ascending
+        (((1, Fraction(1, 2)),), TypeError),  # rational exponents unsupported
+        (((1.0, 1),), TypeError),
+    ],
+    ids=["empty", "d-zero", "m-zero", "repeated-d", "unsorted", "rational-m", "float-d"],
+)
+def test_ensemble_rejects_a_malformed_eta(eta, error):
+    with pytest.raises(error):
+        Ensemble("bad", eta)
+
+
+def test_ensemble_from_lists_equals_the_preset():
+    # eta is stored as a tuple of pairs, so the theta_4 branch and the hold
+    # key compare equal whatever sequences the pairs came in
+    listed = Ensemble("overpartition", [[1, 2], [2, -1]])
+    assert listed == OVERPARTITION and hash(listed) == hash(OVERPARTITION)
 
 
 def test_ensemble_registry():
     assert ensemble_by_name("ordinary") is ORDINARY
     assert ensemble_by_name("Overpartition") is OVERPARTITION
-    assert ensemble_by_name("theta").companion == "r2"
-    assert ensemble_by_name("coloured(3)").exponents.value_at(5) == 3
-    with pytest.raises(ValueError):
-        ensemble_by_name("mystery")
+    assert ensemble_by_name("coloured(3)").weight(5) == 3
+    assert ensemble_by_name("colored(2)") == coloured_ensemble(2)
+    for name in ("mystery", "theta", "plane-partition"):
+        with pytest.raises(ValueError, match="unknown ensemble"):
+            ensemble_by_name(name)
 
 
 # --- partition counts -------------------------------------------------------
@@ -235,87 +267,54 @@ def test_partition_counts_known_value():
 def test_euler_product_ordinary_matches_partition_counts():
     for ring in (Z, CoefficientRing.integers_mod(7), CoefficientRing.integers_mod(ABOVE_INT64)):
         direct = partition_counts(60, ring)
-        product = euler_product_coefficients(ordinary(), 60, ring)
+        product = euler_product_coefficients(ORDINARY, 60, ring)
         assert product == direct
 
 
 def test_euler_product_ordinary_matches_partition_counts_to_2000():
     for ring in (Z, CoefficientRing.integers_mod(13)):
         direct = partition_counts(2000, ring)
-        product = euler_product_coefficients(ordinary(), 2000, ring)
+        product = euler_product_coefficients(ORDINARY, 2000, ring)
         assert product == direct
 
 
 def test_euler_product_overpartition_example():
-    assert euler_product_coefficients(overpartition(), 4, Z).coeffs.tolist() == [1, 2, 4, 8, 14]
+    assert euler_product_coefficients(OVERPARTITION, 4, Z).coeffs.tolist() == [1, 2, 4, 8, 14]
 
 
 def test_euler_product_coloured_example():
-    assert euler_product_coefficients(coloured(2), 3, Z).coeffs.tolist() == [1, 2, 5, 10]
+    assert euler_product_coefficients(coloured_ensemble(2), 3, Z).coeffs.tolist() == [1, 2, 5, 10]
 
 
-@pytest.mark.parametrize("rule", [ordinary(), overpartition(), theta(), coloured(3)])
+@pytest.mark.parametrize("rule", [ORDINARY, OVERPARTITION, THETA_WEIGHTS, coloured_ensemble(3)])
 def test_euler_product_against_slow_expansion(rule):
     got = euler_product_coefficients(rule, 25, Z)
-    want = slow_euler_product(rule.value_at, 25)
+    want = slow_euler_product(rule.weight, 25)
     assert list(got.coeffs) == want
-
-
-def test_plane_partition_series():
-    got = euler_product_coefficients(plane_partition(), 8, Z)
-    # MacMahon: 1, 1, 3, 6, 13, 24, 48, 86, 160
-    assert got.coeffs.tolist() == [1, 1, 3, 6, 13, 24, 48, 86, 160]
-    want = slow_euler_product(plane_partition().value_at, 12)
-    assert list(euler_product_coefficients(plane_partition(), 12, Z).coeffs) == want
-
-
-def test_plane_partition_cap():
-    with pytest.raises(ResourceLimitError, match="allow_large"):
-        euler_product_coefficients(plane_partition(), 5001, Z)
 
 
 def test_grouped_path_agrees_with_factor_passes():
     # slow_euler_product multiplies the factors out one at a time
-    for rule in (ordinary(), overpartition(), theta(), coloured(2)):
-        slow = slow_euler_product(rule.value_at, 80)
+    for rule in (ORDINARY, OVERPARTITION, THETA_WEIGHTS, coloured_ensemble(2)):
+        slow = slow_euler_product(rule.weight, 80)
         for ring in (Z, CoefficientRing.integers_mod(11)):
             assert euler_product_coefficients(rule, 80, ring) == make_series(ring, slow)
 
 
-def test_non_gcd_periodic_rule_uses_log_derivative(monkeypatch):
-    ran = []
-    log_derivative = qseries._euler_product_log_derivative
-    monkeypatch.setattr(
-        qseries, "_euler_product_log_derivative", lambda *a: ran.append(1) or log_derivative(*a)
-    )
-    for values in (
-        (0, 1, 0),  # c = 1 on r = 1 mod 3 only: not a function of gcd(r, 3)
-        (0, 1, -1),  # a negative exponent: a factor (1 - q^r) for r = 2 mod 3
-        (2, -1, 0, 3, 1),
-    ):
-        rule = ExponentSequence("non-gcd", len(values), values)
-        slow = slow_euler_product(rule.value_at, 40)
-        for ring in (Z, CoefficientRing.integers_mod(11)):
-            assert euler_product_coefficients(rule, 40, ring) == make_series(ring, slow)
-    assert len(ran) == 6
-
-
 def test_nonnegative_exponents_give_nonnegative_counts():
-    for rule in (ordinary(), overpartition(), coloured(5)):
+    for rule in (ORDINARY, OVERPARTITION, coloured_ensemble(5)):
         series = euler_product_coefficients(rule, 120, Z)
         assert all(v >= 0 for v in series.coeffs)
-    plane = euler_product_coefficients(plane_partition(), 60, Z)
-    assert all(v >= 0 for v in plane.coeffs)
 
 
 def test_first_moment_recurrence_ordinary_and_overpartition():
     # n*b(n) = sum_d sigma_c1(d) b(n-d) with sigma_c1(d) = sum_{r|d} c(r) r
-    for rule in (ordinary(), overpartition()):
+    for rule in (ORDINARY, OVERPARTITION):
         n_max = 500
         b = euler_product_coefficients(rule, n_max, Z)
         sigma1 = [0] * (n_max + 1)
         for r in range(1, n_max + 1):
-            w = rule.value_at(r) * r
+            w = rule.weight(r) * r
             for i in range(r, n_max + 1, r):
                 sigma1[i] += w
         for n in range(1, n_max + 1):
@@ -324,7 +323,7 @@ def test_first_moment_recurrence_ordinary_and_overpartition():
 
 @settings(deadline=None, max_examples=25)
 @given(
-    st.sampled_from([ordinary(), overpartition(), theta(), coloured(2)]),
+    st.sampled_from([ORDINARY, OVERPARTITION, THETA_WEIGHTS, coloured_ensemble(2)]),
     st.sampled_from([5, 7, 11, 691]),
     st.integers(min_value=0, max_value=60),
 )
@@ -372,20 +371,12 @@ def test_tau_sigma11_congruence_mod_691():
         assert (tau[n] - sig11[n]) % 691 == 0
 
 
-def test_r2_values():
-    r2 = r2_coefficients(12)
-    assert r2[0] == 1
-    assert r2[1] == 4
-    assert r2[5] == 8
-    assert r2.coeffs.tolist() == [1, 4, 4, 0, 4, 8, 0, 0, 4, 4, 8, 0, 0]
-
-
 def test_companion_series_dispatch():
+    # every ensemble is its own companion
     self_comp = companion_series(ORDINARY, 6, Z)
     assert self_comp.coeffs.tolist() == partition_counts(6, Z).coeffs.tolist()
     mod3 = CoefficientRing.integers_mod(3)
-    theta_comp = companion_series(THETA, 5, mod3)
-    assert theta_comp == make_series(mod3, r2_coefficients(5).coeffs)
+    assert companion_series(OVERPARTITION, 5, mod3) == make_series(mod3, [1, 2, 4, 8, 14, 24])
 
 
 # --- dump format ------------------------------------------------------------
@@ -403,8 +394,8 @@ def test_dump_series_format():
 def test_coloured_ensemble_large_truncation_consistency():
     # binary-power structure exercises repeated divide passes
     mod11 = CoefficientRing.integers_mod(11)
-    got = euler_product_coefficients(coloured(24), 40, mod11)
-    want = slow_euler_product(coloured(24).value_at, 40)
+    got = euler_product_coefficients(coloured_ensemble(24), 40, mod11)
+    want = slow_euler_product(coloured_ensemble(24).weight, 40)
     assert got.coeffs.tolist() == [v % 11 for v in want]
 
 
@@ -423,7 +414,7 @@ def exact_reduced(series: Series, modulus: int) -> Series:
 
 
 @pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
-@pytest.mark.parametrize("rule", [ordinary(), overpartition(), coloured(3)], ids=lambda r: r.name)
+@pytest.mark.parametrize("rule", [ORDINARY, OVERPARTITION, coloured_ensemble(3)], ids=lambda r: r.name)
 # 12 is composite; 2**28 - 1 is odd and past the FFT guard
 @pytest.mark.parametrize("modulus", [11, 691, 12, 2**28 - 1])
 def test_blocked_kernel_matches_exact_path(rule, n, modulus):
@@ -449,7 +440,7 @@ def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
     monkeypatch.setattr(qseries, "_newton_inverse", refuse)
     monkeypatch.setattr(qseries, "_divide_by_sparse", lambda *a: divided.append(1) or divide_by_sparse(*a))
     ring = CoefficientRing.integers_mod(PAST_FFT_GUARD)
-    for rule in (ordinary(), overpartition()):
+    for rule in (ORDINARY, OVERPARTITION):
         divided.clear()
         got = euler_product_coefficients(rule, K + 1, ring)
         assert divided, "the scalar recurrence did not run"
@@ -458,7 +449,7 @@ def test_modulus_above_int64_guard_takes_python_path(monkeypatch):
 
 @settings(deadline=None, max_examples=30)
 @given(
-    st.sampled_from([ordinary(), overpartition(), theta(), coloured(3)]),
+    st.sampled_from([ORDINARY, OVERPARTITION, THETA_WEIGHTS, coloured_ensemble(3)]),
     st.integers(min_value=2, max_value=10**6),
     st.integers(min_value=0, max_value=700),
 )
@@ -733,13 +724,13 @@ def test_block_convolution_falls_back_row_by_row_and_stays_exact(monkeypatch):
 
 # --- Newton-inverted companion ------------------------------------------------
 
-ETA24 = ExponentSequence("eta-power(24)", 1, (-24,))
-NEWTON_RULES = [ordinary(), overpartition(), coloured(3), ETA24]
+ETA24 = Ensemble("eta-power(24)", ((1, -24),))
+NEWTON_RULES = [ORDINARY, OVERPARTITION, coloured_ensemble(3), ETA24]
 NEWTON_MAX_N = 5000
 _EXACT_PREFIXES: dict[str, tuple] = {}
 
 
-def exact_mod(rule: ExponentSequence, n: int, modulus: int) -> list:
+def exact_mod(rule: Ensemble, n: int, modulus: int) -> list:
     """The first n+1 coefficients mod modulus of the product over Z, which
     runs the scalar Python recurrence; computed once per rule to
     NEWTON_MAX_N (truncation is a prefix)."""
@@ -799,7 +790,7 @@ def test_modulus_past_fits_fft_takes_the_scalar_recurrence(monkeypatch, rule, le
 
 def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch):
     n, modulus = 4096, 97
-    want = exact_mod(ordinary(), n, modulus)
+    want = exact_mod(ORDINARY, n, modulus)
     for perturb in (0.0, 0.3):
         steps = []
         step, irfft = qseries._newton_step_fft, np.fft.irfft
@@ -807,7 +798,7 @@ def test_newton_steps_take_the_fft_and_fall_back_when_a_check_fails(monkeypatch)
             patch.setattr(qseries, "_held", None)
             patch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + perturb)
             patch.setattr(qseries, "_newton_step_fft", lambda *a: steps.append(step(*a)) or steps[-1])
-            got = euler_product_coefficients(ordinary(), n, CoefficientRing.integers_mod(modulus))
+            got = euler_product_coefficients(ORDINARY, n, CoefficientRing.integers_mod(modulus))
         # the top-down schedule 4097, 2049, 1025, 513, ...: FFT steps from
         # 513, 1025 and 2049 terms, none past 4097 terms
         assert len(steps) == 3
@@ -866,7 +857,7 @@ def test_held_companion_serves_interleaved_requests(monkeypatch, ensemble):
     served = []
     for modulus, n in requests:
         series = companion_series(ensemble, n, CoefficientRing.integers_mod(modulus))
-        assert series.coeffs.tolist() == exact_mod(ensemble.exponents, n, modulus)
+        assert series.coeffs.tolist() == exact_mod(ensemble, n, modulus)
         assert not series.coeffs.flags.writeable
         with pytest.raises(ValueError):
             series.coeffs[0] = 0
@@ -905,7 +896,7 @@ def test_overpartition_product_inverts_theta4(monkeypatch):
         qseries, "_newton_inverse",
         lambda a, *rest: lengths.append(len(a)) or nonzero.append(np.count_nonzero(a)) or inverse(a, *rest),
     )
-    euler_product_coefficients(overpartition(), 3000, CoefficientRing.integers_mod(11))
+    euler_product_coefficients(OVERPARTITION, 3000, CoefficientRing.integers_mod(11))
     # theta_4 = 1 + 2 sum (-1)^k q^(k^2): 1 + isqrt(3000) terms, not the dense f(q)^2
     assert (lengths, nonzero) == ([3001], [1 + isqrt(3000)])
 
@@ -913,18 +904,19 @@ def test_overpartition_product_inverts_theta4(monkeypatch):
 def test_a_shorter_coloured_request_is_a_view_of_the_held_series(monkeypatch):
     builds = newton_builds(monkeypatch)
     ring = CoefficientRing.integers_mod(13)
-    long = euler_product_coefficients(coloured(3), 2000, ring)
-    short = euler_product_coefficients(coloured(3), 700, ring)
+    long = euler_product_coefficients(coloured_ensemble(3), 2000, ring)
+    short = euler_product_coefficients(coloured_ensemble(3), 700, ring)
     assert builds == [2001]
     assert not short.coeffs.flags.writeable
     assert np.shares_memory(short.coeffs, long.coeffs)
-    assert short.coeffs.tolist() == exact_mod(coloured(3), 700, 13)
+    assert short.coeffs.tolist() == exact_mod(coloured_ensemble(3), 700, 13)
 
 
 @pytest.mark.parametrize("modulus", [None, 7, 1_000_003, ABOVE_INT64], ids=str)
 def test_overpartition_companion_is_one_over_theta4(monkeypatch, modulus):
     # the companion inverts theta_4 = 1 + 2 sum (-1)^k q^(k^2) (Gauss); the
-    # log-derivative recurrence over Z is the reference.  7 takes Newton,
+    # product of its factors over Z, multiplied in one at a time, is the
+    # reference.  7 takes Newton,
     # 1000003 is past fits_newton and 2**64 + 13 past int64: both run the
     # scalar recurrence
     builds = newton_builds(monkeypatch)
@@ -932,7 +924,7 @@ def test_overpartition_companion_is_one_over_theta4(monkeypatch, modulus):
     ring = Z if modulus is None else CoefficientRing.integers_mod(modulus)
     got = companion_series(OVERPARTITION, n, ring)
     assert builds == ([n + 1] if modulus == 7 else [])
-    assert got == make_series(ring, qseries._euler_product_log_derivative(overpartition(), n, Z))
+    assert got == make_series(ring, slow_euler_product(OVERPARTITION.weight, n))
     if modulus is None:
         theta4 = [1] + [0] * n
         for k in range(1, isqrt(n) + 1):

@@ -18,6 +18,7 @@ _EXPORTS = {
         "PrimeTable",
         "SturmConfig",
         "factorize",
+        "fermat_reduce",
         "index_gamma0",
         "kronecker_symbol",
         "primes_up_to",
@@ -47,11 +48,9 @@ _EXPORTS = {
     "moments": (
         "FrequencyTable",
         "ensemble_moments",
-        "fermat_reduce",
         "ford_recursion_check",
         "frequency_oracle",
         "j_identity_check",
-        "master_transform",
         "oracle_moment",
         "tau_convolution_check",
     ),
@@ -63,6 +62,7 @@ _EXPORTS = {
         "ensemble_by_name",
         "eta_power_coefficients",
         "euler_product_coefficients",
+        "master_transform",
         "partition_counts",
         "tau_coefficients",
     ),

@@ -16,6 +16,7 @@ __all__ = [
     "SHARP24",
     "CONSERVATIVE12",
     "factorize",
+    "fermat_reduce",
     "index_gamma0",
     "is_prime",
     "kronecker_symbol",
@@ -114,6 +115,18 @@ def is_prime(n: int) -> bool:
     if n >= _MR_LIMIT:
         raise ValueError(f"primality not proven above {_MR_LIMIT}: {n}")
     return True
+
+
+def fermat_reduce(m: int, ell: int) -> int:
+    """The unique odd residue of m in {1, 3, ..., ell-2} modulo ell - 1."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("m must be odd and >= 1")
+    if ell < 5 or not is_prime(ell):
+        raise ValueError("ell must be a prime >= 5")
+    reduced = m % (ell - 1)
+    # ell - 1 is even, so reduction preserves the parity of m.
+    assert reduced % 2 == 1
+    return reduced
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

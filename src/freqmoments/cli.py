@@ -21,40 +21,50 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 if not any(name in os.environ for name in BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .arith import CONSERVATIVE12, SHARP24, SturmConfig, primes_up_to
-from .congruence import (
-    CertificationRecord,
-    DEFAULT_COEFF_BUDGET,
-    Progression,
-    ResourceLimitError,
-    certify,
-    certify_filtered,  # unused here; perfbench/tracing.py wraps this name
-    records_to_csv,
-    records_to_json,
-    records_to_text,
-    scan,
-    scan_report_to_csv,
-    scan_report_to_json,
-    scan_report_to_text,
-)
-from .divisorweights import DirichletCharacterSpec, DivisorWeight, GlaisherFilter
-from .moments import (
-    fermat_congruence_check,
-    first_moment_identity_check,
-    ford_recursion_check,
-    j_identity_check,
-    moebius_identity_check,
-    tau_convolution_check,
-    ORACLE_GUARD,
-)
-from .qseries import (
-    ORDINARY,
-    OVERPARTITION,
-    CoefficientRing,
-    companion_series,
-    dump_series,
-    ensemble_by_name,
-)
+# Nearly every object the imports below create lives until exit, so
+# collecting them finds next to nothing: the cyclic GC stays off while they
+# load, and gc.freeze() then moves them out of its reach, so no later
+# collection (nor a pool worker's, which would also unshare the forked
+# pages) walks them again.  The one large exception is datetime, which
+# numpy's core imports: its pure-Python classes, replaced by the C ones as
+# it loads, are left as about 0.2 MB of garbage cycles that the freeze would
+# keep, so it is imported first and its garbage collected while still young,
+# by a collection of the two young generations only.
+import datetime  # noqa: F401
+
+gc.collect(1)
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .arith import CONSERVATIVE12, SHARP24, SturmConfig, primes_up_to
+    from .congruence import (
+        CertificationRecord,
+        DEFAULT_COEFF_BUDGET,
+        Progression,
+        ResourceLimitError,
+        certify,
+        certify_filtered,  # unused here; perfbench/tracing.py wraps this name
+        records_to_csv,
+        records_to_json,
+        records_to_text,
+        scan,
+        scan_report_to_csv,
+        scan_report_to_json,
+        scan_report_to_text,
+    )
+    from .divisorweights import DirichletCharacterSpec, DivisorWeight, GlaisherFilter
+    from .qseries import (
+        ORDINARY,
+        OVERPARTITION,
+        CoefficientRing,
+        companion_series,
+        dump_series,
+        ensemble_by_name,
+    )
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
 
 WEIGHT_GRAMMAR_VERSION = "1"
 MEMORY_CAP_ENV = "FREQMOMENTS_MAX_COEFFS"
@@ -353,6 +363,18 @@ _IDENTITY_DEFAULTS = {
 
 
 def _run_identities(args) -> int:
+    # the identity checks are the only users of the moments module, so no
+    # other command pays for loading it
+    from .moments import (
+        ORACLE_GUARD,
+        fermat_congruence_check,
+        first_moment_identity_check,
+        ford_recursion_check,
+        j_identity_check,
+        moebius_identity_check,
+        tau_convolution_check,
+    )
+
     checks = _parse_str_list(args.check) or list(_IDENTITY_DEFAULTS)
     unknown = set(checks) - set(_IDENTITY_DEFAULTS)
     if unknown:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import SturmConfig, is_prime, sturm_bound_for_level
+from .arith import SturmConfig, fermat_reduce, is_prime, sturm_bound_for_level
 from .divisorweights import (
     DirichletCharacterSpec,
     DivisorWeight,
@@ -29,9 +29,6 @@ from .divisorweights import (
     filter_modular_data,
     weighted_sigma_table,
 )
-# master_transform stays importable here: perfbench/tracing.py wraps
-# congruence.master_transform by name
-from .moments import fermat_reduce, master_transform  # noqa: F401
 from .qseries import (
     CoefficientRing,
     Ensemble,
@@ -40,6 +37,8 @@ from .qseries import (
     _convolve_mod,
     companion_series,
     fits_newton,
+    # unused here; perfbench/tracing.py wraps congruence.master_transform
+    master_transform,  # noqa: F401
     ORDINARY,
     OVERPARTITION,
 )

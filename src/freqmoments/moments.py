@@ -1,4 +1,4 @@
-"""The master transform, the enumeration oracle, and classical identity
+"""Ensemble moment series, the enumeration oracle, and classical identity
 checks tying the moment engine to known facts.
 
 A weighted count over an ensemble's partitions equals a divisor-sum
@@ -7,27 +7,30 @@ convolution against the companion series:
     M(n) = sum_{d=1..n} sigma(d) * b(n - d),
 
 where sigma carries the weight (w(d) * d^m summed over divisors) and b is
-the companion.  The enumeration oracle recomputes small moments by listing
-partitions outright, which is the ground truth everything else is tested
-against.
+the companion; the convolution is qseries.master_transform.  The
+enumeration oracle recomputes small moments by listing partitions outright,
+which is the ground truth everything else is tested against.
+
+No pipeline path loads this module: the CLI imports it only to run the
+identity checks.  It re-exports qseries.master_transform and
+arith.fermat_reduce.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import factorize, is_prime
+from .arith import factorize, fermat_reduce
 from .divisorweights import DivisorWeight, weighted_sigma_table, sigma_table
 from .qseries import (
     CoefficientRing,
     Ensemble,
-    RingMismatchError,
     Series,
-    _convolve_mod,
     _truncated_product,
     companion_series,
     coloured_ensemble,
     euler_product_coefficients,
+    master_transform,
     partition_counts,
     tau_coefficients,
 )
@@ -67,27 +70,6 @@ class IdentityCheckResult(NamedTuple):
         if self.passed:
             return f"{self.name}: PASS (checked through n={self.checked_through})"
         return f"{self.name}: FAIL at {self.first_failure}"
-
-
-def master_transform(sigma: Series, companion: Series) -> Series:
-    """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0: the
-    exact mod-N product _convolve_mod over Z/N, and the truncated product
-    of the object arrays over Z."""
-    if sigma.ring != companion.ring:
-        raise RingMismatchError(
-            f"rings differ: {sigma.ring.describe()} vs {companion.ring.describe()}"
-        )
-    if sigma.n_max != companion.n_max:
-        raise RingMismatchError(f"truncations differ: {sigma.n_max} vs {companion.n_max}")
-    ring = sigma.ring
-    if sigma.coeffs[0] != 0:
-        raise ValueError("sigma series must have a(0) = 0")
-    if companion.coeffs[0] != 1:
-        raise ValueError("companion series must have b(0) = 1")
-    modulus = ring.modulus
-    if modulus is not None:
-        return Series(ring, _convolve_mod(sigma.coeffs, companion.coeffs, modulus))
-    return Series(ring, _truncated_product(sigma.coeffs, companion.coeffs))
 
 
 def ensemble_moments(
@@ -174,18 +156,6 @@ def oracle_moment(f, n: int, table: FrequencyTable | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
-
-
-def fermat_reduce(m: int, ell: int) -> int:
-    """The unique odd residue of m in {1, 3, ..., ell-2} modulo ell - 1."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError("m must be odd and >= 1")
-    if ell < 5 or not is_prime(ell):
-        raise ValueError("ell must be a prime >= 5")
-    reduced = m % (ell - 1)
-    # ell - 1 is even, so reduction preserves the parity of m.
-    assert reduced % 2 == 1
-    return reduced
 
 
 def ford_recursion_check(n_max: int) -> IdentityCheckResult:

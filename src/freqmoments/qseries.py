@@ -1,5 +1,6 @@
-"""Truncated formal power series over Z and Z/N, plus the coefficient
-generators for every Euler product the moment pipeline uses.
+"""Truncated formal power series over Z and Z/N, the coefficient
+generators for every Euler product the moment pipeline uses, and the master
+transform that convolves a sigma table with a companion series.
 
 Every ensemble is an eta-quotient: its product is
 
@@ -38,6 +39,7 @@ __all__ = [
     "eta_power_coefficients",
     "euler_product_coefficients",
     "make_series",
+    "master_transform",
     "partition_counts",
     "tau_coefficients",
 ]
@@ -486,7 +488,8 @@ def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
     np.rint(values, out=out, casting="unsafe")
     values -= out
     np.abs(values, out=values)
-    if values.max() > 0.25:
+    # written so that a NaN, which compares False, also fails the check
+    if not values.max() <= 0.25:
         return None
     out %= modulus
     return out
@@ -657,6 +660,27 @@ def _truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = max(0, t - terms + 1)
         out[t] = a[lo : t + 1].dot(b[t - lo :: -1])
     return out
+
+
+def master_transform(sigma: Series, companion: Series) -> Series:
+    """M(n) = sum_{d=1}^{n} sigma(d) * companion(n-d), with M(0) = 0: the
+    exact mod-N product _convolve_mod over Z/N, and the truncated product
+    of the object arrays over Z."""
+    if sigma.ring != companion.ring:
+        raise RingMismatchError(
+            f"rings differ: {sigma.ring.describe()} vs {companion.ring.describe()}"
+        )
+    if sigma.n_max != companion.n_max:
+        raise RingMismatchError(f"truncations differ: {sigma.n_max} vs {companion.n_max}")
+    ring = sigma.ring
+    if sigma.coeffs[0] != 0:
+        raise ValueError("sigma series must have a(0) = 0")
+    if companion.coeffs[0] != 1:
+        raise ValueError("companion series must have b(0) = 1")
+    modulus = ring.modulus
+    if modulus is not None:
+        return Series(ring, _convolve_mod(sigma.coeffs, companion.coeffs, modulus))
+    return Series(ring, _truncated_product(sigma.coeffs, companion.coeffs))
 
 
 def dump_series(series: Series, ensemble_name: str) -> str:

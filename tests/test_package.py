@@ -18,7 +18,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTS = {
     "arith": (
         "CONSERVATIVE12", "SHARP24", "PrimeTable", "SturmConfig", "factorize",
-        "index_gamma0", "kronecker_symbol", "primes_up_to", "sturm_bound",
+        "fermat_reduce", "index_gamma0", "kronecker_symbol", "primes_up_to",
+        "sturm_bound",
     ),
     "congruence": (
         "CertificationRecord", "Progression", "ResourceLimitError", "ScanReport",
@@ -31,14 +32,15 @@ EXPORTS = {
         "sigma_table", "weighted_sigma_table",
     ),
     "moments": (
-        "FrequencyTable", "ensemble_moments", "fermat_reduce", "ford_recursion_check",
-        "frequency_oracle", "j_identity_check", "master_transform", "oracle_moment",
+        "FrequencyTable", "ensemble_moments", "ford_recursion_check",
+        "frequency_oracle", "j_identity_check", "oracle_moment",
         "tau_convolution_check",
     ),
     "qseries": (
         "CoefficientRing", "Ensemble", "Series",
         "companion_series", "ensemble_by_name", "eta_power_coefficients",
-        "euler_product_coefficients", "partition_counts", "tau_coefficients",
+        "euler_product_coefficients", "master_transform", "partition_counts",
+        "tau_coefficients",
     ),
 }
 NAMES = [(name, module) for module, names in EXPORTS.items() for name in names]
@@ -65,6 +67,34 @@ def test_cli_import_loads_no_fractions_or_decimal():
 def test_cli_import_loads_no_dataclasses():
     code = "import sys, freqmoments.cli as cli; cli.build_parser(); print('dataclasses' in sys.modules)"
     assert _fresh_python(code) == "False"
+
+
+def test_cli_import_loads_no_moments_module():
+    # the moments module holds the oracle and the identity checks, which
+    # only the identities command runs
+    code = "import sys, freqmoments.cli as cli; cli.build_parser(); print('freqmoments.moments' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_leaves_the_gc_switch_as_it_found_it(enabled):
+    code = (
+        f"import gc; gc.enable() if {enabled} else gc.disable(); "
+        "import freqmoments.cli as cli; cli.build_parser(); print(gc.isenabled())"
+    )
+    assert _fresh_python(code) == str(enabled)
+
+
+def test_cli_import_freezes_the_objects_it_created():
+    code = "import gc, freqmoments.cli as cli; cli.build_parser(); print(gc.get_freeze_count() > 0)"
+    assert _fresh_python(code) == "True"
+
+
+def test_moments_reexports_the_moved_names():
+    from freqmoments import arith, moments, qseries
+
+    assert moments.master_transform is qseries.master_transform
+    assert moments.fermat_reduce is arith.fermat_reduce
 
 
 def _value_objects():

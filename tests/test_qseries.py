@@ -642,6 +642,25 @@ def test_fft_tier_falls_back_when_an_output_is_off_an_integer(monkeypatch, lengt
     assert out.tolist() == kronecker_convolution(a, b, modulus)
 
 
+def test_rounded_mod_rejects_nan():
+    # NaN compares False with everything, so a check written as max > 1/4
+    # let it through and rint turned it into a residue
+    with np.errstate(invalid="ignore"):
+        assert qseries._rounded_mod(np.array([1.0, np.nan]), 7) is None
+        assert qseries._rounded_mod(np.array([np.nan, 3.0, 1.0]), 7) is None
+    assert qseries._rounded_mod(np.array([1.2, 6.0, 8.1]), 7).tolist() == [1, 6, 1]
+
+
+def test_fft_tier_falls_back_when_an_output_is_nan(monkeypatch):
+    length, modulus = 4096, 97
+    a = [(7 * i + 3) ** 5 % modulus for i in range(length)]
+    b = [modulus - 1] * length
+    with np.errstate(invalid="ignore"):
+        out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus, perturb=np.nan)
+    assert ran == ["fft", "float64"]
+    assert out.tolist() == kronecker_convolution(a, b, modulus)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_fft_tier_property(data):

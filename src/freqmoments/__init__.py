@@ -37,7 +37,6 @@ _EXPORTS = {
         "scan",
     ),
     "divisorweights": (
-        "DirichletCharacterSpec",
         "DivisorWeight",
         "FilterModularData",
         "GlaisherFilter",

@@ -52,7 +52,7 @@ try:
         scan_report_to_json,
         scan_report_to_text,
     )
-    from .divisorweights import DirichletCharacterSpec, DivisorWeight, GlaisherFilter
+    from .divisorweights import DivisorWeight, GlaisherFilter
     from .qseries import (
         ORDINARY,
         OVERPARTITION,
@@ -117,6 +117,21 @@ def _parse_call(text: str) -> tuple[str, list[int]]:
     return name.strip(), args
 
 
+# (key, name, number of arguments) -> the selector's factory
+_SELECTORS = {
+    ("twist", "kronecker", 1): GlaisherFilter.kronecker,
+    ("twist", "principal", 1): GlaisherFilter.principal,
+    ("filter", "all", 0): GlaisherFilter.all_divisors,
+    ("filter", "odd", 0): GlaisherFilter.odd_divisors,
+    ("filter", "even", 0): GlaisherFilter.even_divisors,
+    ("filter", "coprime", 1): GlaisherFilter.coprime_to,
+    ("filter", "residue", 2): GlaisherFilter.residue_class,
+    ("filter", "qr", 1): GlaisherFilter.quadratic_residues,
+    ("filter", "kronweight", 1): GlaisherFilter.kronecker_weight,
+    ("filter", "exclude", 1): GlaisherFilter.exclude_multiples_of,
+}
+
+
 def parse_weight_spec(spec: str) -> DivisorWeight:
     """Parse the compact weight grammar into a DivisorWeight."""
     exponent: int | None = None
@@ -128,33 +143,13 @@ def parse_weight_spec(spec: str) -> DivisorWeight:
             raise ValueError(f"weight component {part!r} needs key=value")
         if key == "m":
             exponent = int(value)
-        elif key == "twist":
+        elif key in ("twist", "filter"):
             if selector is not None:
                 raise ValueError("at most one twist or filter per weight")
             name, args = _parse_call(value)
-            if name == "kronecker" and len(args) == 1:
-                selector = DirichletCharacterSpec.kronecker(args[0])
-            elif name == "principal" and len(args) == 1:
-                selector = DirichletCharacterSpec.principal(args[0])
-            else:
-                raise ValueError(f"unknown twist {value!r}")
-        elif key == "filter":
-            if selector is not None:
-                raise ValueError("at most one twist or filter per weight")
-            name, args = _parse_call(value)
-            factories = {
-                ("all", 0): GlaisherFilter.all_divisors,
-                ("odd", 0): GlaisherFilter.odd_divisors,
-                ("even", 0): GlaisherFilter.even_divisors,
-                ("coprime", 1): GlaisherFilter.coprime_to,
-                ("residue", 2): GlaisherFilter.residue_class,
-                ("qr", 1): GlaisherFilter.quadratic_residues,
-                ("kronweight", 1): GlaisherFilter.kronecker_weight,
-                ("exclude", 1): GlaisherFilter.exclude_multiples_of,
-            }
-            factory = factories.get((name, len(args)))
+            factory = _SELECTORS.get((key, name, len(args)))
             if factory is None:
-                raise ValueError(f"unknown filter {value!r}")
+                raise ValueError(f"unknown {key} {value!r}")
             selector = factory(*args)
         else:
             raise ValueError(f"unknown weight key {key!r}")
@@ -313,7 +308,7 @@ def _published_tables() -> dict:
         ]),
         "filtered": ("filtered propositions (chi5 twist, sharp24, level 100):", [
             (ORDINARY, m, Progression(ell, r), prime, SturmConfig(SHARP24, "safe"),
-             DivisorWeight(m, DirichletCharacterSpec.kronecker(5)), b, ell * b + r)
+             DivisorWeight(m, GlaisherFilter.kronecker(5)), b, ell * b + r)
             for m, ell, r, prime, b in FILTERED_TABLE
         ]),
     }

@@ -20,7 +20,6 @@ import numpy as np
 
 from .arith import SturmConfig, fermat_reduce, is_prime, sturm_bound_for_level
 from .divisorweights import (
-    DirichletCharacterSpec,
     DivisorWeight,
     GlaisherFilter,
     _divisor_sums_mod,
@@ -328,7 +327,7 @@ def certify_filtered(
 ) -> CertificationRecord:
     """certify() for a character-twisted or filtered weight; any other
     weight is refused."""
-    if not isinstance(weight.selector, (DirichletCharacterSpec, GlaisherFilter)):
+    if not isinstance(weight.selector, GlaisherFilter):
         raise ValueError("filtered certification needs a character or filter weight")
     return certify(ensemble, m, prog, modulus, config, weight=weight, max_coeffs=max_coeffs)
 
@@ -503,7 +502,7 @@ def scan(
     n_scan: int = 2000,
     *,
     include_r0: bool = True,
-    weight_selector: DirichletCharacterSpec | GlaisherFilter | None = None,
+    weight_selector: GlaisherFilter | None = None,
     jobs: int = 1,
     max_coeffs: int = DEFAULT_COEFF_BUDGET,
 ) -> ScanReport:
@@ -546,12 +545,7 @@ def scan(
     hits = tuple(
         (key, tuple(sorted(grouped[key]))) for key in sorted(grouped)
     )
-    if weight_selector is None:
-        family = "canonical"
-    elif isinstance(weight_selector, DirichletCharacterSpec):
-        family = f"chi={weight_selector.describe()}"
-    else:
-        family = f"filter={weight_selector.describe()}"
+    family = "canonical" if weight_selector is None else weight_selector.label()
     return ScanReport(ensemble.name, family, ms, ells, n_scan, include_r0, hits)
 
 

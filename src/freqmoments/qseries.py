@@ -485,7 +485,9 @@ def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
     The rounding goes straight into the int64 result, so no float64 copy of
     values is alive beside it."""
     out = np.empty(values.shape, dtype=np.int64)
-    np.rint(values, out=out, casting="unsafe")
+    # a NaN fails the check below; its cast to int64 need not warn
+    with np.errstate(invalid="ignore"):
+        np.rint(values, out=out, casting="unsafe")
     values -= out
     np.abs(values, out=values)
     # written so that a NaN, which compares False, also fails the check

@@ -17,7 +17,7 @@ from freqmoments.cli import (
     parse_weight_spec,
     run,
 )
-from freqmoments.divisorweights import DirichletCharacterSpec, GlaisherFilter
+from freqmoments.divisorweights import GlaisherFilter
 
 
 def run_cli(args, capsys) -> tuple[int, str]:
@@ -37,9 +37,9 @@ def test_parse_plain_weight():
 
 def test_parse_twist_weights():
     w = parse_weight_spec("m=3,twist=kronecker(5)")
-    assert w.selector == DirichletCharacterSpec.kronecker(5)
+    assert w.selector == GlaisherFilter.kronecker(5)
     w = parse_weight_spec("m=7, twist=principal(4)")
-    assert w.selector == DirichletCharacterSpec.principal(4)
+    assert w.selector == GlaisherFilter.principal(4)
 
 
 def test_parse_filter_weights():

@@ -3,12 +3,20 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 
 from freqmoments import congruence
-from freqmoments.arith import CONSERVATIVE12, SHARP24, SturmConfig, index_gamma0, primes_up_to
+from freqmoments.arith import (
+    CONSERVATIVE12,
+    SHARP24,
+    SturmConfig,
+    index_gamma0,
+    kronecker_symbol,
+    primes_up_to,
+)
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
@@ -29,9 +37,9 @@ from freqmoments.congruence import (
     scan_report_to_text,
 )
 from freqmoments.divisorweights import (
-    DirichletCharacterSpec,
     DivisorWeight,
     GlaisherFilter,
+    sigma_from_weight_function,
     weighted_sigma_table,
 )
 from freqmoments.moments import ORACLE_GUARD, ensemble_moments, frequency_oracle, oracle_moment
@@ -288,7 +296,7 @@ def oracle_table():
     "selector,ells",
     [
         (None, (5, 7, 11, 13)),
-        (DirichletCharacterSpec.kronecker(5), (5, 7, 13)),
+        (GlaisherFilter.kronecker(5), (5, 7, 13)),
         (GlaisherFilter.odd_divisors(), (5, 7, 11, 13)),
     ],
     ids=["canonical", "kronecker(5)", "odd"],
@@ -490,11 +498,11 @@ def test_nontrivial_pass_vanishes_to_the_bound_of_weight_m_plus_ell(m, ell, r):
 def test_filtered_level_rule():
     # L = config.resolve_level(lcm(ell, conductor))
     safe, natural = SturmConfig(level_model="safe"), SturmConfig(level_model="natural")
-    chi5 = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    chi5 = DivisorWeight(3, GlaisherFilter.kronecker(5))
     assert _level(chi5, 5, safe) == 25
     assert _level(chi5, 5, natural) == 5
     assert _level(chi5, 7, safe) == 1225  # lcm(7,5)^2
-    assert _level(DivisorWeight(3, DirichletCharacterSpec.principal(12)), 3, natural) == 12
+    assert _level(DivisorWeight(3, GlaisherFilter.principal(12)), 3, natural) == 12
     # filters contribute their level over 4; plain and canonical weights 1
     assert _level(DivisorWeight(3, GlaisherFilter.odd_divisors()), 7, safe) == 14**2
     for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY)):
@@ -506,7 +514,7 @@ def test_filtered_level_rule():
 
 
 def test_certify_filtered_chi5_m3():
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     rec = certify_filtered(weight, 3, Progression(5, 4), 5, SHARP_SAFE)
     assert rec.status == "PASS"
     assert rec.level == 100
@@ -515,14 +523,14 @@ def test_certify_filtered_chi5_m3():
 
 
 def test_certify_filtered_chi5_m11():
-    weight = DivisorWeight(11, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(11, GlaisherFilter.kronecker(5))
     rec = certify_filtered(weight, 11, Progression(5, 4), 5, SHARP_SAFE)
     assert rec.status == "PASS"
     assert rec.bound_b == 172  # floor(23 * 180 / 24)
 
 
 def test_certify_filtered_custom_level_matches_safe_rule():
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     config = SturmConfig(SHARP24, "custom", custom_level=25)
     rec = certify_filtered(weight, 3, Progression(5, 4), 5, config)
     assert rec.bound_b == 52
@@ -532,21 +540,21 @@ def test_certify_filtered_custom_level_matches_safe_rule():
 def test_certify_filtered_validation():
     with pytest.raises(ValueError, match="character or filter"):
         certify_filtered(DivisorWeight(3), 3, Progression(5, 4), 5, SHARP_SAFE)
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     with pytest.raises(ValueError, match="disagrees"):
         certify_filtered(weight, 5, Progression(5, 4), 5, SHARP_SAFE)
 
 
 def test_certify_twisted_weight_takes_the_twisted_level():
     # L = lcm(7, 5)^2 = 1225, not the ell^2 = 49 of canonical weights
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     rec = certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
     assert (rec.level, rec.bound_b) == (4900, 2940)
     assert rec == certify_filtered(weight, 3, Progression(7, 0), 7, SHARP_SAFE)
 
 
 def test_certify_rejects_weight_exponent_mismatch():
-    for selector in (DirichletCharacterSpec.kronecker(5), ORDINARY, None):
+    for selector in (GlaisherFilter.kronecker(5), ORDINARY, None):
         weight = DivisorWeight(5, selector)
         with pytest.raises(ValueError, match="disagrees"):
             certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
@@ -587,11 +595,55 @@ def test_scan_validation():
 
 
 def test_scan_with_twist_selector():
-    chi5 = DirichletCharacterSpec.kronecker(5)
+    chi5 = GlaisherFilter.kronecker(5)
     report = scan(ORDINARY, [3], [5, 7], 500, weight_selector=chi5)
     assert (5, 4) in report.hit_map()
     assert all(ell != 7 for (ell, _r) in report.hit_map())
     assert report.weight_family == "chi=kronecker(5)"
+
+
+def _squarefree(k: int) -> bool:
+    return all(k % (p * p) for p in range(2, isqrt(abs(k)) + 1))
+
+
+# the fundamental discriminants with |D| <= 60: D = 1 (mod 4) squarefree, or
+# D = 4k with k = 2, 3 (mod 4) squarefree
+FUNDAMENTAL_DISCRIMINANTS = [
+    D for D in range(-60, 61)
+    if (D % 4 == 1 and _squarefree(D)) or (D % 4 == 0 and (D // 4) % 4 in (2, 3) and _squarefree(D // 4))
+]
+# (twist, filter twin, the twist's character defined on its own)
+TWIN_CASES = [
+    (GlaisherFilter.kronecker(D), GlaisherFilter.kronecker_weight(D),
+     lambda d, D=D: kronecker_symbol(D, d) if gcd(d, D) == 1 else 0)
+    for D in FUNDAMENTAL_DISCRIMINANTS
+] + [
+    (GlaisherFilter.principal(m), GlaisherFilter.coprime_to(m), lambda d, m=m: int(gcd(d, m) == 1))
+    for m in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("twist, twin, chi", TWIN_CASES, ids=[t.describe() for t, _, _ in TWIN_CASES])
+def test_every_twist_equals_its_filter_twin(twist, twin, chi):
+    # a twist is the filter whose weights are the character's values, so it
+    # shares its twin's row and differs from it only in its label
+    assert twist.label().startswith("chi=") and twin.label().startswith("filter=")
+    assert twist.conductor == twin.conductor
+    for m in range(1, 13):
+        reference = sigma_from_weight_function(lambda d: chi(d) * d**m, 200, Z)
+        for ring in (Z, CoefficientRing.integers_mod(7), CoefficientRing.integers_mod(691)):
+            table = weighted_sigma_table(DivisorWeight(m, twist), 200, ring)
+            assert table == weighted_sigma_table(DivisorWeight(m, twin), 200, ring)
+            assert table == make_series(ring, reference.coeffs)
+    ms, ells = range(1, 13, 2), (5, 7, 11, 13)
+    twisted = scan(ORDINARY, ms, ells, 300, weight_selector=twist)
+    assert twisted.hits == scan(ORDINARY, ms, ells, 300, weight_selector=twin).hits
+    records = [
+        certify(ORDINARY, 3, Progression(5, 4), 5, SHARP_NATURAL, weight=DivisorWeight(3, selector))
+        for selector in (twist, twin)
+    ]
+    assert [r.weight for r in records] == [f"m=3, {twist.label()}", f"m=3, {twin.label()}"]
+    assert records[0]._replace(weight="") == records[1]._replace(weight="")
 
 
 @pytest.fixture
@@ -614,7 +666,7 @@ GRID_ELLS = (3, 5, 7, 11, 13)
 GRID_CASES = [
     (ORDINARY, None),
     (OVERPARTITION, None),
-    (ORDINARY, DirichletCharacterSpec.kronecker(5)),
+    (ORDINARY, GlaisherFilter.kronecker(5)),
     (ORDINARY, GlaisherFilter.odd_divisors()),
 ]
 
@@ -741,7 +793,7 @@ def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):
     # one class a block, so that a per-block evaluation would show
     monkeypatch.setattr(congruence, "_SCAN_BLOCK_COEFFS", 1)
     ells = (5, 7, 11, 13)
-    chi5 = DirichletCharacterSpec.kronecker(5)
+    chi5 = GlaisherFilter.kronecker(5)
     scan(ORDINARY, range(1, 40, 2), ells, 600, weight_selector=chi5)
     # the weights have period 5, the conductor: one period is evaluated and tiled
     assert calls == Counter({d: len(ells) for d in range(5)})

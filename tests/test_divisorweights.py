@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from freqmoments.divisorweights import (
-    DirichletCharacterSpec,
     DivisorWeight,
     GlaisherFilter,
     filter_modular_data,
@@ -88,7 +87,7 @@ def test_sigma_mod_ring_matches_reduction():
         pytest.param(THETA_WEIGHTS, id="theta"),
         # c(d) has period 12, longer than the tables at n = 0, 1 and 2
         Ensemble("period-12", ((1, 1), (4, 2), (6, -1), (12, 3))),
-        DirichletCharacterSpec.kronecker(5),
+        GlaisherFilter.kronecker(5),
         GlaisherFilter.residue_class(1, 4),
     ],
     ids=lambda s: "plain" if s is None else s.name if isinstance(s, Ensemble) else s.describe(),
@@ -106,7 +105,7 @@ def test_weighted_sigma_mod_matches_exact_reduction(selector, modulus, n):
 @pytest.mark.parametrize("modulus", [5, 12, 97, 2**31 - 1])
 @pytest.mark.parametrize(
     "selector",
-    [None, OVERPARTITION, DirichletCharacterSpec.kronecker(5)],
+    [None, OVERPARTITION, GlaisherFilter.kronecker(5)],
     ids=["plain", "overpartition", "chi5"],
 )
 def test_sigma_block_rows_equal_the_one_exponent_tables(selector, modulus, n):
@@ -158,25 +157,28 @@ def test_weighted_sigma_beyond_int64_guard_is_exact():
 
 
 def test_character_values():
-    chi0_5 = DirichletCharacterSpec.principal(5)
-    assert [chi0_5.value(d) for d in (1, 2, 5, 10)] == [1, 1, 0, 0]
-    chi5 = DirichletCharacterSpec.kronecker(5)
-    assert [chi5.value(d) for d in (1, 2, 3, 4, 5, 6)] == [1, -1, -1, 1, 0, 1]
-    assert DirichletCharacterSpec.trivial().value(12) == 1
+    chi0_5 = GlaisherFilter.principal(5)
+    assert [chi0_5.weight(d) for d in (1, 2, 5, 10)] == [1, 1, 0, 0]
+    chi5 = GlaisherFilter.kronecker(5)
+    assert [chi5.weight(d) for d in (1, 2, 3, 4, 5, 6)] == [1, -1, -1, 1, 0, 1]
+    assert GlaisherFilter.principal(1).weight(12) == 1  # chi0(1) is the trivial character
 
 
 def test_character_imprimitive_modulus():
-    chi = DirichletCharacterSpec.kronecker(-3, modulus=6)
-    assert chi.value(2) == 0  # killed by the modulus even though (-3|2) != 0
-    assert chi.value(5) == -1
+    # an imprimitive Kronecker character is the one of a discriminant D*f^2:
+    # (-12|.) is (-3|.) made zero off the units of 6
+    chi = GlaisherFilter.kronecker(-12)
+    assert chi.weight(2) == 0  # killed by the factor 2^2 even though (-3|2) != 0
+    assert chi.weight(5) == -1
+    assert chi.conductor == 12
     with pytest.raises(ValueError):
-        DirichletCharacterSpec.kronecker(-3, modulus=4)  # not a multiple of |D|
+        GlaisherFilter.kronecker(-6)  # not a discriminant
 
 
-def legendre_character(p: int) -> DirichletCharacterSpec:
+def legendre_character(p: int) -> GlaisherFilter:
     """(d | p) for an odd prime p: the Kronecker symbol of the fundamental
     discriminant +-p, as a character mod p."""
-    return DirichletCharacterSpec.kronecker(p if p % 4 == 1 else -p, modulus=p)
+    return GlaisherFilter.kronecker(p if p % 4 == 1 else -p)
 
 
 def test_legendre_character_matches_euler_criterion():
@@ -185,10 +187,10 @@ def test_legendre_character_matches_euler_criterion():
         assert chi.conductor == p
         for d in range(1, 3 * p):
             if d % p == 0:
-                assert chi.value(d) == 0
+                assert chi.weight(d) == 0
             else:
                 euler = pow(d, (p - 1) // 2, p)
-                assert chi.value(d) == (1 if euler == 1 else -1)
+                assert chi.weight(d) == (1 if euler == 1 else -1)
 
 
 # --- weighted tables --------------------------------------------------------
@@ -208,7 +210,7 @@ def test_overpartition_rule_example():
 
 
 def test_kronecker_twist_example():
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     table = weighted_sigma_table(weight, 6, Z)
     assert table[6] == 182  # 1 - 8 - 27 + 216
 
@@ -229,7 +231,7 @@ def test_overpartition_rule_is_sigma_plus_odd_part():
 
 
 def test_weighted_mod_ring_matches_reduction():
-    weight = DivisorWeight(3, DirichletCharacterSpec.kronecker(5))
+    weight = DivisorWeight(3, GlaisherFilter.kronecker(5))
     exact = weighted_sigma_table(weight, 150, Z)
     ring = CoefficientRing.integers_mod(7)
     mod7 = weighted_sigma_table(weight, 150, ring)
@@ -275,9 +277,9 @@ def test_filter_validation():
 def test_quadratic_residue_half_sum_instance():
     # (sigma_3(6; chi0) + sigma_3(6; chi5)) / 2 = 217 = 1^3 + 6^3
     principal = weighted_sigma_table(
-        DivisorWeight(3, DirichletCharacterSpec.principal(5)), 6, Z
+        DivisorWeight(3, GlaisherFilter.principal(5)), 6, Z
     )
-    twisted = weighted_sigma_table(DivisorWeight(3, DirichletCharacterSpec.kronecker(5)), 6, Z)
+    twisted = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.kronecker(5)), 6, Z)
     assert principal[6] + twisted[6] == 2 * 217
     indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.quadratic_residues(5)), 6, Z)
     assert indicator[6] == 217
@@ -289,7 +291,7 @@ def test_twist_linearity_dictionary(p):
     n_max = 1000
     for s in (1, 3):
         principal = weighted_sigma_table(
-            DivisorWeight(s, DirichletCharacterSpec.principal(p)), n_max, Z
+            DivisorWeight(s, GlaisherFilter.principal(p)), n_max, Z
         )
         twisted = weighted_sigma_table(DivisorWeight(s, legendre_character(p)), n_max, Z)
         indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter.quadratic_residues(p)), n_max, Z)
@@ -327,12 +329,14 @@ def test_filter_modular_data_rejects_even_exponent():
 
 # each selector with an independent definition of its weight w(d), d >= 1
 ROW_SELECTORS = [
-    (DirichletCharacterSpec.trivial(), lambda d: 1),
-    (DirichletCharacterSpec.principal(6), lambda d: int(gcd(d, 6) == 1)),
-    (DirichletCharacterSpec.kronecker(5), lambda d: kronecker_symbol(5, d)),
-    (DirichletCharacterSpec.kronecker(-3, modulus=6), lambda d: kronecker_symbol(-3, d) if gcd(d, 6) == 1 else 0),
-    (DirichletCharacterSpec.kronecker(8), lambda d: kronecker_symbol(8, d)),
-    (DirichletCharacterSpec.kronecker(-4), lambda d: kronecker_symbol(-4, d)),
+    # chi0(1) is the trivial character
+    (GlaisherFilter.principal(1), lambda d: 1),
+    (GlaisherFilter.principal(6), lambda d: int(gcd(d, 6) == 1)),
+    (GlaisherFilter.kronecker(5), lambda d: kronecker_symbol(5, d)),
+    # (-3|.) off the units of 6 is the Kronecker character of D = -3 * 2^2
+    (GlaisherFilter.kronecker(-12), lambda d: kronecker_symbol(-3, d) if gcd(d, 6) == 1 else 0),
+    (GlaisherFilter.kronecker(8), lambda d: kronecker_symbol(8, d)),
+    (GlaisherFilter.kronecker(-4), lambda d: kronecker_symbol(-4, d)),
     (GlaisherFilter.all_divisors(), lambda d: 1),
     (GlaisherFilter.odd_divisors(), lambda d: int(d % 2 == 1)),
     (GlaisherFilter.even_divisors(), lambda d: int(d % 2 == 0)),
@@ -367,10 +371,8 @@ def test_weight_values_tile_the_row(selector, w, n, p):
 def test_the_conductor_is_the_period_and_the_level_factor(selector):
     conductor = DivisorWeight(3, selector).conductor
     assert conductor == selector.conductor
-    weight = selector.value if isinstance(selector, DirichletCharacterSpec) else selector.weight
-    assert all(weight(d) == weight(d + conductor) for d in range(1, 3 * conductor + 1))
-    if isinstance(selector, GlaisherFilter):
-        assert filter_modular_data(selector, 3).level == 4 * conductor
+    assert all(selector.weight(d) == selector.weight(d + conductor) for d in range(1, 3 * conductor + 1))
+    assert filter_modular_data(selector, 3).level == 4 * conductor
 
 
 def test_plain_and_canonical_weights_have_conductor_one():
@@ -385,15 +387,20 @@ def test_a_huge_conductor_evaluates_at_most_n_plus_one_weights(monkeypatch):
     values = _weight_values_mod(DivisorWeight(3, GlaisherFilter.coprime_to(10**9)), 100, 7)
     assert calls == list(range(101))
     assert values.tolist() == [0] + [int(gcd(d, 10) == 1) for d in range(1, 101)]
+    # over Z too, one period is evaluated, cut at n
+    calls.clear()
+    weighted_sigma_table(DivisorWeight(3, GlaisherFilter.coprime_to(10**9)), 100, Z)
+    assert calls == list(range(101))
+    calls.clear()
+    weighted_sigma_table(DivisorWeight(3, GlaisherFilter.kronecker(5)), 100, Z)
+    assert calls == list(range(5))
 
 
 @pytest.mark.parametrize("D", [3, -1, 2, 6])
 def test_kronecker_needs_a_discriminant(D):
     # (D|.) is a character mod |D| only for D = 0, 1 (mod 4)
     with pytest.raises(ValueError, match="discriminant"):
-        DirichletCharacterSpec.kronecker(D)
-    with pytest.raises(ValueError, match="discriminant"):
-        DirichletCharacterSpec.kronecker(D, modulus=24 * abs(D))
+        GlaisherFilter.kronecker(D)
     with pytest.raises(ValueError, match="discriminant"):
         GlaisherFilter.kronecker_weight(D)
 
@@ -401,8 +408,9 @@ def test_kronecker_needs_a_discriminant(D):
 def test_divisor_weight_descriptors():
     assert DivisorWeight(3).describe() == "m=3"
     assert (
-        DivisorWeight(3, DirichletCharacterSpec.kronecker(5)).describe()
+        DivisorWeight(3, GlaisherFilter.kronecker(5)).describe()
         == "m=3, chi=kronecker(5)"
     )
+    assert DivisorWeight(3, GlaisherFilter.principal(4)).describe() == "m=3, chi=chi0(4)"
     assert DivisorWeight(1, GlaisherFilter.odd_divisors()).describe() == "m=1, filter=odd"
     assert DivisorWeight(2, OVERPARTITION).describe() == "m=2, rule=overpartition"

@@ -3,9 +3,10 @@
 Each case in cli_outputs.json runs `python -m freqmoments.cli <argv>` in a
 fresh process; its stdout must equal <name>.out exactly and its exit code
 must match.  The cases cover the published tables in every format, the
-README certify examples, two FAIL records, three companion dumps, and
-three usage errors (exit 2, no stdout) for the removed theta and
-plane-partition ensembles and `--allow-large`.
+README certify examples, two FAIL records, three companion dumps, the
+twist and filter labels of scan and certify reports, and three usage
+errors (exit 2, no stdout) for the removed theta and plane-partition
+ensembles and `--allow-large`.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ EXPORTS = {
         "scan",
     ),
     "divisorweights": (
-        "DirichletCharacterSpec", "DivisorWeight", "FilterModularData",
-        "GlaisherFilter", "filter_modular_data",
+        "DivisorWeight", "FilterModularData", "GlaisherFilter", "filter_modular_data",
         "sigma_table", "weighted_sigma_table",
     ),
     "moments": (
@@ -109,7 +108,6 @@ def _value_objects():
             arith.SturmConfig(arith.SHARP24, level_model="natural"),
             qseries.CoefficientRing(modulus=7),
             qseries.Ensemble("overpartition", eta=((1, 2), (2, -1))),
-            divisorweights.DirichletCharacterSpec("kronecker", parameter=5, modulus=5),
             divisorweights.GlaisherFilter("coprime", params=(3,)),
             divisorweights.DivisorWeight(3, selector=odd),
             divisorweights.FilterModularData(7, level=4, character="trivial"),
@@ -128,8 +126,7 @@ def _value_objects():
 
 FIRST_FIELD = {
     "PrimeTable": "limit", "SturmConfig": "mode", "CoefficientRing": "modulus",
-    "Ensemble": "name", "DirichletCharacterSpec": "kind",
-    "GlaisherFilter": "kind", "DivisorWeight": "exponent", "FilterModularData": "k",
+    "Ensemble": "name", "GlaisherFilter": "kind", "DivisorWeight": "exponent", "FilterModularData": "k",
     "Progression": "ell", "CertificationRecord": "ensemble", "ScanReport": "ensemble",
     "IdentityCheckResult": "name", "FrequencyTable": "n_max",
 }
@@ -167,7 +164,7 @@ def test_series_is_immutable_and_unhashable():
 
 
 def test_all_lists_the_reexported_names():
-    assert len(NAMES) == 44
+    assert len(NAMES) == 43
     assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
@@ -645,7 +646,9 @@ def test_fft_tier_falls_back_when_an_output_is_off_an_integer(monkeypatch, lengt
 def test_rounded_mod_rejects_nan():
     # NaN compares False with everything, so a check written as max > 1/4
     # let it through and rint turned it into a residue
-    with np.errstate(invalid="ignore"):
+    # and a NaN input is rejected without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert qseries._rounded_mod(np.array([1.0, np.nan]), 7) is None
         assert qseries._rounded_mod(np.array([np.nan, 3.0, 1.0]), 7) is None
     assert qseries._rounded_mod(np.array([1.2, 6.0, 8.1]), 7).tolist() == [1, 6, 1]
@@ -655,7 +658,8 @@ def test_fft_tier_falls_back_when_an_output_is_nan(monkeypatch):
     length, modulus = 4096, 97
     a = [(7 * i + 3) ** 5 % modulus for i in range(length)]
     b = [modulus - 1] * length
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus, perturb=np.nan)
     assert ran == ["fft", "float64"]
     assert out.tolist() == kronecker_convolution(a, b, modulus)

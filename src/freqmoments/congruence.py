@@ -34,6 +34,7 @@ from .qseries import (
     ResourceLimitError,
     Series,
     _convolve_mod,
+    companion_block,
     companion_series,
     fits_newton,
     # unused here; perfbench/tracing.py wraps congruence.master_transform
@@ -392,17 +393,17 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 # entry up to n_scan) runs in this process whatever jobs asks.  On a 2-vCPU
 # VM, starting two workers costs about 0.1 s of CPU and 0.03 s of wall, 20-35
 # ms of it importing concurrent.futures.process.  CLI scans pinned to two
-# CPUs, medians of 5, wall / CPU seconds at --jobs 1 against --jobs 2: the
-# full range (516 classes) at nscan 2000, 1.0 M coefficients, 0.376 / 0.372
-# against 0.411 / 0.471; at nscan 10000, 5.2 M, 0.431 / 0.429 against
-# 0.432 / 0.576; at nscan 20000, 10.3 M, 0.747 / 0.738 against
-# 0.576 / 0.775; the overpartition sweep to ell <= 199 at nscan 4000,
-# 8.4 M, 0.694 / 0.693 against 0.602 / 0.805.
+# CPUs with a pool at any size, at perfbench's reference speed, medians of
+# 11, wall / CPU seconds at --jobs 1 against --jobs 2: the full range (516
+# classes) at nscan 2000, 1.0 M coefficients, 0.226 / 0.224 against
+# 0.263 / 0.297; at nscan 10000, 5.2 M, 0.325 / 0.324 against
+# 0.335 / 0.397; at nscan 20000, 10.3 M, 0.428 / 0.427 against
+# 0.407 / 0.529; the overpartition sweep to ell <= 199 at nscan 4000,
+# 8.4 M, 0.516 / 0.515 against 0.469 / 0.585.
 #
-# A certified coefficient (companion, sigma table and projection, to
-# ell*B + r) costs about _CERTIFY_COEFF_COST scan coefficients: in one
-# process, pinned, the 31 reduced full-range certifications take 0.9 us a
-# coefficient and the full-range scans 0.03-0.05 us.  certify_batch wall
+# certify_batch weighs a certified coefficient (companion, sigma table and
+# projection, to ell*B + r) as _CERTIFY_COEFF_COST scan coefficients, so it
+# starts workers from 3 * 10**5 certified coefficients.  certify_batch wall
 # seconds at jobs=1 against jobs=2 on two CPUs, for the reduced triples with
 # ell <= 31, 41 and 61: 155 k coefficients, 0.13-0.14 against 0.14-0.16;
 # 339 k, 0.24-0.29 against 0.21-0.24; 1.5 M, 1.1-1.2 against 0.7-0.8.
@@ -416,11 +417,13 @@ def _pool_jobs(jobs: int, coeffs: int) -> int:
     return jobs if coeffs >= _POOL_MIN_COEFFS else 1
 
 
-# A scan block holds max(1, _SCAN_BLOCK_COEFFS // S) Fermat classes at FFT
-# size S, which bounds its FFT workspace, but _SCAN_BLOCK_FLOOR from S = 2**16
-# on: one class a block there made nscan 20,000 about 40% slower.  The rule
-# applies to each stage of a scan at that stage's own length, so a probe
-# block at nscan 20,000 holds many more classes than a block of survivors.
+# A scan block holds max(1, _SCAN_BLOCK_COEFFS // S) rows at FFT size S,
+# which bounds its FFT workspace, but _SCAN_BLOCK_FLOOR from S = 2**16 on:
+# one class a block there made nscan 20,000 about 40% slower.  A row is a
+# Fermat class in a block of moments, and a prime in a block of companions.
+# The rule applies to each stage of a scan at that stage's own length, so a
+# probe block at nscan 20,000 holds many more classes than a block of
+# survivors.
 _SCAN_BLOCK_COEFFS = 1 << 16
 _SCAN_BLOCK_FLOOR = 4
 
@@ -428,6 +431,29 @@ _SCAN_BLOCK_FLOOR = 4
 # _SCAN_PROBE_ROWS * ell) before it extends the classes still holding a
 # vanishing residue to n_scan
 _SCAN_PROBE_ROWS = 4
+
+
+def _block_rows(size: int) -> int:
+    """The rows of a scan block at FFT size size."""
+    return max(1, _SCAN_BLOCK_COEFFS // size, _SCAN_BLOCK_FLOOR if size >= 1 << 16 else 1)
+
+
+def _residues_of_zeros(nonzero: np.ndarray, ell: int, include_r0: bool) -> list[tuple[int, ...]]:
+    """For each row of nonzero, a bool block of moment entries t = 0..top,
+    the residues r whose entries 0 < t <= top, t = r (mod ell), are all
+    zero; r = 0 only when include_r0."""
+    classes, width = nonzero.shape
+    rows = -(-width // ell)
+    values = np.zeros((classes, rows * ell), dtype=bool)
+    values[:, :width] = nonzero
+    values[:, 0] = False  # the r = 0 class starts at t = ell
+    vanishing = ~values.reshape(classes, rows, ell).any(axis=1)
+    if not include_r0:
+        vanishing[:, 0] = False
+    residues: list[list[int]] = [[] for _ in range(classes)]
+    for row, r in zip(*(axis.tolist() for axis in np.nonzero(vanishing))):
+        residues[row].append(r)
+    return [tuple(found) for found in residues]
 
 
 def _vanishing_residues(mbars, w, comp, ell: int, top: int, include_r0: bool) -> dict[int, tuple[int, ...]]:
@@ -438,61 +464,73 @@ def _vanishing_residues(mbars, w, comp, ell: int, top: int, include_r0: bool) ->
     divisors by the same slices for every row, and its moments are one
     _convolve_mod of the block against the companion: the guards of each
     tier hold per row, the FFT tier checks the 1/4 bound over the whole
-    block, and a failed check sends every row through the lower tiers.  The
-    residue check reads each block as (classes, rows, ell).
+    block, and a failed check sends every row through the lower tiers.
     """
-    rows = -(-(top + 1) // ell)
-    size = 1 << (2 * top).bit_length()  # _convolve_mod's FFT size
-    per_block = max(1, _SCAN_BLOCK_COEFFS // size, _SCAN_BLOCK_FLOOR if size >= 1 << 16 else 1)
+    per_block = _block_rows(1 << (2 * top).bit_length())  # _convolve_mod's FFT size
     w = None if w is None else w[: top + 1]
     found = {}
     for start in range(0, len(mbars), per_block):
         exponents = mbars[start : start + per_block]
         sigma = _divisor_sums_mod(_weight_terms_mod(exponents, w, top, ell), ell)
-        values = np.zeros((len(exponents), rows * ell), dtype=bool)
-        values[:, : top + 1] = _convolve_mod(sigma, comp, ell) != 0
-        values[:, 0] = False  # the r = 0 class starts at t = ell
-        vanishing = ~values.reshape(len(exponents), rows, ell).any(axis=1)
-        if not include_r0:
-            vanishing[:, 0] = False
-        for mbar, good in zip(exponents, vanishing):
-            found[mbar] = tuple(np.flatnonzero(good).tolist())
+        moments = _convolve_mod(sigma, comp, ell)
+        found.update(zip(exponents, _residues_of_zeros(moments != 0, ell, include_r0)))
     return found
 
 
 def _scan_task(args) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Scan every requested m at one prime ell as one batch: one companion,
-    then the moments of all Fermat classes of m in two stages.
+    """Scan a block of primes: their companions to n_scan as one
+    companion_block, then each prime by _scan_prime."""
+    ensemble, weight_selector, ms, ells, n_scan, include_r0 = args
+    comps = companion_block(ensemble, n_scan, ells)
+    return [
+        row
+        for ell, comp in zip(ells, comps)
+        for row in _scan_prime(ensemble, weight_selector, ms, ell, comp.coeffs, n_scan, include_r0)
+    ]
+
+
+def _scan_prime(ensemble, weight_selector, ms, ell, comp, n_scan, include_r0) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Scan every requested m at one prime ell as one batch, given the
+    companion comp mod ell to n_scan: the moments of all Fermat classes of
+    m in two stages.
 
     d^m = d^mbar (mod ell) for every d >= 1 when m = mbar (mod ell - 1) and
     m, mbar >= 1, for canonical, twisted and filtered weights alike, so all
     m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
     is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
 
-    The companion and the weight w(d) mod ell do not depend on the class, so
-    both are built once per ell, to n_scan.  The probe stage screens every
-    class on the entries up to min(n_scan, _SCAN_PROBE_ROWS * ell), and only
-    the classes with a residue still vanishing there go on to n_scan; both
-    stages run _vanishing_residues on prefixes of the same two series.  A
-    nonzero entry in the prefix is a nonzero entry of the full range, so a
-    class that dies in the probe has no vanishing residue up to n_scan
-    either, and the report is the one a single stage to n_scan gives.
+    For canonical weights the class mbar = 1 is read off the companion:
+    the logarithmic derivative of A(q) = prod (1 - q^r)^(-c(r)) gives
+    q A'(q) = A(q) * sum_n sigma_c(n) q^n with sigma_c(n) = sum_{d | n}
+    c(d) d, so M_1(t) = t b(t) exactly, for every eta-quotient.  A twist
+    or filter changes the weights and the identity with them, so all of
+    its classes are built.
+
+    The weight w(d) mod ell does not depend on the class, so it is built
+    once, to n_scan.  The probe stage screens every other class on the
+    entries up to min(n_scan, _SCAN_PROBE_ROWS * ell), and only the classes
+    with a residue still vanishing there go on to n_scan; both stages run
+    _vanishing_residues on prefixes of the same two series.  A nonzero
+    entry in the prefix is a nonzero entry of the full range, so a class
+    that dies in the probe has no vanishing residue up to n_scan either,
+    and the report is the one a single stage to n_scan gives.
     """
-    ensemble, weight_selector, ms, ell, n_scan, include_r0 = args
-    ring = CoefficientRing.integers_mod(ell)
-    comp = companion_series(ensemble, n_scan, ring).coeffs
     classes: dict[int, list[int]] = {}
     for m in ms:
         classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
-    mbars = list(classes)
-    selector = ensemble if weight_selector is None else weight_selector
-    w = _weight_values_mod(DivisorWeight(mbars[0], selector), n_scan, ell)
     found: dict[int, tuple[int, ...]] = {}
-    live = mbars
-    for top in sorted({min(n_scan, _SCAN_PROBE_ROWS * ell), n_scan}):
-        found.update(_vanishing_residues(live, w, comp, ell, top, include_r0))
-        live = [mbar for mbar in live if found[mbar]]
-    return [(m, ell, found[mbar]) for mbar in mbars for m in classes[mbar]]
+    live = list(classes)
+    if weight_selector is None and 1 in classes:
+        first_moments = np.arange(n_scan + 1) * comp % ell
+        [found[1]] = _residues_of_zeros(first_moments[None] != 0, ell, include_r0)
+        live.remove(1)
+    if live:
+        selector = ensemble if weight_selector is None else weight_selector
+        w = _weight_values_mod(DivisorWeight(live[0], selector), n_scan, ell)
+        for top in sorted({min(n_scan, _SCAN_PROBE_ROWS * ell), n_scan}):
+            found.update(_vanishing_residues(live, w, comp, ell, top, include_r0))
+            live = [mbar for mbar in live if found[mbar]]
+    return [(m, ell, found[mbar]) for mbar in classes for m in classes[mbar]]
 
 
 def scan(
@@ -511,8 +549,10 @@ def scan(
 
     weight_selector switches the divisor weights from the ensemble's
     canonical c(d) * d^m to a twisted or filtered rule.  The scan runs one
-    task per ell, on up to jobs worker processes when its Fermat classes
-    times n_scan reach _POOL_MIN_COEFFS and in this process otherwise.
+    task per block of primes (_scan_task), which builds their companions
+    together and then scans each prime, on up to jobs worker processes when
+    its Fermat classes times n_scan reach _POOL_MIN_COEFFS and in this
+    process otherwise.
     Results are merged in sorted order, so any parallelism degree gives
     identical reports.
     A scan needing more than max_coeffs coefficients per series raises
@@ -534,10 +574,17 @@ def scan(
         )
     if n_scan * (ells[-1] - 1) >= 2**63:
         raise ResourceLimitError("scan divisor sums of n_scan residues would overflow int64")
-    # one task per ell, largest first: it has the most Fermat classes
-    tasks = [(ensemble, weight_selector, ms, ell, n_scan, include_r0) for ell in reversed(ells)]
+    # one task per block of primes, whose companions are one companion_block:
+    # at most _block_rows(S) primes at the FFT size S of the top Newton step,
+    # and at least one block a worker.  The primes, largest first, are dealt
+    # round robin, so every block gets a share of the largest, which have
+    # the most Fermat classes.
     classes = sum(len({(m - 1) % (ell - 1) for m in ms}) for ell in ells)
-    results = _map_tasks(_scan_task, tasks, _pool_jobs(jobs, classes * n_scan))
+    jobs = _pool_jobs(jobs, classes * n_scan)
+    order = ells[::-1]
+    count = max(-(-len(order) // _block_rows(1 << n_scan.bit_length())), _pool_size(jobs, len(order)))
+    tasks = [(ensemble, weight_selector, ms, order[i::count], n_scan, include_r0) for i in range(count)]
+    results = _map_tasks(_scan_task, tasks, jobs)
     grouped: dict[tuple[int, int], list[int]] = {}
     for m, ell, residues in (row for rows in results for row in rows):
         for r in residues:

@@ -9,7 +9,7 @@ character values.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
+from functools import cache, partial
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -58,6 +58,13 @@ _FILTER_ROWS: dict[str, Callable[..., tuple[Callable[[int], int], int, str]]] = 
 }
 _TWIST_KINDS = ("chi0", "kronecker")
 _FILTER_ROWS.update(chi0=_FILTER_ROWS["coprime"], kronecker=_FILTER_ROWS["kronecker-weight"])
+
+
+@cache
+def _filter_row(kind: str, params: tuple[int, ...]) -> tuple[Callable[[int], int], int, str]:
+    """The row of _FILTER_ROWS at these parameters, built once per process
+    for each selector value, so weight(d) and conductor reuse its closures."""
+    return _FILTER_ROWS[kind](*params)
 
 
 class _GlaisherFilterFields(NamedTuple):
@@ -136,7 +143,7 @@ class GlaisherFilter(_GlaisherFilterFields):
         return cls("exclude-multiples", (p,))
 
     def _row(self) -> tuple[Callable[[int], int], int, str]:
-        return _FILTER_ROWS[self.kind](*self.params)
+        return _filter_row(self.kind, tuple(self.params))
 
     def weight(self, d: int) -> int:
         return self._row()[0](d)

@@ -32,6 +32,7 @@ __all__ = [
     "ResourceLimitError",
     "RingMismatchError",
     "Series",
+    "companion_block",
     "companion_series",
     "coloured_ensemble",
     "dump_series",
@@ -338,6 +339,19 @@ def fits_newton(n: int, modulus: int) -> bool:
 _held = None
 
 
+def _eta_factors(eta, n: int) -> tuple[list, int, list]:
+    """The sparse factors of an eta-quotient's product through q^n:
+    (denominator, scale, numerator).  Each denominator factor is a function
+    of n returning the terms of 1 + scale * sum sign*q^exp through q^n; the
+    numerator factors are those terms already, with scale 1."""
+    if eta == ((1, 2), (2, -1)):
+        # Gauss: f(q)^2 / f(q^2) = theta_4
+        return [_theta4_terms], 2, []
+    factors = [(d, m) for d, m in eta if d <= n]
+    denominator = [partial(_pentagonal_terms, d) for d, m in factors for _ in range(m)]
+    return denominator, 1, [_pentagonal_terms(d, n) for d, m in factors for _ in range(-m)]
+
+
 def euler_product_coefficients(ensemble: Ensemble, n: int, ring: CoefficientRing) -> Series:
     """Coefficients of the ensemble's eta-quotient A = prod_d f(q^d)^(-m_d),
     f = (q;q)_inf, through q^n.
@@ -369,16 +383,7 @@ def euler_product_coefficients(ensemble: Ensemble, n: int, ring: CoefficientRing
     if n < 0:
         raise ValueError("truncation must be >= 0")
     eta, modulus = ensemble.eta, ring.modulus
-    # each denominator factor is a sparse series 1 + scale * sum sign*q^exp,
-    # given by a function of n returning its terms through q^n
-    if eta == ((1, 2), (2, -1)):
-        # Gauss: f(q)^2 / f(q^2) = theta_4
-        denominator, scale, numerator = [_theta4_terms], 2, []
-    else:
-        factors = [(d, m) for d, m in eta if d <= n]
-        denominator = [partial(_pentagonal_terms, d) for d, m in factors for _ in range(m)]
-        scale = 1
-        numerator = [_pentagonal_terms(d, n) for d, m in factors for _ in range(-m)]
+    denominator, scale, numerator = _eta_factors(eta, n)
     if modulus is None or not fits_newton(n, modulus):
         scalar = [1] + [0] * n
         for terms in denominator:
@@ -408,6 +413,35 @@ def euler_product_coefficients(ensemble: Ensemble, n: int, ring: CoefficientRing
 
 # Every ensemble is its own companion: b(n) are the coefficients of A(q).
 companion_series = euler_product_coefficients
+
+
+def companion_block(ensemble: Ensemble, n: int, moduli) -> list[Series]:
+    """companion_series(ensemble, n, Z/p) for each p in moduli, in order.
+
+    The denominators of every p under fits_newton(n, p) are inverted as one
+    block: _newton_inverse runs on their dense denominators, one row per p,
+    with the column of moduli, so a step of Newton's iteration is one
+    float64 FFT product for all of them where each series alone would take
+    its own.  Every other p, and every p of a product with no denominator,
+    is built alone by euler_product_coefficients.  The block leaves the
+    held series as it is.  The caller bounds the rows of a block, since its
+    workspace grows with rows times the FFT size of the top Newton step.
+    """
+    denominator, scale, numerator = _eta_factors(ensemble.eta, n)
+    newton = [p for p in moduli if fits_newton(n, p)] if denominator else []
+    built = {}
+    if newton:
+        factors = [terms(n) for terms in denominator]
+        dense = np.stack([_pentagonal_product(factors, n + 1, p, scale) for p in newton])
+        inverses = _newton_inverse(dense, np.array(newton, dtype=np.int64)[:, None])
+        for p, coeffs in zip(newton, inverses.astype(np.int64)):
+            for terms in numerator:
+                _multiply_by_sparse_shifted(coeffs, terms, p)
+            built[p] = Series(CoefficientRing.integers_mod(p), coeffs)
+    return [
+        built[p] if p in built else euler_product_coefficients(ensemble, n, CoefficientRing.integers_mod(p))
+        for p in moduli
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +477,11 @@ def tau_coefficients(n: int, ring: CoefficientRing) -> Series:
 
 
 # The FFT tier of _convolve_mod runs when both operands have at least
-# FFT_MIN_TERMS terms (below that the direct product is faster), and the
-# direct float64 tier only up to FLOAT64_DIRECT_MAX_TERMS terms: a float64
-# np.convolve is a series of BLAS dot products, which OpenBLAS splits over
-# threads above about 10**4 elements; the int64 tier calls no BLAS.
+# FFT_MIN_TERMS terms, or a block's rows times its terms reach it (below
+# that the direct products are faster), and the direct float64 tier only up
+# to FLOAT64_DIRECT_MAX_TERMS terms: a float64 np.convolve is a series of
+# BLAS dot products, which OpenBLAS splits over threads above about 10**4
+# elements; the int64 tier calls no BLAS.
 FFT_MIN_TERMS = 512
 FLOAT64_DIRECT_MAX_TERMS = 10_000
 
@@ -478,9 +513,11 @@ def fits_fft(len_a: int, len_b: int, modulus: int) -> bool:
     return (modulus - 1) ** 2 < 0.25 / (sqrt(len_a * len_b) * growth)
 
 
-def _rounded_mod(values: np.ndarray, modulus: int) -> np.ndarray | None:
+def _rounded_mod(values: np.ndarray, modulus) -> np.ndarray | None:
     """values rounded to integers and reduced mod modulus, as int64, or None
     when some value is not within 1/4 of an integer.  Overwrites values.
+    modulus is an int, or for a 2-D block of values a column of moduli,
+    one per row.
 
     The rounding goes straight into the int64 result, so no float64 copy of
     values is alive beside it."""
@@ -509,9 +546,10 @@ def _fft_product(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray | Non
     return _rounded_mod(np.fft.irfft(spectrum, size)[..., :n], modulus)
 
 
-def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray | None:
+def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus) -> np.ndarray | None:
     """Coefficients k..k2-1 of 1/a mod modulus, given a to k2 <= 2k terms
-    and g = 1/a to k terms; None when a rounding check fails.
+    and g = 1/a to k terms; None when a rounding check fails.  a and g may
+    be 2-D blocks, one series a row, with modulus a column of moduli.
 
     One Newton step g - g*(a*g - 1), as two float64 FFT products of size
     S = 2**ceil(log2 k2) that share the transform of g.  a*g - 1 vanishes
@@ -520,10 +558,11 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray |
     the error e, are exact (a middle product).  g*e has degree below
     k2 - 1 < S and does not wrap.  Every cyclic coefficient sums at most k
     products of residues, and S is at most the size fits_fft(k2, k, modulus)
-    assumes, so under that guard Percival's bound puts every output within
-    1/4 of the exact integer; each is also checked as in _fft_product.
+    assumes, so under that guard at the largest modulus Percival's bound
+    puts every output of every row within 1/4 of the exact integer; each is
+    also checked as in _fft_product, over the whole block.
     """
-    k, k2 = len(g), len(a)
+    k, k2 = g.shape[-1], a.shape[-1]
     size = 1 << (k2 - 1).bit_length()
     g_hat = np.fft.rfft(g, size)
     # each transform is released once used, so that no more than a, g,
@@ -532,7 +571,7 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray |
     spectrum *= g_hat
     product = np.fft.irfft(spectrum, size)
     del spectrum
-    error = _rounded_mod(product[k:k2], modulus)
+    error = _rounded_mod(product[..., k:k2], modulus)
     del product
     if error is None:
         return None
@@ -542,7 +581,7 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray |
     del g_hat
     product = np.fft.irfft(spectrum, size)
     del spectrum
-    correction = _rounded_mod(product[: k2 - k], modulus)
+    correction = _rounded_mod(product[..., : k2 - k], modulus)
     if correction is None:
         return None
     np.negative(correction, out=correction)
@@ -550,39 +589,49 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray |
     return correction
 
 
-def _newton_inverse(a: np.ndarray, modulus: int, prefix: np.ndarray | None = None) -> np.ndarray:
+def _newton_inverse(a: np.ndarray, modulus, prefix: np.ndarray | None = None) -> np.ndarray:
     """1/a mod modulus to len(a) terms; a[0] must be a unit mod modulus.
-    prefix, when given, holds leading terms of 1/a already known.
+    prefix, when given, holds leading terms of 1/a already known.  A 2-D a
+    is a block of series, one a row, each inverted mod its own entry of
+    modulus, then a column of moduli, with no prefix.
 
     Newton's step g <- g - g*(a*g - 1) takes k correct terms to k2 <= 2k.
     The steps run top-down: the precisions are len(a), then each halved and
     rounded up, down to the first at or below the known terms (prefix's, or
     the one term a[0]**-1), so no step computes terms past len(a).  A step
-    from k >= FFT_MIN_TERMS terms under fits_fft(k2, k, modulus) runs as
-    _newton_step_fft; any other step, and one whose rounding check fails,
-    as two _convolve_mod products, which are exact in every tier.  The
-    result has a's dtype.
+    from k terms with rows * k >= FFT_MIN_TERMS (one row for a single
+    series) under fits_fft(k2, k, largest modulus) runs as _newton_step_fft
+    on the whole block; any other step, and one whose rounding check fails,
+    runs row by row as two _convolve_mod products, which are exact in every
+    tier.  A single series takes the same steps as a one-row block.  The
+    result has a's dtype and shape.
     """
-    n1 = len(a)
+    n1 = a.shape[-1]
+    rows = a.reshape(-1, n1)
+    moduli = [int(p) for p in np.ravel(modulus)] if a.ndim == 2 else [modulus]
     known = 1 if prefix is None else max(1, len(prefix))
     schedule = []
     k = n1
     while k > known:
         schedule.append(k)
         k = (k + 1) // 2
-    g = np.zeros(n1, dtype=a.dtype)
+    g = np.zeros_like(a)
+    inverses = g.reshape(-1, n1)
     if prefix is None:
-        g[0] = pow(int(a[0]), -1, modulus)
+        for row, inverse, p in zip(rows, inverses, moduli):
+            inverse[0] = pow(int(row[0]), -1, p)
     else:
         g[:k] = prefix[:k]
     for k2 in reversed(schedule):
         tail = None
-        if k >= FFT_MIN_TERMS and fits_fft(k2, k, modulus):
-            tail = _newton_step_fft(a[:k2], g[:k], modulus)
-        if tail is None:
-            error = _convolve_mod(a[:k2], g[:k], modulus)[k:]
-            tail = -_convolve_mod(error, g[:k], modulus) % modulus
-        g[k:k2] = tail
+        if len(rows) * k >= FFT_MIN_TERMS and fits_fft(k2, k, max(moduli)):
+            tail = _newton_step_fft(a[..., :k2], g[..., :k], modulus)
+        if tail is not None:
+            g[..., k:k2] = tail
+        else:
+            for row, inverse, p in zip(rows, inverses, moduli):
+                error = _convolve_mod(row[:k2], inverse[:k], p)[k:]
+                inverse[k:k2] = -_convolve_mod(error, inverse[:k], p) % p
         k = k2
     return g
 
@@ -598,9 +647,9 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     lies in [0, terms * (modulus - 1)**2].  Four tiers, the first that
     applies:
 
-    - FFT (both operands at least FFT_MIN_TERMS terms and fits_fft): a
-      float64 rfft/irfft product of power-of-two size.  fits_fft holds
-      only when Percival's a-priori bound (Math. Comp. 72, 2003; see
+    - FFT (rows * terms at least FFT_MIN_TERMS, one row for a 1-D a, and
+      fits_fft): a float64 rfft/irfft product of power-of-two size.
+      fits_fft holds only when Percival's a-priori bound (Math. Comp. 72, 2003; see
       fits_fft; unit roundoff 2**-53, twiddle error 2**-50) puts every
       coefficient within 1/4 of the exact integer, which is then below
       2**53, so rounding recovers it.  Each coefficient is also checked to
@@ -617,11 +666,13 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
 
     A 2-D ndarray a is a batch: every row is multiplied by the same b under
     the same guards, which depend only on n, len(b) and modulus.  The FFT tier
-    transforms the whole block along its last axis with one spectrum of b
-    and checks the 1/4 bound over the whole block; if any coefficient
-    fails it, every row falls back and runs the lower tiers one row at a
-    time.  The caller bounds the rows of a block, since the FFT tier's
-    workspace grows with rows times FFT size.
+    transforms the whole block along its last axis with one spectrum of b,
+    so it runs once the block's rows * terms reach FFT_MIN_TERMS, where
+    one direct product a row would cost more; it checks the 1/4 bound over
+    the whole block, and if any coefficient fails it, every row falls back
+    and runs the lower tiers one row at a time.  The caller bounds the rows
+    of a block, since the FFT tier's workspace grows with rows times FFT
+    size.
 
     Every tier is exact and returns values in [0, modulus); the first three
     return int64.
@@ -630,7 +681,7 @@ def _convolve_mod(a, b, modulus: int) -> np.ndarray:
     n = a.shape[1] if block else len(a)
     b = b[:n]
     terms = len(b)
-    if terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
+    if (len(a) if block else 1) * terms >= FFT_MIN_TERMS and fits_fft(n, terms, modulus):
         product = _fft_product(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), modulus)
         if product is not None:
             return product

@@ -8,7 +8,7 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from freqmoments import congruence
+from freqmoments import congruence, qseries
 from freqmoments.arith import (
     CONSERVATIVE12,
     SHARP24,
@@ -723,7 +723,10 @@ DESK_ELLS = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 7
     "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
 )
 def test_scan_below_the_fft_tier_matches_per_m_reference(monkeypatch, ensemble, selector):
-    # nscan 100 < FFT_MIN_TERMS: every block runs the direct tiers row by row
+    # no block's rows times terms reach FFT_MIN_TERMS: every product, of the
+    # companions' Newton steps and of the moment blocks, runs the direct
+    # tiers row by row
+    monkeypatch.setattr(qseries, "FFT_MIN_TERMS", 10**9)
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: pytest.fail("FFT tier ran") or irfft(*a, **k))
     ms = tuple(range(1, 26, 2))
@@ -747,9 +750,10 @@ def test_scan_blocks_split_mid_class_list_give_the_same_report(monkeypatch, limi
     split = scan(ORDINARY, ms, ells, 2000)
     assert split == whole
     assert scan_report_to_json(split) == scan_report_to_json(whole)
-    # 26 classes at ell = 53 and 15 at ell = 31 fill blocks of limit_rows
-    # and leave a shorter last one
-    for ell, classes in ((53, 26), (31, 15), (13, 6), (5, 2)):
+    # 25 classes at ell = 53 and 14 at ell = 31 fill blocks of limit_rows
+    # and leave a shorter last one; the class mbar = 1 is read off the
+    # companion and is in no block
+    for ell, classes in ((53, 25), (31, 14), (13, 5), (5, 1)):
         sizes = [rows for p, rows in blocks if p == ell]
         assert sum(sizes) == classes
         assert max(sizes) == min(limit_rows, classes)
@@ -762,10 +766,11 @@ def test_scan_default_block_limit_is_2_16_coefficients(monkeypatch):
         congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
     )
     # FFT size 2048: 2**16 // 2048 = 32 classes a block, with the probe
-    # covering all of nscan 1000
+    # covering all of nscan 1000; 47 of the 48 classes, as mbar = 1 is read
+    # off the companion
     monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", 1000)
     scan(ORDINARY, range(1, 100, 2), [97], 1000)
-    assert blocks == [32, 16]
+    assert blocks == [32, 15]
 
 
 def test_scan_blocks_keep_four_classes_from_fft_size_2_16(monkeypatch):
@@ -775,13 +780,13 @@ def test_scan_blocks_keep_four_classes_from_fft_size_2_16(monkeypatch):
         congruence, "_convolve_mod", lambda a, b, p: blocks.append(len(a)) or convolve(a, b, p)
     )
     # nscan 16384 is the first with FFT size 2**16, where 2**16 // S = 1; the
-    # probe covers all of it
+    # probe covers all of it.  9 classes: mbar = 1 is read off the companion
     monkeypatch.setattr(congruence, "_SCAN_PROBE_ROWS", 16384)
     whole = scan(ORDINARY, range(1, 20, 2), [23], 16384)
-    assert blocks == [4, 4, 2]
+    assert blocks == [4, 4, 1]
     monkeypatch.setattr(congruence, "_SCAN_BLOCK_FLOOR", 1)
     assert scan(ORDINARY, range(1, 20, 2), [23], 16384) == whole
-    assert blocks[3:] == [1] * 10
+    assert blocks[3:] == [1] * 9
 
 
 def test_twisted_scan_evaluates_the_weight_once_per_d_per_ell(monkeypatch):
@@ -842,16 +847,60 @@ def test_scan_extends_only_the_classes_holding_a_hit(monkeypatch):
         or vanishing(mbars, w, comp, ell, top, include_r0),
     )
     scan(ORDINARY, FULL_MS, DESK_ELLS, 2000)
-    # every prime probes all its classes on entries up to 4 * ell ...
+    # every prime probes all its classes but mbar = 1, which is read off the
+    # companion, on entries up to 4 * ell ...
     probed = {(ell, mbar) for ell, top, mbars in stages if top == 4 * ell for mbar in mbars}
-    assert probed == {(ell, (m - 1) % (ell - 1) + 1) for ell in DESK_ELLS for m in FULL_MS}
-    assert len(probed) == 516
+    assert probed == {(ell, (m - 1) % (ell - 1) + 1) for ell in DESK_ELLS for m in FULL_MS} - {
+        (ell, 1) for ell in DESK_ELLS
+    }
+    assert len(probed) == 493
     # ... and only the classes of a predicted hit reach nscan
     extended = [(ell, mbar) for ell, top, mbars in stages if top == 2000 for mbar in mbars]
     hit_classes = {(ell, (m - 1) % (ell - 1) + 1) for m, ell, _r in predicted_hits(FULL_MS, DESK_ELLS)}
-    assert sorted(extended) == sorted(hit_classes)
-    assert len(extended) == 26
+    assert sorted(extended) == sorted(hit_classes - {(ell, 1) for ell in DESK_ELLS})
+    assert len(extended) == 3
     assert {top for _ell, top, _mbars in stages} <= {2000} | {4 * ell for ell in DESK_ELLS}
+
+
+@pytest.mark.parametrize("include_r0", [True, False])
+@pytest.mark.parametrize(
+    "ensemble,selector", GRID_CASES, ids=["ordinary", "overpartition", "chi5", "odd-filter"]
+)
+def test_scan_reads_the_first_moment_class_off_the_companion(monkeypatch, ensemble, selector, include_r0):
+    sent = set()
+    vanishing = congruence._vanishing_residues
+    monkeypatch.setattr(
+        congruence,
+        "_vanishing_residues",
+        lambda mbars, w, comp, ell, top, r0: sent.update((ell, mbar) for mbar in mbars)
+        or vanishing(mbars, w, comp, ell, top, r0),
+    )
+    report = scan(ensemble, GRID_MS, GRID_ELLS, 2000, include_r0=include_r0, weight_selector=selector)
+    assert report.hit_map() == scan_reference(ensemble, selector, 2000, include_r0)
+    first = {(ell, 1) for ell in GRID_ELLS}
+    if selector is None:
+        # M_1(t) = t b(t) for canonical weights: no class mbar = 1 is built
+        assert not sent & first
+    else:
+        # a twist or filter changes the weights, and the identity fails
+        assert first <= sent
+
+
+@pytest.mark.parametrize("n_scan,count", [(2000, 1), (20000, 12)])
+def test_scan_builds_its_companions_in_bounded_blocks(monkeypatch, n_scan, count):
+    requests = []
+    block = congruence.companion_block
+    monkeypatch.setattr(
+        congruence, "companion_block", lambda e, n, moduli: requests.append((n, list(moduli))) or block(e, n, moduli)
+    )
+    monkeypatch.setattr(congruence, "companion_series", lambda *a, **k: pytest.fail("built one companion"))
+    report = scan(ORDINARY, FULL_MS, DESK_ELLS, n_scan)
+    assert report.triples() == predicted_hits(FULL_MS, DESK_ELLS)
+    # 2**16 coefficients a block: 32 rows at the top Newton step's FFT size
+    # 2048, 2 rows at 32768; the primes, largest first, dealt round robin
+    order = sorted(DESK_ELLS, reverse=True)
+    assert requests == [(n_scan, order[i::count]) for i in range(count)]
+    assert max(len(moduli) for _n, moduli in requests) == (23 if count == 1 else 2)
 
 
 # --- predictions ------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -15,6 +16,7 @@ from freqmoments.divisorweights import (
 )
 from freqmoments.arith import kronecker_symbol
 from freqmoments.divisorweights import _divisor_sums_mod, _powers_mod, _weight_terms_mod, _weight_values_mod
+from freqmoments.divisorweights import _FILTER_ROWS, _filter_row
 from freqmoments.qseries import CoefficientRing, Ensemble, ORDINARY, OVERPARTITION, fits_int64, make_series
 
 Z = CoefficientRing.exact_integers()
@@ -414,3 +416,30 @@ def test_divisor_weight_descriptors():
     assert DivisorWeight(3, GlaisherFilter.principal(4)).describe() == "m=3, chi=chi0(4)"
     assert DivisorWeight(1, GlaisherFilter.odd_divisors()).describe() == "m=1, filter=odd"
     assert DivisorWeight(2, OVERPARTITION).describe() == "m=2, rule=overpartition"
+
+
+def test_each_selector_row_is_built_once(monkeypatch):
+    built = Counter()
+    for kind in ("coprime", "chi0", "kronecker-weight", "kronecker", "odd"):
+        factory = _FILTER_ROWS[kind]
+        monkeypatch.setitem(
+            _FILTER_ROWS, kind,
+            lambda *params, kind=kind, factory=factory: built.update([(kind, params)]) or factory(*params),
+        )
+    _filter_row.cache_clear()
+    selectors = [
+        GlaisherFilter.coprime_to(7), GlaisherFilter.principal(7), GlaisherFilter.kronecker_weight(-4),
+        GlaisherFilter.kronecker(-4), GlaisherFilter.odd_divisors(),
+    ]
+    for _ in range(3):
+        # equal selectors built anew share the row of their value
+        for selector in selectors + [GlaisherFilter(*selector) for selector in selectors]:
+            weight = DivisorWeight(3, selector)
+            assert [weight.weight_of(d) for d in range(200)] == [selector.weight(d) for d in range(200)]
+            assert weight.conductor == selector.conductor
+            filter_modular_data(selector, 3)
+    assert built == Counter({
+        ("coprime", (7,)): 1, ("chi0", (7,)): 1, ("kronecker-weight", (-4,)): 1, ("kronecker", (-4,)): 1,
+        ("odd", ()): 1,
+    })
+    assert [GlaisherFilter.kronecker(-4).weight(d) for d in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]

@@ -14,6 +14,7 @@ from freqmoments.qseries import (
     CoefficientRing,
     Ensemble,
     Series,
+    companion_block,
     companion_series,
     coloured_ensemble,
     dump_series,
@@ -27,7 +28,7 @@ from freqmoments.qseries import (
     OVERPARTITION,
 )
 from freqmoments import qseries
-from freqmoments.qseries import _convolve_mod, _newton_inverse, fits_fft, fits_float64, fits_int64
+from freqmoments.qseries import _convolve_direct, _convolve_mod, _newton_inverse, fits_fft, fits_float64, fits_int64
 from freqmoments.qseries import FFT_MIN_TERMS, FLOAT64_DIRECT_MAX_TERMS
 
 Z = CoefficientRing.exact_integers()
@@ -694,8 +695,10 @@ def test_fft_tier_property(data):
 # --- batched rows -------------------------------------------------------------
 
 
-def expected_tier(length: int, modulus: int) -> str:
-    if length >= FFT_MIN_TERMS and fits_fft(length, length, modulus):
+def expected_tier(length: int, modulus: int, rows: int = 1) -> str:
+    """The tier a block of rows of this length takes: the FFT tier once
+    rows * length reach FFT_MIN_TERMS, else one direct product a row."""
+    if rows * length >= FFT_MIN_TERMS and fits_fft(length, length, modulus):
         return "fft"
     if fits_float64(length, modulus) and length <= FLOAT64_DIRECT_MAX_TERMS:
         return "float64"
@@ -726,7 +729,9 @@ def test_block_convolution_equals_row_by_row_calls(monkeypatch, length, modulus,
     a = block_rows(length, modulus, rows)
     b = [(11 * i + 5) ** 3 % modulus for i in range(length)][::-1]
     out, ran = convolve_recording_tiers(monkeypatch, a, b, modulus)
-    # one transform for the whole block, or one direct product per row
+    # tier is a single row's; the block takes one transform once its rows
+    # times its terms reach FFT_MIN_TERMS, else one direct product per row
+    tier = expected_tier(length, modulus, rows)
     assert ran == (["fft"] if tier == "fft" else [] if tier == "python" else [tier] * rows)
     assert out.shape == (rows, length)
     for row, got in zip(a, out):
@@ -743,6 +748,32 @@ def test_block_convolution_falls_back_row_by_row_and_stays_exact(monkeypatch):
     assert ran == ["fft", "float64", "float64", "float64"]
     for row, got in zip(a, out):
         assert got.tolist() == kronecker_convolution(row.tolist(), b, modulus)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_block_fft_rule_property(data):
+    # blocks on both sides of rows * terms = FFT_MIN_TERMS, moduli on both
+    # sides of the FFT guard; the reference is each row's direct product
+    rows = data.draw(st.integers(min_value=1, max_value=8))
+    length = data.draw(st.integers(min_value=1, max_value=700))
+    top = largest_fft_modulus(length, length)
+    modulus = data.draw(st.sampled_from([2, 97, top, top + 1]))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = np.array([[rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(length)] for _ in range(rows)])
+    b = [rng.choice((modulus - 1, rng.randrange(modulus))) for _ in range(length)]
+    want = [_convolve_direct(row, np.array(b), modulus).tolist() for row in a]
+    fft = rows * length >= FFT_MIN_TERMS and fits_fft(length, length, modulus)
+    with pytest.MonkeyPatch.context() as patch:
+        out, ran = convolve_recording_tiers(patch, a, b, modulus)
+    assert out.tolist() == want
+    assert ran.count("fft") == fft
+    if fft:
+        # a failed 1/4 check sends every row to its direct product
+        with pytest.MonkeyPatch.context() as patch:
+            out, ran = convolve_recording_tiers(patch, a, b, modulus, perturb=0.3)
+        assert out.tolist() == want
+        assert ran[0] == "fft" and len(ran) == 1 + rows and "fft" not in ran[1:]
 
 
 # --- Newton-inverted companion ------------------------------------------------
@@ -953,3 +984,65 @@ def test_overpartition_companion_is_one_over_theta4(monkeypatch, modulus):
         for k in range(1, isqrt(n) + 1):
             theta4[k * k] = 2 * (-1) ** k
         assert slow_poly_mult(got.coeffs.tolist(), theta4, n) == [1] + [0] * n
+
+
+# --- block companions ---------------------------------------------------------
+
+BLOCK_RULES = [ORDINARY, OVERPARTITION, coloured_ensemble(2), THETA_WEIGHTS]
+
+
+def block_moduli(n: int) -> list[int]:
+    """2..97, with the first modulus past fits_newton among them."""
+    return [*range(2, 50), newton_top_modulus(n + 1) + 1, *range(50, 98)]
+
+
+def newton_blocks(patch) -> list[tuple[int, ...]]:
+    """The shape of every Newton inversion run from here on."""
+    shapes = []
+    inverse = qseries._newton_inverse
+    patch.setattr(qseries, "_newton_inverse", lambda a, *rest: shapes.append(a.shape) or inverse(a, *rest))
+    return shapes
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 2000])
+@pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda r: r.name)
+def test_companion_block_rows_equal_companion_series(monkeypatch, rule, n):
+    moduli = block_moduli(n)
+    shapes = newton_blocks(monkeypatch)
+    rows = companion_block(rule, n, moduli)
+    # one inversion for the 96 moduli under fits_newton; a product with no
+    # denominator below q^n (n = 0 but for theta_4) has nothing to invert
+    assert shapes == ([(96, n + 1)] if n or rule is OVERPARTITION else [])
+    assert len(rows) == len(moduli)
+    for p, row in zip(moduli, rows):
+        assert row == companion_series(rule, n, CoefficientRing.integers_mod(p))
+        assert row.coeffs.dtype == np.int64 and not row.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("rule", BLOCK_RULES, ids=lambda r: r.name)
+def test_companion_block_falls_back_when_a_rounding_check_fails(monkeypatch, rule):
+    n = 2000
+    moduli = block_moduli(n)
+    want = companion_block(rule, n, moduli)
+    failed = []
+    rounded_mod = qseries._rounded_mod
+
+    def fail_once(values, modulus):
+        if not failed:
+            failed.append(np.shape(modulus))
+            return None
+        return rounded_mod(values, modulus)
+
+    monkeypatch.setattr(qseries, "_rounded_mod", fail_once)
+    assert companion_block(rule, n, moduli) == want
+    # the check that failed was the block's, over a column of 96 moduli
+    assert failed == [(96, 1)]
+
+
+def test_companion_block_leaves_the_held_series(monkeypatch):
+    ring = CoefficientRing.integers_mod(11)
+    monkeypatch.setattr(qseries, "_held", None)
+    held = companion_series(ORDINARY, 900, ring)
+    companion_block(ORDINARY, 2000, [11, 13])
+    assert qseries._held[:2] == (ORDINARY.eta, 11)
+    assert np.shares_memory(companion_series(ORDINARY, 600, ring).coeffs, held.coeffs)

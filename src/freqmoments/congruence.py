@@ -23,6 +23,7 @@ from .divisorweights import (
     DivisorWeight,
     GlaisherFilter,
     _divisor_sums_mod,
+    _extend_sigma_table,
     _weight_terms_mod,
     _weight_values_mod,
     filter_modular_data,
@@ -36,6 +37,7 @@ from .qseries import (
     _convolve_mod,
     companion_block,
     companion_series,
+    fits_int64,
     fits_newton,
     # unused here; perfbench/tracing.py wraps congruence.master_transform
     master_transform,  # noqa: F401
@@ -197,6 +199,22 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
     yield from (total % modulus).tolist()
 
 
+def _first_moments(t: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """M_1(t) = t * b(t) mod modulus, elementwise, for the indices t and
+    the companion's b(t) mod modulus.
+
+    The logarithmic derivative of A(q) = prod (1 - q^r)^(-c(r)) gives
+    q A'(q) = A(q) * sum_n sigma_c(n) q^n with sigma_c(n) = sum_{d | n}
+    c(d) d, so the first moment of the canonical weights is t b(t)
+    exactly, for every eta-quotient.  Under fits_int64(1, modulus) the
+    product is int64 with t reduced first, so it stays below
+    (modulus - 1)**2; otherwise it is formed over Python ints.
+    """
+    if fits_int64(1, modulus):
+        return t % modulus * b.astype(np.int64, copy=False) % modulus
+    return t.astype(object) % modulus * b.astype(object) % modulus
+
+
 def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
     """The L of Gamma0(4L) a certification of this weight runs at: L =
     lcm(ell, weight.conductor) (natural), its square (safe), or the custom
@@ -243,23 +261,47 @@ def certify(
     L = lcm(ell, conductor) are also the paper's convention, not a level
     the code proves.
 
+    The values come by one of two routes, with the same record.  The
+    first-moment route is gated on the ensemble's own canonical weights
+    (the weight's selector an Ensemble with this eta) and m = 1 (mod
+    modulus - 1): then d^m = d (mod modulus) for every d >= 1, so M(t) =
+    M_1(t) = t b(t) (mod modulus), read off the companion by
+    _first_moments, and no sigma table or polyphase product is built.
+    Every other weight takes the sigma route: the weighted sigma table,
+    the full stage's extended from the probe's, against the companion by
+    _projected_moment_values.  Both build the companion to ell*rows + r at
+    each stage, for every r.
+
     Before anything is built, a certification needing more than max_coeffs
     coefficients, or a companion past fits_newton beyond
     q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
     """
     weight, level, bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs)
     ring = CoefficientRing.integers_mod(modulus)
-    witness = None
+    first_moment = (
+        isinstance(weight.selector, Ensemble)
+        and weight.selector.eta == ensemble.eta
+        and (m - 1) % (modulus - 1) == 0
+    )
+    witness = sigma = None
     # a short probe first: a FAIL usually shows in its first rows, and then
     # the series up to n_max are never built
     for rows in sorted({min(bound, _PROBE_ROWS), bound}):
         top = prog.ell * rows + prog.r
         # the companion first, so that Newton's FFT workspace is freed
         # before sigma's table is built; the full series continues from the
-        # probe's, which euler_product_coefficients holds
+        # probe's, which euler_product_coefficients holds, and the full sigma
+        # table extends the probe's
         comp = companion_series(ensemble, top, ring)
-        sigma = weighted_sigma_table(weight, top, ring)
-        values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
+        if first_moment:
+            t = np.arange(prog.r, top + 1, prog.ell)
+            values = _first_moments(t, comp.coeffs[prog.r :: prog.ell], modulus).tolist()
+        else:
+            if sigma is None:
+                sigma = weighted_sigma_table(weight, top, ring)
+            else:
+                sigma = _extend_sigma_table(sigma, weight, top)
+            values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
         for n, value in enumerate(values):
             if value != 0:
                 witness = (n, prog.ell * n + prog.r, value)
@@ -499,12 +541,10 @@ def _scan_prime(ensemble, weight_selector, ms, ell, comp, n_scan, include_r0) ->
     m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
     is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
 
-    For canonical weights the class mbar = 1 is read off the companion:
-    the logarithmic derivative of A(q) = prod (1 - q^r)^(-c(r)) gives
-    q A'(q) = A(q) * sum_n sigma_c(n) q^n with sigma_c(n) = sum_{d | n}
-    c(d) d, so M_1(t) = t b(t) exactly, for every eta-quotient.  A twist
-    or filter changes the weights and the identity with them, so all of
-    its classes are built.
+    For canonical weights the class mbar = 1 is read off the companion as
+    M_1(t) = t b(t) (_first_moments, which certify reads too).  A twist or
+    filter changes the weights and the identity with them, so all of its
+    classes are built.
 
     The weight w(d) mod ell does not depend on the class, so it is built
     once, to n_scan.  The probe stage screens every other class on the
@@ -521,7 +561,7 @@ def _scan_prime(ensemble, weight_selector, ms, ell, comp, n_scan, include_r0) ->
     found: dict[int, tuple[int, ...]] = {}
     live = list(classes)
     if weight_selector is None and 1 in classes:
-        first_moments = np.arange(n_scan + 1) * comp % ell
+        first_moments = _first_moments(np.arange(n_scan + 1), comp, ell)
         [found[1]] = _residues_of_zeros(first_moments[None] != 0, ell, include_r0)
         live.remove(1)
     if live:

@@ -286,6 +286,138 @@ def test_certify_fail_beyond_the_probe_matches_one_stage(monkeypatch):
     assert sizes == [5 * 1 + 4, 5 * one_stage.bound_b + 4]
 
 
+# --- the first-moment route of certify ---------------------------------------
+
+# an eta-quotient with k = 1 besides the presets: A = (q;q)_inf / (q^4;q^4)_inf^2
+K1_QUOTIENT = Ensemble("eta(1:-1,4:2)", ((1, -1), (4, 2)))
+
+
+def sigma_route_record(ensemble, m, prog, modulus, config, weight=None):
+    """certify's record by the sigma route in one stage: the weighted sigma
+    table and _projected_moment_values on the companion to ell*B + r."""
+    weight, level, bound, n_max = congruence._certify_plan(
+        ensemble, m, prog, modulus, config, weight, congruence.DEFAULT_COEFF_BUDGET
+    )
+    ring = CoefficientRing.integers_mod(modulus)
+    sigma = weighted_sigma_table(weight, n_max, ring)
+    comp = companion_series(ensemble, n_max, ring)
+    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
+    witness = next(((n, prog.ell * n + prog.r, v) for n, v in enumerate(values) if v), None)
+    return congruence.CertificationRecord(
+        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * level, bound,
+        max_index_checked=n_max if witness is None else witness[1],
+        status="PASS" if witness is None else "FAIL",
+        fail_witness=witness,
+    )
+
+
+# (ell, modulus): the modulus ell, and other primes: 2 and 3, where every
+# odd m is m = 1 (mod p - 1) or m = 1 (mod 2); 1000003, past fits_newton
+# here; 2**61 - 1, past fits_int64(1, p), so t*b(t) is a Python-int product
+ROUTE_CASES = [(5, 5), (7, 7), (11, 11), (13, 13), (7, 5), (5, 3), (5, 2), (13, 1000003), (5, 2**61 - 1)]
+
+
+@pytest.mark.parametrize("ell,modulus", ROUTE_CASES)
+@pytest.mark.parametrize(
+    "ensemble", [ORDINARY, OVERPARTITION, K1_QUOTIENT], ids=["ordinary", "overpartition", "k1-quotient"]
+)
+def test_certify_first_moment_route_equals_the_sigma_route(ensemble, ell, modulus):
+    statuses = Counter()
+    for m in (1, ell, 2 * ell - 1):
+        for r in range(ell):
+            args = (ensemble, m, Progression(ell, r), modulus, SHARP_NATURAL)
+            rec = certify(*args)
+            assert rec == sigma_route_record(*args)
+            statuses[rec.status] += 1
+            if ensemble == ORDINARY:
+                # the plain twin has the same values, since c(d) = 1
+                plain = certify(*args, weight=DivisorWeight(m))
+                assert plain == rec._replace(weight=DivisorWeight(m).describe())
+    if modulus == ell:
+        # M_1(ell*n) = ell*n*b(ell*n) = 0, and most other classes fail
+        assert statuses["PASS"] and statuses["FAIL"]
+
+
+def test_first_moments_are_exact_past_int64_products():
+    # t * b(t) for t near 2**62: int64 holds it only with t reduced first,
+    # and past fits_int64(1, p) only Python ints hold it
+    t = np.array([2**62 + 5, 2**40 + 1, 3, 0], dtype=np.int64)
+    for modulus in (2**31 - 1, 3037000493, 2**61 - 1):
+        b = np.array([modulus - 1, modulus - 2, 1, 7], dtype=np.int64)
+        expect = [int(x) * int(y) % modulus for x, y in zip(t, b)]
+        assert congruence._first_moments(t, b, modulus).tolist() == expect
+
+
+def count_sigma_tables(monkeypatch) -> list:
+    """The weights of every sigma table certify builds from scratch."""
+    built = []
+    original = congruence.weighted_sigma_table
+    monkeypatch.setattr(
+        congruence, "weighted_sigma_table", lambda w, n, ring: built.append(w) or original(w, n, ring)
+    )
+    return built
+
+
+@pytest.mark.parametrize(
+    "ensemble,m,prog,modulus,weight",
+    [
+        (ORDINARY, 1, Progression(23, 0), 23, None),
+        (ORDINARY, 11, Progression(11, 6), 11, None),
+        (ORDINARY, 5, Progression(7, 3), 5, None),
+        (ORDINARY, 3, Progression(5, 4), 3, DivisorWeight(3, coloured_ensemble(1))),
+        (OVERPARTITION, 13, Progression(13, 0), 13, None),
+        (OVERPARTITION, 7, Progression(5, 0), 2, None),
+        (K1_QUOTIENT, 1, Progression(5, 3), 5, None),
+    ],
+    ids=["ordinary", "ordinary-r6", "ell-not-p", "coloured1-rule", "overpartition", "p2", "k1-quotient"],
+)
+def test_certify_builds_no_sigma_for_canonical_first_moments(monkeypatch, ensemble, m, prog, modulus, weight):
+    built = count_sigma_tables(monkeypatch)
+    monkeypatch.setattr(congruence, "_projected_moment_values", lambda *a: pytest.fail("projected"))
+    monkeypatch.setattr(congruence, "_extend_sigma_table", lambda *a: pytest.fail("extended sigma"))
+    certify(ensemble, m, prog, modulus, SturmConfig(CONSERVATIVE12, "safe"), weight=weight)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "ensemble,m,prog,modulus,weight",
+    [
+        (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1, GlaisherFilter.kronecker(5))),
+        (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1, GlaisherFilter.odd_divisors())),
+        (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1)),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, OVERPARTITION)),
+        (OVERPARTITION, 1, Progression(5, 0), 5, DivisorWeight(1, ORDINARY)),
+        # m = 1 (mod ell - 1), but not (mod p - 1): the gate is on the modulus
+        (ORDINARY, 5, Progression(5, 4), 7, None),
+        (OVERPARTITION, 13, Progression(13, 0), 11, None),
+    ],
+    ids=["twist", "filter", "plain", "overpartition-rule", "ordinary-rule", "ell-not-p", "ell-not-p-over"],
+)
+def test_certify_builds_sigma_off_the_canonical_first_moments(monkeypatch, ensemble, m, prog, modulus, weight):
+    built = count_sigma_tables(monkeypatch)
+    certify(ensemble, m, prog, modulus, SHARP_NATURAL, weight=weight)
+    assert len(built) == 1
+
+
+def test_certify_pass_sums_sigma_once(monkeypatch):
+    from freqmoments import divisorweights
+
+    sums = []
+    original = divisorweights._divisor_sums_mod
+
+    def recording(terms, modulus, start=0):
+        sums.append((terms.shape[-1], start))
+        return original(terms, modulus, start)
+
+    monkeypatch.setattr(divisorweights, "_divisor_sums_mod", recording)
+    rec = certify(ORDINARY, 3, Progression(7, 5), 7, SturmConfig(CONSERVATIVE12, "safe"))
+    probe = 7 * congruence._PROBE_ROWS + 5 + 1
+    assert rec.status == "PASS" and rec.bound_b > congruence._PROBE_ROWS
+    # the full stage forms the terms to 7B + 5 but sums only past the probe
+    assert sums == [(probe, 0), (rec.max_index_checked + 1, probe)]
+
+
 @pytest.fixture(scope="module")
 def oracle_table():
     return frequency_oracle(ORACLE_GUARD)

@@ -261,31 +261,65 @@ def certify(
     L = lcm(ell, conductor) are also the paper's convention, not a level
     the code proves.
 
-    The values come by one of two routes, with the same record.  The
-    first-moment route is gated on the ensemble's own canonical weights
-    (the weight's selector an Ensemble with this eta) and m = 1 (mod
-    modulus - 1): then d^m = d (mod modulus) for every d >= 1, so M(t) =
-    M_1(t) = t b(t) (mod modulus), read off the companion by
-    _first_moments, and no sigma table or polyphase product is built.
+    The values come by one of three routes, with the same record.  The
+    first-moment gate is the ensemble's own canonical weights (the
+    weight's selector an Ensemble with this eta) and m = 1 (mod modulus -
+    1): then d^m = d (mod modulus) for every d >= 1, so M(t) = M_1(t) =
+    t b(t) (mod modulus).  The zero-class route is that gate with modulus
+    dividing ell and r: it divides every t = ell*n + r, so every value is
+    0 and the record is a PASS to ell*B + r with nothing built.  The
+    first-moment route, the rest of the gate, reads t b(t) off the
+    companion by _first_moments, with no sigma table or polyphase product.
     Every other weight takes the sigma route: the weighted sigma table,
     the full stage's extended from the probe's, against the companion by
-    _projected_moment_values.  Both build the companion to ell*rows + r at
-    each stage, for every r.
+    _projected_moment_values.
 
-    Before anything is built, a certification needing more than max_coeffs
-    coefficients, or a companion past fits_newton beyond
-    q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
+    Before anything is built, on every route, a certification needing
+    more than max_coeffs coefficients, or a companion past fits_newton
+    beyond q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
     """
     weight, level, bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs)
-    ring = CoefficientRing.integers_mod(modulus)
-    first_moment = (
+    zero_class = _zero_class(ensemble, weight, m, prog, modulus)
+    witness = None if zero_class else _first_witness(ensemble, weight, m, prog, modulus, bound)
+    max_index = n_max if witness is None else witness[1]
+    return CertificationRecord(
+        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * level, bound,
+        max_index_checked=max_index,
+        status="PASS" if witness is None else "FAIL",
+        fail_witness=witness,
+    )
+
+
+def _first_moment_route(ensemble, weight, m, modulus) -> bool:
+    """certify's first-moment gate: the ensemble's own canonical weights
+    and m = 1 (mod modulus - 1), so that M(t) = t b(t) (mod modulus)."""
+    return (
         isinstance(weight.selector, Ensemble)
         and weight.selector.eta == ensemble.eta
         and (m - 1) % (modulus - 1) == 0
     )
-    witness = sigma = None
+
+
+def _zero_class(ensemble, weight, m, prog, modulus) -> bool:
+    """The first-moment gate with modulus dividing ell and r (for a prime
+    ell and 0 <= r < ell, modulus = ell and r = 0): modulus divides every
+    t = ell*n + r, so every value t b(t) is 0 mod modulus."""
+    return (
+        _first_moment_route(ensemble, weight, m, modulus)
+        and prog.ell % modulus == prog.r % modulus == 0
+    )
+
+
+def _first_witness(ensemble, weight, m, prog, modulus, bound) -> tuple[int, int, int] | None:
+    """The first (n, t, value) with value = M(t) != 0 mod modulus, t =
+    ell*n + r and n <= bound, or None: a probe of rows 0..min(bound,
+    _PROBE_ROWS) first, then, unless it found one, all bound + 1 rows."""
+    ring = CoefficientRing.integers_mod(modulus)
+    first_moment = _first_moment_route(ensemble, weight, m, modulus)
+    sigma = None
     # a short probe first: a FAIL usually shows in its first rows, and then
-    # the series up to n_max are never built
+    # the series up to ell*bound + r are never built
     for rows in sorted({min(bound, _PROBE_ROWS), bound}):
         top = prog.ell * rows + prog.r
         # the companion first, so that Newton's FFT workspace is freed
@@ -304,18 +338,8 @@ def certify(
             values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
         for n, value in enumerate(values):
             if value != 0:
-                witness = (n, prog.ell * n + prog.r, value)
-                break
-        if witness is not None:
-            break
-    max_index = n_max if witness is None else witness[1]
-    return CertificationRecord(
-        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
-        config.mode, config.level_model, 4 * level, bound,
-        max_index_checked=max_index,
-        status="PASS" if witness is None else "FAIL",
-        fail_witness=witness,
-    )
+                return n, prog.ell * n + prog.r, value
+    return None
 
 
 def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> tuple[DivisorWeight, int, int, int]:
@@ -444,11 +468,13 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
 # 8.4 M, 0.516 / 0.515 against 0.469 / 0.585.
 #
 # certify_batch weighs a certified coefficient (companion, sigma table and
-# projection, to ell*B + r) as _CERTIFY_COEFF_COST scan coefficients, so it
-# starts workers from 3 * 10**5 certified coefficients.  certify_batch wall
-# seconds at jobs=1 against jobs=2 on two CPUs, for the reduced triples with
-# ell <= 31, 41 and 61: 155 k coefficients, 0.13-0.14 against 0.14-0.16;
-# 339 k, 0.24-0.29 against 0.21-0.24; 1.5 M, 1.1-1.2 against 0.7-0.8.
+# projection, to ell*B + r) as _CERTIFY_COEFF_COST scan coefficients, and a
+# zero class, which builds nothing, as none, so it starts workers from
+# 3 * 10**5 certified coefficients.  certify_batch wall seconds at jobs=1
+# against jobs=2 on two CPUs, while zero classes still built their series,
+# for the reduced triples with ell <= 31, 41 and 61: 155 k coefficients,
+# 0.13-0.14 against 0.14-0.16; 339 k, 0.24-0.29 against 0.21-0.24; 1.5 M,
+# 1.1-1.2 against 0.7-0.8.
 _POOL_MIN_COEFFS = 6_000_000
 _CERTIFY_COEFF_COST = 20
 
@@ -636,25 +662,31 @@ def scan(
     return ScanReport(ensemble.name, family, ms, ells, n_scan, include_r0, hits)
 
 
-def certify_batch(tasks, *, jobs: int = 1) -> list[CertificationRecord]:
+def certify_batch(tasks, *, jobs: int = 1, max_coeffs: int = DEFAULT_COEFF_BUDGET) -> list[CertificationRecord]:
     """Run a list of certification task tuples, optionally in parallel.
 
     Each task is (ensemble, m, prog, modulus, config) or the same with a
-    weight appended.  Every task is checked and sized by certify's own
-    _certify_plan before any series is built, so a task certify would
-    refuse raises its ValueError or ResourceLimitError first.  The tasks
-    run on up to jobs worker processes when _CERTIFY_COEFF_COST times the
-    sum of their ell*B + r + 1 reaches _POOL_MIN_COEFFS, and in this process
+    weight appended, and runs as certify with max_coeffs.  Every task is
+    checked and sized by certify's own _certify_plan before any series is
+    built, so a task certify would refuse raises its ValueError or
+    ResourceLimitError first.  A task checks ell*B + r + 1 coefficients,
+    or none in the zero class (_zero_class), which builds nothing.  The
+    tasks run on up to jobs worker processes when _CERTIFY_COEFF_COST
+    times the sum reaches _POOL_MIN_COEFFS, and in this process
     otherwise.  Results come back in task order regardless of jobs.
     """
-    normalized = [task if len(task) == 6 else (*task, None) for task in tasks]
-    coeffs = sum(_certify_plan(*task, DEFAULT_COEFF_BUDGET)[3] + 1 for task in normalized)
+    normalized = [(*task, None, max_coeffs) if len(task) == 5 else (*task, max_coeffs) for task in tasks]
+    coeffs = 0
+    for ensemble, m, prog, modulus, config, weight, budget in normalized:
+        weight, _level, _bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, budget)
+        if not _zero_class(ensemble, weight, m, prog, modulus):
+            coeffs += n_max + 1
     return _map_tasks(_certify_task, normalized, _pool_jobs(jobs, _CERTIFY_COEFF_COST * coeffs))
 
 
 def _certify_task(task) -> CertificationRecord:
-    ensemble, m, prog, modulus, config, weight = task
-    return certify(ensemble, m, prog, modulus, config, weight=weight)
+    ensemble, m, prog, modulus, config, weight, max_coeffs = task
+    return certify(ensemble, m, prog, modulus, config, weight=weight, max_coeffs=max_coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,82 @@ def test_certify_pass_sums_sigma_once(monkeypatch):
     assert sums == [(probe, 0), (rec.max_index_checked + 1, probe)]
 
 
+# --- the zero class: p | ell and p | r, a PASS with nothing built ------------
+
+
+def build_nothing(monkeypatch):
+    """Make every series certify could build, and t*b(t), fail the test."""
+    for name in ("companion_series", "weighted_sigma_table", "_extend_sigma_table", "_first_moments"):
+        monkeypatch.setattr(congruence, name, lambda *a, _name=name, **k: pytest.fail(f"called {_name}"))
+
+
+ZERO_CLASS_CONFIGS = [SHARP_NATURAL, SturmConfig(CONSERVATIVE12, "safe")]
+
+
+@pytest.mark.parametrize("config", ZERO_CLASS_CONFIGS, ids=["sharp24-natural", "conservative12-safe"])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+@pytest.mark.parametrize(
+    "ensemble", [ORDINARY, OVERPARTITION, K1_QUOTIENT], ids=["ordinary", "overpartition", "k1-quotient"]
+)
+def test_zero_class_record_equals_the_sigma_route(monkeypatch, ensemble, ell, config):
+    expect = {m: sigma_route_record(ensemble, m, Progression(ell, 0), ell, config) for m in (1, ell, 2 * ell - 1)}
+    build_nothing(monkeypatch)
+    for m, want in expect.items():
+        assert want.status == "PASS"
+        assert certify(ensemble, m, Progression(ell, 0), ell, config) == want
+
+
+def test_zero_class_cli_both_levels_builds_nothing(monkeypatch, capsys):
+    from freqmoments.cli import main
+
+    build_nothing(monkeypatch)
+    argv = ["certify", "--m", "1", "--ell", "97", "--r", "0", "--prime", "97", "--both-levels", "--format", "json"]
+    assert main(argv) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [(r["level"], r["status"], r["max_index_checked"]) for r in records] == [
+        (4 * 97, "PASS", 97 * records[0]["bound_B"]),
+        (4 * 97**2, "PASS", 97 * records[1]["bound_B"]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ensemble,m,prog,modulus,weight",
+    [
+        (ORDINARY, 1, Progression(5, 4), 5, None),
+        (OVERPARTITION, 5, Progression(5, 1), 5, None),
+        # p = 2 does not divide ell = 5, so t = 5n is odd for odd n
+        (ORDINARY, 1, Progression(5, 0), 2, None),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, GlaisherFilter.kronecker(5))),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, GlaisherFilter.odd_divisors())),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1)),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, OVERPARTITION)),
+        (OVERPARTITION, 1, Progression(5, 0), 5, DivisorWeight(1, ORDINARY)),
+    ],
+    ids=["r-nonzero", "r-nonzero-over", "p-not-ell", "twist", "filter", "plain", "overpartition-rule", "ordinary-rule"],
+)
+def test_certify_builds_the_companion_off_the_zero_class(monkeypatch, ensemble, m, prog, modulus, weight):
+    args = (ensemble, m, prog, modulus, SHARP_NATURAL)
+    expect = sigma_route_record(*args, weight)
+    sizes = record_companion_sizes(monkeypatch)
+    assert certify(*args, weight=weight) == expect
+    assert sizes and sizes[0] == prog.ell * min(expect.bound_b, congruence._PROBE_ROWS) + prog.r
+
+
+@pytest.mark.parametrize("ell", [281, 283])
+@pytest.mark.parametrize("ensemble", [ORDINARY, OVERPARTITION], ids=["ordinary", "overpartition"])
+def test_zero_class_past_the_range_still_refuses(monkeypatch, ensemble, ell):
+    # 281: past the scalar companion cap; 283: over the default budget.  The
+    # values would be 0 with nothing built, but certify refuses what it
+    # could not check on its other routes, so the refusal does not hang on
+    # the route
+    build_nothing(monkeypatch)
+    task = (ensemble, 1, Progression(ell, 0), ell, SturmConfig(CONSERVATIVE12, "safe"))
+    with pytest.raises(ResourceLimitError):
+        certify(*task)
+    with pytest.raises(ResourceLimitError):
+        certify_batch([task])
+
+
 @pytest.fixture(scope="module")
 def oracle_table():
     return frequency_oracle(ORACLE_GUARD)
@@ -1213,8 +1289,9 @@ def test_certify_batch_starts_a_pool_from_the_constant_on(pool_spy, monkeypatch)
     records = certify_batch(BATCH_TASKS, jobs=2)
     assert {rec.status for rec in records} == {"PASS"}
     # a PASS checks ell*B + r + 1 coefficients, each weighed as
-    # _CERTIFY_COEFF_COST scan coefficients
-    work = congruence._CERTIFY_COEFF_COST * sum(rec.max_index_checked + 1 for rec in records)
+    # _CERTIFY_COEFF_COST scan coefficients; the overpartition (5, 5, 0)
+    # is a zero class, which builds nothing and counts none
+    work = congruence._CERTIFY_COEFF_COST * sum(rec.max_index_checked + 1 for rec in records[:3])
     monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", work + 1)
     assert certify_batch(BATCH_TASKS, jobs=2) == records
     monkeypatch.setattr(congruence, "_POOL_MIN_COEFFS", work)
@@ -1222,15 +1299,45 @@ def test_certify_batch_starts_a_pool_from_the_constant_on(pool_spy, monkeypatch)
         certify_batch(BATCH_TASKS, jobs=2)
 
 
-def test_reduced_full_range_certifications_start_a_pool(pool_spy):
+def test_reduced_full_range_certifications_run_in_this_process(pool_spy):
     # the 31 (mbar, ell, r) the full-range survivors reduce to, about
-    # 7.2 * 10**6 coefficients at conservative12/safe
+    # 7.2 * 10**6 coefficients at conservative12/safe; the 23 (1, ell, 0)
+    # are zero classes, so the other 8 check 26,829 of them
     triples = {((m - 1) % (ell - 1) + 1, ell, r) for m, ell, r in predicted_hits(FULL_MS, DESK_ELLS)}
     assert len(triples) == 31
     config = SturmConfig(CONSERVATIVE12, "safe")
     tasks = [(ORDINARY, m, Progression(ell, r), ell, config) for m, ell, r in sorted(triples)]
-    with pytest.raises(PoolStarted, match="2"):
-        certify_batch(tasks, jobs=2)
+    records = certify_batch(tasks, jobs=2)
+    assert {rec.status for rec in records} == {"PASS"}
+    assert sum(rec.max_index_checked + 1 for rec in records) == 7_170_149
+    checked = [rec.max_index_checked + 1 for rec in records if (rec.m, rec.r) != (1, 0)]
+    assert (len(checked), sum(checked)) == (8, 26_829)
+
+
+def test_zero_class_batch_at_the_top_of_the_range_starts_no_pool(pool_spy, monkeypatch):
+    # about 1.3 * 10**6 coefficients a task: a pool if the tasks counted them
+    build_nothing(monkeypatch)
+    config = SturmConfig(CONSERVATIVE12, "safe")
+    tasks = [(ensemble, 1, Progression(ell, 0), ell, config) for ensemble in (ORDINARY, OVERPARTITION) for ell in (89, 97)]
+    records = certify_batch(tasks, jobs=2)
+    assert {rec.status for rec in records} == {"PASS"}
+    assert [rec.max_index_checked for rec in records] == [1_069_335, 1_383_123] * 2
+
+
+def test_certify_batch_passes_its_budget_to_certify(monkeypatch):
+    task = (ORDINARY, 3, Progression(7, 5), 7, SHARP_SAFE)
+    need = certify(*task).max_index_checked + 1
+    budgets = []
+    original = congruence.certify
+    monkeypatch.setattr(
+        congruence, "certify", lambda *a, max_coeffs, **k: budgets.append(max_coeffs) or original(*a, max_coeffs=max_coeffs, **k)
+    )
+    assert certify_batch([task], max_coeffs=need)[0].status == "PASS"
+    assert budgets == [need]
+    sizes = record_companion_sizes(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=f"budget of {need - 1}"):
+        certify_batch([task, task], max_coeffs=need - 1)
+    assert sizes == [] and budgets == [need]
 
 
 def test_record_json_fields():

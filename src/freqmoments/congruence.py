@@ -23,7 +23,6 @@ from .divisorweights import (
     DivisorWeight,
     GlaisherFilter,
     _divisor_sums_mod,
-    _extend_sigma_table,
     _weight_terms_mod,
     _weight_values_mod,
     filter_modular_data,
@@ -167,8 +166,8 @@ class CertificationRecord(NamedTuple):
 CSV_HEADER = "m,ell,r,prime,L,model,sturm_B,max_index,status"
 
 
-def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, count: int):
-    """Yield M(ell*n + r) mod modulus for n = 0..count-1 in order.
+def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, count: int) -> np.ndarray:
+    """M(ell*n + r) mod modulus for n = 0..count-1, as an array.
 
     With t = ell*n + r and d = ell*i + j (0 <= j < ell), the term
     sigma(d) comp(t - d) of M(t) has t - d = ell*(n - i) + (r - j) when
@@ -196,7 +195,7 @@ def _projected_moment_values(sigma: Series, comp: Series, ell: int, r: int, coun
         if rows > 0:
             part = _convolve_mod(sig[j::ell][:rows], cmp[(r - j) % ell :: ell][:rows], modulus)
             total[shift:] += part.astype(total.dtype, copy=False)
-    yield from (total % modulus).tolist()
+    return total % modulus
 
 
 def _first_moments(t: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
@@ -271,7 +270,7 @@ def certify(
     first-moment route, the rest of the gate, reads t b(t) off the
     companion by _first_moments, with no sigma table or polyphase product.
     Every other weight takes the sigma route: the weighted sigma table,
-    the full stage's extended from the probe's, against the companion by
+    built whole at each stage, against the companion by
     _projected_moment_values.
 
     Before anything is built, on every route, a certification needing
@@ -317,28 +316,24 @@ def _first_witness(ensemble, weight, m, prog, modulus, bound) -> tuple[int, int,
     _PROBE_ROWS) first, then, unless it found one, all bound + 1 rows."""
     ring = CoefficientRing.integers_mod(modulus)
     first_moment = _first_moment_route(ensemble, weight, m, modulus)
-    sigma = None
     # a short probe first: a FAIL usually shows in its first rows, and then
     # the series up to ell*bound + r are never built
     for rows in sorted({min(bound, _PROBE_ROWS), bound}):
         top = prog.ell * rows + prog.r
         # the companion first, so that Newton's FFT workspace is freed
         # before sigma's table is built; the full series continues from the
-        # probe's, which euler_product_coefficients holds, and the full sigma
-        # table extends the probe's
+        # probe's, which companion_block holds
         comp = companion_series(ensemble, top, ring)
         if first_moment:
             t = np.arange(prog.r, top + 1, prog.ell)
-            values = _first_moments(t, comp.coeffs[prog.r :: prog.ell], modulus).tolist()
+            values = _first_moments(t, comp.coeffs[prog.r :: prog.ell], modulus)
         else:
-            if sigma is None:
-                sigma = weighted_sigma_table(weight, top, ring)
-            else:
-                sigma = _extend_sigma_table(sigma, weight, top)
+            sigma = weighted_sigma_table(weight, top, ring)
             values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
-        for n, value in enumerate(values):
-            if value != 0:
-                return n, prog.ell * n + prog.r, value
+        nonzero = np.flatnonzero(values)
+        if len(nonzero):
+            n = int(nonzero[0])
+            return n, prog.ell * n + prog.r, int(values[n])
     return None
 
 

@@ -282,12 +282,11 @@ def _weight_terms_mod(exponents, w: np.ndarray | None, n: int, modulus: int) -> 
     return terms
 
 
-def _divisor_sums_mod(terms: np.ndarray, modulus: int | None, start: int = 0) -> np.ndarray:
-    """a(k) = sum_{d | k} terms[..., d] along the last axis, for k =
-    start..n, reduced mod modulus unless it is None, in terms' dtype, in
-    about 2*sqrt(n) slices of the whole block: one stride per divisor
-    d <= sqrt(n), one per cofactor j for d > sqrt(n).  Each slice starts at
-    its first multiple k >= start, so no sum below start is formed."""
+def _divisor_sums_mod(terms: np.ndarray, modulus: int | None) -> np.ndarray:
+    """a(k) = sum_{d | k} terms[..., d] along the last axis, reduced mod
+    modulus unless it is None, in terms' dtype, in about 2*sqrt(n) slices of
+    the whole block: one stride per divisor d <= sqrt(n), one per cofactor j
+    for d > sqrt(n)."""
     n = terms.shape[-1] - 1
     # a(k) starts at term(k), the divisor d = k (so a(0) is term(0), a zero
     # of the ring), and the slices below add the divisors d < k
@@ -296,21 +295,11 @@ def _divisor_sums_mod(terms: np.ndarray, modulus: int | None, start: int = 0) ->
     # scalars and a block adds one term per row
     by_d, table_by_d = terms.T, table.T
     root = isqrt(n)
-    # a slice starts at its first multiple k >= start: 2d for d >= d_split
-    # and j * (root + 1) for j >= j_split, as at start = 0, where only those
-    # two loops run
-    d_split, j_split = min(root + 1, max(1, (start + 1) // 2)), max(2, -(-start // (root + 1)))
-    for d in range(1, d_split):
-        table_by_d[-(-start // d) * d :: d] += by_d[d]
-    for d in range(d_split, root + 1):
+    for d in range(1, root + 1):
         table_by_d[2 * d :: d] += by_d[d]
-    for j in range(2, min(j_split, n // (root + 1) + 1)):
-        low, top = -(-start // j), n // j
-        table_by_d[j * low : j * top + 1 : j] += by_d[low : top + 1]
-    for j in range(j_split, n // (root + 1) + 1):
+    for j in range(2, n // (root + 1) + 1):
         top = n // j
         table_by_d[j * (root + 1) : j * top + 1 : j] += by_d[root + 1 : top + 1]
-    table = table[..., start:]
     if modulus is not None:
         table %= modulus
     return table
@@ -325,15 +314,6 @@ def weighted_sigma_table(weight: DivisorWeight, n: int, ring: CoefficientRing) -
     """a(k) = sum_{d | k} w(d) * d^m for the given divisor weight: the
     _sigma_terms summed by _divisor_sums_mod."""
     return Series(ring, _divisor_sums_mod(_sigma_terms(weight, n, ring), ring.modulus))
-
-
-def _extend_sigma_table(sigma: Series, weight: DivisorWeight, n: int) -> Series:
-    """weighted_sigma_table(weight, n, sigma.ring), given sigma, the same
-    table to a shorter length: the terms are formed to n, since every d
-    may divide a k past sigma, but only the sums a(k) past sigma."""
-    terms = _sigma_terms(weight, n, sigma.ring)
-    tail = _divisor_sums_mod(terms, sigma.ring.modulus, len(sigma))
-    return Series(sigma.ring, np.concatenate((sigma.coeffs, tail)))
 
 
 def _sigma_terms(weight: DivisorWeight, n: int, ring: CoefficientRing) -> np.ndarray:

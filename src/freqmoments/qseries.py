@@ -280,19 +280,20 @@ def fits_float64(terms: int, modulus: int) -> bool:
 
 
 def _multiply_by_sparse_shifted(
-    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus: int | None
+    coeffs: np.ndarray, terms: list[tuple[int, int]], modulus
 ) -> None:
-    """In place: coeffs *= S, one shifted-slice add per term of S, then
-    reduced mod modulus unless it is None."""
-    n1 = len(coeffs)
+    """In place: coeffs *= S along the last axis, one shifted-slice add per
+    term of S, then reduced mod modulus unless it is None.  A 2-D coeffs is
+    a block of series, one a row, with modulus a column of moduli."""
+    n1 = coeffs.shape[-1]
     original = coeffs.copy()
     for e, sign in terms:
         if e >= n1:
             break
         if sign > 0:
-            coeffs[e:] += original[: n1 - e]
+            coeffs[..., e:] += original[..., : n1 - e]
         else:
-            coeffs[e:] -= original[: n1 - e]
+            coeffs[..., e:] -= original[..., : n1 - e]
     if modulus is not None:
         coeffs %= modulus
 
@@ -303,39 +304,41 @@ def _theta4_terms(n_max: int) -> list[tuple[int, int]]:
     return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(n_max) + 1)]
 
 
-def _pentagonal_product(factors: list, n1: int, modulus: int, scale: int = 1) -> np.ndarray:
+def _pentagonal_product(factors: list, n1: int, moduli: np.ndarray, scale: int = 1) -> np.ndarray:
     """The product of the sparse factors 1 + sum sign*q^exp in `factors`
-    to n1 terms, as an int32 array mod modulus; the first factor's terms
-    carry the factor scale (2 for theta_4, the only factor of its product).
+    to n1 terms mod each entry of the column `moduli`, as an int32 block
+    with one row per modulus; the first factor's terms carry the factor
+    scale (2 for theta_4, the only factor of its product).
 
     Only the Newton path calls this, whose guard fits_newton(n1 - 1,
     modulus) admits no modulus above 113,849; a slice sum of
     _multiply_by_sparse_shifted, below (number of terms + 1) * modulus,
     then stays below 5 * 10**6 at every n1, far inside int32.
     """
-    coeffs = np.zeros(n1, dtype=np.int32)
-    coeffs[0] = 1
+    coeffs = np.zeros((len(moduli), n1), dtype=np.int32)
+    coeffs[:, 0] = 1
     if factors:
         # the first factor times 1 is that factor: place its terms directly
-        for e, sign in factors[0]:
-            coeffs[e] = scale * sign % modulus
+        for row, p in zip(coeffs, moduli.ravel().tolist()):
+            for e, sign in factors[0]:
+                row[e] = scale * sign % p
         for terms in factors[1:]:
-            _multiply_by_sparse_shifted(coeffs, terms, modulus)
+            _multiply_by_sparse_shifted(coeffs, terms, moduli)
     return coeffs
 
 
 def fits_newton(n: int, modulus: int) -> bool:
     """True when an eta-quotient to q^n over Z/modulus inverts its
     denominator by Newton's iteration and holds the inverse (see
-    euler_product_coefficients): fits_fft(top, top, modulus) with top =
-    max(n + 1, FFT_MIN_TERMS).  Past it the denominator is divided out by
-    the scalar recurrence of _divide_by_sparse, and nothing is held."""
+    companion_block): fits_fft(top, top, modulus) with top = max(n + 1,
+    FFT_MIN_TERMS).  Past it the denominator is divided out by the scalar
+    recurrence of _divide_by_sparse, and nothing is held."""
     top = max(n + 1, FFT_MIN_TERMS)
     return fits_fft(top, top, modulus)
 
 
-# The last denominator inverse euler_product_coefficients built by Newton:
-# (eta, modulus, read-only int64 coefficients), or None.
+# The last block of denominator inverses companion_block built by Newton:
+# (eta, moduli, read-only int64 block, one row per modulus), or None.
 _held = None
 
 
@@ -361,51 +364,24 @@ def euler_product_coefficients(ensemble: Ensemble, n: int, ring: CoefficientRing
     f(q^d)^m_d for m_d > 0, except that the overpartitions' f(q)^2 / f(q^2)
     is Gauss's theta_4 = 1 + 2 sum_{k>=1} (-1)^k q^{k^2}.
 
-    Over Z/N under fits_newton(n, N), the denominator is written densely
-    by shifted-slice products and inverted by _newton_inverse, O(n log n).
-    The last inverse is held: a request for the same eta and modulus up to
-    its length is a read-only prefix view of it (so ordinary partitions and
-    coloured(1) share one), a longer one continues Newton's iteration from
-    it into a new array, and another eta drops it before anything is built,
-    so at most one series is held.  The numerator is multiplied into a copy
-    by shifted-slice products, O(n^1.5) each; a product without a
-    denominator (eta powers) is that product alone and leaves the hold as
-    it is.
-
+    Over Z/N under fits_newton(n, N) this is the one-row companion_block.
     Over Z, and over Z/N past fits_newton, each denominator factor is
     divided out by the scalar subtraction recurrence of _divide_by_sparse,
     O(n^1.5) interpreted ring operations, and the numerator's factors are
-    multiplied in by the same shifted-slice products on an object array.
-    Nothing is rounded unchecked on any path, so a certification built on
-    them remains a proof.
+    multiplied in by shifted-slice products on an object array, so no slice
+    sum can overflow, whatever the modulus.  Nothing is rounded unchecked
+    on any path, so a certification built on them remains a proof.
     """
-    global _held
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    eta, modulus = ensemble.eta, ring.modulus
-    denominator, scale, numerator = _eta_factors(eta, n)
-    if modulus is None or not fits_newton(n, modulus):
-        scalar = [1] + [0] * n
-        for terms in denominator:
-            _divide_by_sparse(scalar, terms(n), modulus, scale)
-        # object dtype: no slice sum below can overflow, whatever the modulus
-        coeffs = np.array(scalar, dtype=object)
-    elif not denominator:
-        return Series(ring, _pentagonal_product(numerator, n + 1, modulus))
-    else:
-        prefix = _held[2] if _held is not None and _held[:2] == (eta, modulus) else None
-        if prefix is not None and n < len(prefix):
-            coeffs = prefix[: n + 1]
-        else:
-            _held = None
-            dense = _pentagonal_product([terms(n) for terms in denominator], n + 1, modulus, scale)
-            # Newton runs in int32, like the denominator: an int64 series alive
-            # through the top step would raise the peak by 4 bytes a coefficient
-            coeffs = _newton_inverse(dense, modulus, prefix).astype(np.int64)
-            coeffs.flags.writeable = False
-            _held = (eta, modulus, coeffs)
-        if numerator:
-            coeffs = coeffs.copy()
+    modulus = ring.modulus
+    if modulus is not None and fits_newton(n, modulus):
+        return companion_block(ensemble, n, [modulus])[0]
+    denominator, scale, numerator = _eta_factors(ensemble.eta, n)
+    scalar = [1] + [0] * n
+    for terms in denominator:
+        _divide_by_sparse(scalar, terms(n), modulus, scale)
+    coeffs = np.array(scalar, dtype=object)
     for terms in numerator:
         _multiply_by_sparse_shifted(coeffs, terms, modulus)
     return Series(ring, coeffs)
@@ -418,28 +394,54 @@ companion_series = euler_product_coefficients
 def companion_block(ensemble: Ensemble, n: int, moduli) -> list[Series]:
     """companion_series(ensemble, n, Z/p) for each p in moduli, in order.
 
-    The denominators of every p under fits_newton(n, p) are inverted as one
-    block: _newton_inverse runs on their dense denominators, one row per p,
-    with the column of moduli, so a step of Newton's iteration is one
-    float64 FFT product for all of them where each series alone would take
-    its own.  Every other p, and every p of a product with no denominator,
-    is built alone by euler_product_coefficients.  The block leaves the
-    held series as it is.  The caller bounds the rows of a block, since its
-    workspace grows with rows times the FFT size of the top Newton step.
+    The p under fits_newton(n, p) form one block, a row each: their dense
+    denominators (int32, by shifted-slice products) are inverted together
+    by _newton_inverse, O(n log n), so a step of Newton's iteration is one
+    float64 FFT product for all of them.  The numerator is multiplied into
+    a copy by shifted-slice products, O(n^1.5); a product with no
+    denominator (eta powers) is that product alone.  Every other p takes
+    the scalar recurrence of euler_product_coefficients.  The caller bounds
+    the rows, since the workspace grows with rows times the FFT size of the
+    top Newton step.
+
+    The last block inverted is held, keyed by eta and its moduli.  A
+    request with both the same reads read-only prefix views of it (so
+    ordinary partitions and coloured(1) share one), or continues Newton's
+    iteration from it, as a certification's full stage continues its
+    probe's; any other request drops it before anything is built, so a
+    scan's block replaces a certification's row.  A product with no
+    denominator leaves it alone.
     """
-    denominator, scale, numerator = _eta_factors(ensemble.eta, n)
-    newton = [p for p in moduli if fits_newton(n, p)] if denominator else []
-    built = {}
-    if newton:
-        factors = [terms(n) for terms in denominator]
-        dense = np.stack([_pentagonal_product(factors, n + 1, p, scale) for p in newton])
-        inverses = _newton_inverse(dense, np.array(newton, dtype=np.int64)[:, None])
-        for p, coeffs in zip(newton, inverses.astype(np.int64)):
+    global _held
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    eta = ensemble.eta
+    denominator, scale, numerator = _eta_factors(eta, n)
+    newton = tuple([p for p in moduli if fits_newton(n, p)])
+    column = np.array(newton, dtype=np.int64)[:, None]
+    rows = ()
+    if not denominator:
+        rows = _pentagonal_product(numerator, n + 1, column)
+    elif newton:
+        prefix = _held[2] if _held is not None and _held[:2] == (eta, newton) else None
+        if prefix is not None and n < prefix.shape[-1]:
+            rows = prefix[:, : n + 1]
+        else:
+            _held = None
+            dense = _pentagonal_product([terms(n) for terms in denominator], n + 1, column, scale)
+            # Newton runs in int32, like the denominator: an int64 block alive
+            # through the top step would raise the peak by 4 bytes a coefficient
+            rows = _newton_inverse(dense, column, prefix).astype(np.int64)
+            rows.flags.writeable = False
+            _held = (eta, newton, rows)
+        if numerator:
+            rows = rows.copy()
             for terms in numerator:
-                _multiply_by_sparse_shifted(coeffs, terms, p)
-            built[p] = Series(CoefficientRing.integers_mod(p), coeffs)
+                _multiply_by_sparse_shifted(rows, terms, column)
+    built = dict(zip(newton, rows))
     return [
-        built[p] if p in built else euler_product_coefficients(ensemble, n, CoefficientRing.integers_mod(p))
+        Series(CoefficientRing(p), built[p]) if p in built
+        else euler_product_coefficients(ensemble, n, CoefficientRing(p))
         for p in moduli
     ]
 
@@ -548,8 +550,8 @@ def _fft_product(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray | Non
 
 def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus) -> np.ndarray | None:
     """Coefficients k..k2-1 of 1/a mod modulus, given a to k2 <= 2k terms
-    and g = 1/a to k terms; None when a rounding check fails.  a and g may
-    be 2-D blocks, one series a row, with modulus a column of moduli.
+    and g = 1/a to k terms; None when a rounding check fails.  a and g are
+    2-D blocks, one series a row, with modulus a column of moduli.
 
     One Newton step g - g*(a*g - 1), as two float64 FFT products of size
     S = 2**ceil(log2 k2) that share the transform of g.  a*g - 1 vanishes
@@ -590,46 +592,43 @@ def _newton_step_fft(a: np.ndarray, g: np.ndarray, modulus) -> np.ndarray | None
 
 
 def _newton_inverse(a: np.ndarray, modulus, prefix: np.ndarray | None = None) -> np.ndarray:
-    """1/a mod modulus to len(a) terms; a[0] must be a unit mod modulus.
-    prefix, when given, holds leading terms of 1/a already known.  A 2-D a
-    is a block of series, one a row, each inverted mod its own entry of
-    modulus, then a column of moduli, with no prefix.
+    """1/a to a.shape[-1] terms for each row of the 2-D block a, mod its own
+    entry of the column of moduli modulus; each a[i, 0] must be a unit.
+    prefix, when given, is a block with the same rows holding leading terms
+    of the inverses already known.
 
     Newton's step g <- g - g*(a*g - 1) takes k correct terms to k2 <= 2k.
-    The steps run top-down: the precisions are len(a), then each halved and
-    rounded up, down to the first at or below the known terms (prefix's, or
-    the one term a[0]**-1), so no step computes terms past len(a).  A step
-    from k terms with rows * k >= FFT_MIN_TERMS (one row for a single
-    series) under fits_fft(k2, k, largest modulus) runs as _newton_step_fft
-    on the whole block; any other step, and one whose rounding check fails,
-    runs row by row as two _convolve_mod products, which are exact in every
-    tier.  A single series takes the same steps as a one-row block.  The
+    The steps run top-down: the precisions are a.shape[-1], then each
+    halved and rounded up, down to the first at or below the known terms
+    (prefix's, or the one term a[i, 0]**-1), so no step computes terms past
+    a.shape[-1].  A step from k terms with rows * k >= FFT_MIN_TERMS under
+    fits_fft(k2, k, largest modulus) runs as _newton_step_fft on the whole
+    block; any other step, and one whose rounding check fails, runs row by
+    row as two _convolve_mod products, which are exact in every tier.  The
     result has a's dtype and shape.
     """
-    n1 = a.shape[-1]
-    rows = a.reshape(-1, n1)
-    moduli = [int(p) for p in np.ravel(modulus)] if a.ndim == 2 else [modulus]
-    known = 1 if prefix is None else max(1, len(prefix))
+    rows, n1 = a.shape
+    moduli = np.ravel(modulus).tolist()
+    known = 1 if prefix is None else max(1, prefix.shape[-1])
     schedule = []
     k = n1
     while k > known:
         schedule.append(k)
         k = (k + 1) // 2
     g = np.zeros_like(a)
-    inverses = g.reshape(-1, n1)
     if prefix is None:
-        for row, inverse, p in zip(rows, inverses, moduli):
+        for row, inverse, p in zip(a, g, moduli):
             inverse[0] = pow(int(row[0]), -1, p)
     else:
-        g[:k] = prefix[:k]
+        g[:, :k] = prefix[:, :k]
     for k2 in reversed(schedule):
         tail = None
-        if len(rows) * k >= FFT_MIN_TERMS and fits_fft(k2, k, max(moduli)):
-            tail = _newton_step_fft(a[..., :k2], g[..., :k], modulus)
+        if rows * k >= FFT_MIN_TERMS and fits_fft(k2, k, max(moduli)):
+            tail = _newton_step_fft(a[:, :k2], g[:, :k], modulus)
         if tail is not None:
-            g[..., k:k2] = tail
+            g[:, k:k2] = tail
         else:
-            for row, inverse, p in zip(rows, inverses, moduli):
+            for row, inverse, p in zip(a, g, moduli):
                 error = _convolve_mod(row[:k2], inverse[:k], p)[k:]
                 inverse[k:k2] = -_convolve_mod(error, inverse[:k], p) % p
         k = k2

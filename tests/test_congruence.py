@@ -155,21 +155,17 @@ def test_certify_failure_with_nonzero_first_n():
     assert all(M[5 * i] == 0 for i in range(n))
 
 
-def test_certify_fail_stops_at_witness(monkeypatch):
-    from freqmoments import congruence
-
-    evaluated = []
-    original = congruence._projected_moment_values
-
-    def counting(*args):
-        for value in original(*args):
-            evaluated.append(value)
-            yield value
-
-    monkeypatch.setattr(congruence, "_projected_moment_values", counting)
+def test_certify_fail_stops_at_witness():
+    # the witness is the first nonzero entry of the exact projection, and
+    # the record checks nothing past it
     rec = certify(ORDINARY, 3, Progression(5, 0), 5, SHARP_NATURAL)
     assert rec.status == "FAIL"
-    assert len(evaluated) == rec.fail_witness[0] + 1 < rec.bound_b + 1
+    exact = ensemble_moments(ORDINARY, 3, 5 * rec.bound_b, Z)
+    projected = [exact[5 * n] % 5 for n in range(rec.bound_b + 1)]
+    first = next(n for n, value in enumerate(projected) if value)
+    assert first < rec.bound_b
+    assert rec.fail_witness == (first, 5 * first, projected[first])
+    assert rec.max_index_checked == 5 * first
 
 
 def test_certify_monotone_in_evidence():
@@ -362,22 +358,24 @@ def count_sigma_tables(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "ensemble,m,prog,modulus,weight",
     [
-        (ORDINARY, 1, Progression(23, 0), 23, None),
+        (ORDINARY, 1, Progression(23, 5), 23, None),
         (ORDINARY, 11, Progression(11, 6), 11, None),
         (ORDINARY, 5, Progression(7, 3), 5, None),
         (ORDINARY, 3, Progression(5, 4), 3, DivisorWeight(3, coloured_ensemble(1))),
-        (OVERPARTITION, 13, Progression(13, 0), 13, None),
+        (OVERPARTITION, 13, Progression(13, 4), 13, None),
         (OVERPARTITION, 7, Progression(5, 0), 2, None),
         (K1_QUOTIENT, 1, Progression(5, 3), 5, None),
     ],
     ids=["ordinary", "ordinary-r6", "ell-not-p", "coloured1-rule", "overpartition", "p2", "k1-quotient"],
 )
 def test_certify_builds_no_sigma_for_canonical_first_moments(monkeypatch, ensemble, m, prog, modulus, weight):
+    # none of these is a zero class, so each reads t*b(t) off a companion
     built = count_sigma_tables(monkeypatch)
+    sizes = record_companion_sizes(monkeypatch)
     monkeypatch.setattr(congruence, "_projected_moment_values", lambda *a: pytest.fail("projected"))
-    monkeypatch.setattr(congruence, "_extend_sigma_table", lambda *a: pytest.fail("extended sigma"))
     certify(ensemble, m, prog, modulus, SturmConfig(CONSERVATIVE12, "safe"), weight=weight)
     assert built == []
+    assert sizes
 
 
 @pytest.mark.parametrize(
@@ -400,22 +398,15 @@ def test_certify_builds_sigma_off_the_canonical_first_moments(monkeypatch, ensem
     assert len(built) == 1
 
 
-def test_certify_pass_sums_sigma_once(monkeypatch):
-    from freqmoments import divisorweights
-
-    sums = []
-    original = divisorweights._divisor_sums_mod
-
-    def recording(terms, modulus, start=0):
-        sums.append((terms.shape[-1], start))
-        return original(terms, modulus, start)
-
-    monkeypatch.setattr(divisorweights, "_divisor_sums_mod", recording)
+def test_certify_pass_builds_one_sigma_table_a_stage(monkeypatch):
+    sizes = []
+    original = congruence.weighted_sigma_table
+    monkeypatch.setattr(
+        congruence, "weighted_sigma_table", lambda w, n, ring: sizes.append(n) or original(w, n, ring)
+    )
     rec = certify(ORDINARY, 3, Progression(7, 5), 7, SturmConfig(CONSERVATIVE12, "safe"))
-    probe = 7 * congruence._PROBE_ROWS + 5 + 1
     assert rec.status == "PASS" and rec.bound_b > congruence._PROBE_ROWS
-    # the full stage forms the terms to 7B + 5 but sums only past the probe
-    assert sums == [(probe, 0), (rec.max_index_checked + 1, probe)]
+    assert sizes == [7 * congruence._PROBE_ROWS + 5, rec.max_index_checked]
 
 
 # --- the zero class: p | ell and p | r, a PASS with nothing built ------------
@@ -423,7 +414,7 @@ def test_certify_pass_sums_sigma_once(monkeypatch):
 
 def build_nothing(monkeypatch):
     """Make every series certify could build, and t*b(t), fail the test."""
-    for name in ("companion_series", "weighted_sigma_table", "_extend_sigma_table", "_first_moments"):
+    for name in ("companion_series", "weighted_sigma_table", "_first_moments"):
         monkeypatch.setattr(congruence, name, lambda *a, _name=name, **k: pytest.fail(f"called {_name}"))
 
 
@@ -573,12 +564,64 @@ def test_certify_pass_extends_the_probe_companion(monkeypatch):
     monkeypatch.setattr(qseries, "_held", None)
     steps = []
     step = qseries._newton_step_fft
-    monkeypatch.setattr(qseries, "_newton_step_fft", lambda a, g, p: steps.append((len(g), len(a))) or step(a, g, p))
+    monkeypatch.setattr(qseries, "_newton_step_fft", lambda a, g, p: steps.append((g.shape[-1], a.shape[-1])) or step(a, g, p))
     rec = certify(ORDINARY, 3, Progression(11, 6), 11, SHARP_SAFE)
     assert (rec.status, rec.bound_b, rec.max_index_checked) == ("PASS", 231, 2547)
     # the probe's 711 terms are reached from 356 by a direct step; the
     # extension starts from 637 of them, so no FFT step runs twice
     assert steps == [(637, 1274), (1274, 2548)]
+
+
+def table_rows_outside_the_zero_class() -> list[tuple]:
+    """The certify arguments (ensemble, m, prog, prime, config, weight) of
+    the published table rows that build their series."""
+    from freqmoments.cli import _published_tables
+
+    rows = []
+    for _heading, table in _published_tables().values():
+        for ensemble, m, prog, prime, config, weight, _b, _top in table:
+            planned, *_ = congruence._certify_plan(
+                ensemble, m, prog, prime, config, weight, congruence.DEFAULT_COEFF_BUDGET
+            )
+            if not congruence._zero_class(ensemble, planned, m, prog, prime):
+                rows.append((ensemble, m, prog, prime, config, weight))
+    return rows
+
+
+def test_table_certifications_do_not_depend_on_the_hold(monkeypatch):
+    rows = table_rows_outside_the_zero_class()
+    assert len(rows) == 12
+    inverse = qseries._newton_inverse
+    newton = []
+    monkeypatch.setattr(qseries, "_newton_inverse", lambda *a: newton.append(1) or inverse(*a))
+
+    def run(order, between=None):
+        """The records in table order, certified in the given order with
+        between() run before each but the first, and the Newton inversions
+        each certification ran."""
+        monkeypatch.setattr(qseries, "_held", None)
+        records, builds = {}, {}
+        for position, i in enumerate(order):
+            if position and between is not None:
+                between()
+            ensemble, m, prog, prime, config, weight = rows[i]
+            newton.clear()
+            records[i] = certify(ensemble, m, prog, prime, config, weight=weight)
+            builds[i] = len(newton)
+        return [records[i] for i in range(len(rows))], [builds[i] for i in range(len(rows))]
+
+    forward, forward_builds = run(range(len(rows)))
+    backward, _ = run(reversed(range(len(rows))))
+    # a block of other moduli (the tables' primes are 5, 7 and 11) replaces
+    # the held row, so the next certification rebuilds its companion
+    interleaved, interleaved_builds = run(
+        range(len(rows)), lambda: qseries.companion_block(ORDINARY, 600, [13, 17])
+    )
+    assert forward == backward == interleaved
+    assert all(record.status == "PASS" for record in forward)
+    # in table order some certifications read their companion off the hold
+    assert 0 in forward_builds
+    assert all(builds >= 1 for builds in interleaved_builds)
 
 
 def test_certify_resource_budget():

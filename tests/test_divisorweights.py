@@ -17,7 +17,6 @@ from freqmoments.divisorweights import (
 from freqmoments.arith import kronecker_symbol
 from freqmoments.divisorweights import (
     _divisor_sums_mod,
-    _extend_sigma_table,
     _powers_mod,
     _weight_terms_mod,
     _weight_values_mod,
@@ -126,28 +125,6 @@ def test_sigma_block_rows_equal_the_one_exponent_tables(selector, modulus, n):
         assert row.tolist() == weighted_sigma_table(DivisorWeight(e, selector), n, ring).coeffs.tolist()
     powers = _powers_mod(exponents, min(modulus, n + 1), modulus)
     assert powers.tolist() == [[pow(r, e, modulus) for r in range(min(modulus, n + 1))] for e in exponents]
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 48, 49, 50, 361, 1000])
-def test_divisor_sums_from_a_start_index_are_the_tail(n):
-    rng = np.random.default_rng(n)
-    block = rng.integers(0, 1000, size=(3, n + 1))
-    full = _divisor_sums_mod(block, 97)
-    for start in range(n + 2):
-        assert _divisor_sums_mod(block, 97, start).tolist() == full[:, start:].tolist()
-        assert _divisor_sums_mod(block[1], None, start).tolist() == _divisor_sums_mod(block[1], None)[start:].tolist()
-
-
-@pytest.mark.parametrize("modulus", [None, 7, 2**64 + 13])
-@pytest.mark.parametrize(
-    "selector", [None, OVERPARTITION, GlaisherFilter.kronecker(5)], ids=["plain", "overpartition", "chi5"]
-)
-def test_extended_sigma_table_is_the_table_to_its_end(selector, modulus):
-    ring = Z if modulus is None else CoefficientRing.integers_mod(modulus)
-    weight = DivisorWeight(3, selector)
-    for short, n in [(0, 0), (0, 40), (324, 864), (710, 2547)]:
-        extended = _extend_sigma_table(weighted_sigma_table(weight, short, ring), weight, n)
-        assert extended == weighted_sigma_table(weight, n, ring)
 
 
 # the largest modulus with fits_int64(1, p): (p - 1)**2 < 2**63 <= p**2

@@ -114,7 +114,7 @@ def test_mod_n_coeffs_are_a_read_only_int64_array():
         partition_counts(600, ring),  # Newton
         euler_product_coefficients(coloured_ensemble(3), 40, ring),
         tau_coefficients(30, ring),
-        Series(ring, _newton_inverse(partition_counts(30, ring).coeffs, 7)),
+        Series(ring, _newton_inverse(partition_counts(30, ring).coeffs[None], [[7]])[0]),
         make_series(ring, [1, -1, 9]),
     ):
         coeffs = series.coeffs
@@ -140,7 +140,7 @@ def test_modulus_above_int64_gives_an_array_of_python_ints():
     assert not series.coeffs.flags.writeable
     assert all(type(v) is int for v in series.coeffs)
     assert series == make_series(ring, companion_series(OVERPARTITION, 60, Z).coeffs)
-    inverse = _newton_inverse(series.coeffs, ABOVE_INT64)
+    inverse = _newton_inverse(series.coeffs[None], [[ABOVE_INT64]])[0]
     assert inverse.dtype == object
     assert all(type(v) is int for v in inverse)
 
@@ -160,7 +160,7 @@ def test_series_equality_across_producers():
     newton = partition_counts(700, ring)
     slow = make_series(ring, slow_euler_product(ORDINARY.weight, 700))
     reduced = make_series(ring, partition_counts(700, Z).coeffs)
-    inverse = Series(ring, _newton_inverse(eta_power_coefficients(1, 700, ring).coeffs, 11))
+    inverse = Series(ring, _newton_inverse(eta_power_coefficients(1, 700, ring).coeffs[None], [[11]])[0])
     assert newton == slow == reduced == inverse
     assert newton != partition_counts(699, ring)
     assert newton != partition_counts(700, CoefficientRing.integers_mod(13))
@@ -353,7 +353,7 @@ def test_eta_power_inverse_pair():
     p = partition_counts(50, Z)
     assert slow_poly_mult(list(eta.coeffs), list(p.coeffs), 50) == [1] + [0] * 50
     mod691 = CoefficientRing.integers_mod(691)
-    inverse = _newton_inverse(eta_power_coefficients(1, 50, mod691).coeffs, 691)
+    inverse = _newton_inverse(eta_power_coefficients(1, 50, mod691).coeffs[None], [[691]])[0]
     assert inverse.tolist() == [v % 691 for v in p.coeffs]
 
 
@@ -884,7 +884,7 @@ def test_newton_path_property(data):
 def test_series_inverse_mod_n_with_a_unit_constant_term_other_than_one(modulus, length):
     ring = CoefficientRing.integers_mod(modulus)
     a = make_series(ring, [5] + [(7 * i + 3) ** 5 % modulus for i in range(1, length)])
-    inv = _newton_inverse(a.coeffs, modulus)
+    inv = _newton_inverse(a.coeffs[None], [[modulus]])[0]
     assert inv[0] == pow(5, -1, modulus)
     product = kronecker_convolution(list(a.coeffs), list(inv), modulus)
     assert product == [1] + [0] * (length - 1)
@@ -899,7 +899,7 @@ def newton_builds(monkeypatch) -> list[int]:
     monkeypatch.setattr(qseries, "_held", None)
     lengths = []
     inverse = qseries._newton_inverse
-    monkeypatch.setattr(qseries, "_newton_inverse", lambda *a: lengths.append(len(a[0])) or inverse(*a))
+    monkeypatch.setattr(qseries, "_newton_inverse", lambda *a: lengths.append(a[0].shape[-1]) or inverse(*a))
     return lengths
 
 
@@ -948,7 +948,7 @@ def test_overpartition_product_inverts_theta4(monkeypatch):
     monkeypatch.setattr(qseries, "_held", None)
     monkeypatch.setattr(
         qseries, "_newton_inverse",
-        lambda a, *rest: lengths.append(len(a)) or nonzero.append(np.count_nonzero(a)) or inverse(a, *rest),
+        lambda a, *rest: lengths.append(a.shape[-1]) or nonzero.append(np.count_nonzero(a)) or inverse(a, *rest),
     )
     euler_product_coefficients(OVERPARTITION, 3000, CoefficientRing.integers_mod(11))
     # theta_4 = 1 + 2 sum (-1)^k q^(k^2): 1 + isqrt(3000) terms, not the dense f(q)^2
@@ -1034,15 +1034,32 @@ def test_companion_block_falls_back_when_a_rounding_check_fails(monkeypatch, rul
         return rounded_mod(values, modulus)
 
     monkeypatch.setattr(qseries, "_rounded_mod", fail_once)
+    # the first block is held; without it the second is inverted again
+    monkeypatch.setattr(qseries, "_held", None)
     assert companion_block(rule, n, moduli) == want
     # the check that failed was the block's, over a column of 96 moduli
     assert failed == [(96, 1)]
 
 
-def test_companion_block_leaves_the_held_series(monkeypatch):
+def test_a_block_of_other_moduli_replaces_the_held_row(monkeypatch):
+    builds = newton_builds(monkeypatch)
     ring = CoefficientRing.integers_mod(11)
-    monkeypatch.setattr(qseries, "_held", None)
-    held = companion_series(ORDINARY, 900, ring)
-    companion_block(ORDINARY, 2000, [11, 13])
-    assert qseries._held[:2] == (ORDINARY.eta, 11)
-    assert np.shares_memory(companion_series(ORDINARY, 600, ring).coeffs, held.coeffs)
+    row = companion_series(ORDINARY, 900, ring)
+    assert np.shares_memory(companion_series(ORDINARY, 600, ring).coeffs, row.coeffs)
+    # other moduli: the block is inverted, and held in place of the row
+    block = companion_block(ORDINARY, 900, [11, 13])
+    assert qseries._held[:2] == (ORDINARY.eta, (11, 13))
+    assert block[0] == row
+    assert np.shares_memory(companion_block(ORDINARY, 700, [11, 13])[1].coeffs, block[1].coeffs)
+    # a one-row request after it inverts its row again, and is held instead
+    assert companion_series(ORDINARY, 600, ring) == Series(ring, row.coeffs[:601])
+    assert qseries._held[:2] == (ORDINARY.eta, (11,))
+    assert builds == [901, 901, 601]
+
+
+def test_a_product_with_no_denominator_leaves_the_held_block(monkeypatch):
+    builds = newton_builds(monkeypatch)
+    block = companion_block(ORDINARY, 900, [11, 13])
+    eta_power_coefficients(24, 900, CoefficientRing.integers_mod(11))
+    assert np.shares_memory(companion_block(ORDINARY, 800, [11, 13])[0].coeffs, block[0].coeffs)
+    assert builds == [901]

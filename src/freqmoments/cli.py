@@ -117,18 +117,18 @@ def _parse_call(text: str) -> tuple[str, list[int]]:
     return name.strip(), args
 
 
-# (key, name, number of arguments) -> the selector's factory
+# (key, name) in a weight spec -> the selector kind, whose row checks the arguments
 _SELECTORS = {
-    ("twist", "kronecker", 1): GlaisherFilter.kronecker,
-    ("twist", "principal", 1): GlaisherFilter.principal,
-    ("filter", "all", 0): GlaisherFilter.all_divisors,
-    ("filter", "odd", 0): GlaisherFilter.odd_divisors,
-    ("filter", "even", 0): GlaisherFilter.even_divisors,
-    ("filter", "coprime", 1): GlaisherFilter.coprime_to,
-    ("filter", "residue", 2): GlaisherFilter.residue_class,
-    ("filter", "qr", 1): GlaisherFilter.quadratic_residues,
-    ("filter", "kronweight", 1): GlaisherFilter.kronecker_weight,
-    ("filter", "exclude", 1): GlaisherFilter.exclude_multiples_of,
+    ("twist", "kronecker"): "kronecker",
+    ("twist", "principal"): "chi0",
+    ("filter", "all"): "all",
+    ("filter", "odd"): "odd",
+    ("filter", "even"): "even",
+    ("filter", "coprime"): "coprime",
+    ("filter", "residue"): "residue",
+    ("filter", "qr"): "quadratic-residues",
+    ("filter", "kronweight"): "kronecker-weight",
+    ("filter", "exclude"): "exclude-multiples",
 }
 
 
@@ -147,10 +147,10 @@ def parse_weight_spec(spec: str) -> DivisorWeight:
             if selector is not None:
                 raise ValueError("at most one twist or filter per weight")
             name, args = _parse_call(value)
-            factory = _SELECTORS.get((key, name, len(args)))
-            if factory is None:
+            kind = _SELECTORS.get((key, name))
+            if kind is None:
                 raise ValueError(f"unknown {key} {value!r}")
-            selector = factory(*args)
+            selector = GlaisherFilter(kind, args)
         else:
             raise ValueError(f"unknown weight key {key!r}")
     if exponent is None:

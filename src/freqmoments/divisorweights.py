@@ -8,7 +8,7 @@ character values.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cache, partial
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -29,42 +29,51 @@ __all__ = [
 ]
 
 
-def _discriminant(D: int | None) -> int:
-    """D if (D|.) is a real character mod |D|, that is D = 0, 1 (mod 4) and
-    nonzero (Cohen, A Course in Computational Algebraic Number Theory, 1.4);
-    else ValueError: (2|.) has period 8, and (3|.) none below 200."""
-    if not D or D % 4 > 1:
-        raise ValueError(f"the Kronecker symbol (D|.) needs a nonzero discriminant D = 0, 1 (mod 4), not {D}")
-    return D
+class _FilterRow(NamedTuple):
+    """One selector kind, the whole of its definition: the domain of its
+    parameters, as the phrase a refusal prints (needs) and as a check
+    (valid); build, its parameters -> (w, conductor, character), the weight
+    w(d), the period of w (the weighted moment series lives on Gamma0(4 *
+    conductor)) and the dictionary's character; and whether it is a twist."""
+
+    needs: str
+    valid: Callable[..., bool]
+    build: Callable[..., tuple[Callable[[int], int], int, str]]
+    twist: bool = False
 
 
-# One row per selector kind: its parameters -> (w, conductor, character), the
-# weight w(d), the period of w (the weighted moment series lives on
-# Gamma0(4 * conductor)), and the dictionary's character.  A twist by a real
-# character chi is the filter with weights chi(d), so the twist kinds chi0(m)
-# and kronecker(D) reuse the rows of their filter twins coprime(m) and
-# kronecker-weight(D); only their labels differ.
-_FILTER_ROWS: dict[str, Callable[..., tuple[Callable[[int], int], int, str]]] = {
-    "all": lambda: ((lambda d: 1), 1, "trivial"),
-    "coprime": lambda m: ((lambda d: int(gcd(d, m) == 1)), m, f"chi0({m})"),
-    "odd": lambda: ((lambda d: d % 2), 2, "chi0(2)"),
+# A twist by a real character chi is the filter with weights chi(d), so the
+# twist kinds chi0(m) and kronecker(D) reuse the rows of their filter twins
+# coprime(m) and kronecker-weight(D); only their labels differ.
+_FILTER_ROWS: dict[str, _FilterRow] = {
+    "all": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: 1), 1, "trivial")),
+    "coprime": _FilterRow("a modulus m >= 1", lambda m: m >= 1, lambda m: (
+        (lambda d: int(gcd(d, m) == 1)), m, f"chi0({m})")),
+    "odd": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: d % 2), 2, "chi0(2)")),
     # level 8 is recorded with no named character for this row
-    "even": lambda: ((lambda d: 1 - d % 2), 2, "unspecified"),
-    "residue": lambda a, m: ((lambda d: int(d % m == a)), m, f"character mixture mod {m}"),
-    "quadratic-residues": lambda p: (
-        (lambda d: int(pow(d, (p - 1) // 2, p) == 1)), p, f"(chi0({p}) + chi_{p})/2"),
-    "kronecker-weight": lambda D: (partial(kronecker_symbol, D), abs(D), f"chi_D, D={D}"),
-    "exclude-multiples": lambda p: ((lambda d: int(d % p != 0)), p, f"chi0({p})"),
+    "even": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: 1 - d % 2), 2, "unspecified")),
+    "residue": _FilterRow("(a, m) with 0 <= a < m", lambda a, m: 0 <= a < m, lambda a, m: (
+        (lambda d: int(d % m == a)), m, f"character mixture mod {m}")),
+    "quadratic-residues": _FilterRow("an odd prime p", lambda p: p != 2 and is_prime(p), lambda p: (
+        (lambda d: int(pow(d, (p - 1) // 2, p) == 1)), p, f"(chi0({p}) + chi_{p})/2")),
+    # (D|.) is a real character mod |D| exactly when D = 0, 1 (mod 4) and
+    # D is nonzero (Cohen, A Course in Computational Algebraic Number
+    # Theory, 1.4): (2|.) has period 8, and (3|.) none below 200
+    "kronecker-weight": _FilterRow(
+        "a nonzero discriminant D = 0, 1 (mod 4)", lambda D: D != 0 and D % 4 < 2,
+        lambda D: (partial(kronecker_symbol, D), abs(D), f"chi_D, D={D}")),
+    "exclude-multiples": _FilterRow("a prime p", is_prime, lambda p: (
+        (lambda d: int(d % p != 0)), p, f"chi0({p})")),
 }
-_TWIST_KINDS = ("chi0", "kronecker")
-_FILTER_ROWS.update(chi0=_FILTER_ROWS["coprime"], kronecker=_FILTER_ROWS["kronecker-weight"])
+_FILTER_ROWS.update(chi0=_FILTER_ROWS["coprime"]._replace(twist=True),
+                    kronecker=_FILTER_ROWS["kronecker-weight"]._replace(twist=True))
 
 
 @cache
 def _filter_row(kind: str, params: tuple[int, ...]) -> tuple[Callable[[int], int], int, str]:
-    """The row of _FILTER_ROWS at these parameters, built once per process
+    """The row of _FILTER_ROWS built at these parameters, once per process
     for each selector value, so weight(d) and conductor reuse its closures."""
-    return _FILTER_ROWS[kind](*params)
+    return _FILTER_ROWS[kind].build(*params)
 
 
 class _GlaisherFilterFields(NamedTuple):
@@ -74,84 +83,35 @@ class _GlaisherFilterFields(NamedTuple):
 
 class GlaisherFilter(_GlaisherFilterFields):
     """A divisor-selection rule with weights in {-1, 0, 1}: a row of
-    _FILTER_ROWS and its parameters, a character twist or a filter."""
+    _FILTER_ROWS and its parameters, a character twist or a filter.  The
+    parameters are kept as a tuple whatever sequence they were given as."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in _FILTER_ROWS:
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if self.kind in ("coprime", "chi0"):
-            if len(self.params) != 1 or self.params[0] < 1:
-                raise ValueError(f"{self.kind} needs a modulus >= 1")
-        elif self.kind == "residue":
-            if len(self.params) != 2:
-                raise ValueError("residue filter needs (a, m)")
-            a, m = self.params
-            if m < 1 or not 0 <= a < m:
-                raise ValueError("residue filter needs 0 <= a < m, m >= 1")
-        elif self.kind in ("quadratic-residues", "exclude-multiples"):
-            if len(self.params) != 1 or not is_prime(self.params[0]):
-                raise ValueError(f"{self.kind} filter needs a prime")
-            if self.kind == "quadratic-residues" and self.params[0] == 2:
-                raise ValueError("quadratic residue filter needs an odd prime")
-        elif self.kind in ("kronecker-weight", "kronecker"):
-            _discriminant(self.params[0] if len(self.params) == 1 else None)
-        elif self.params:
-            raise ValueError(f"{self.kind} filter takes no parameters")
+    def __new__(cls, kind: str, params: Iterable[int] = ()):
+        self = super().__new__(cls, kind, tuple(params))
+        row = _FILTER_ROWS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown selector kind {kind!r}")
+        try:
+            valid = row.valid(*self.params)
+        except TypeError:  # a wrong number of parameters
+            valid = False
+        if not valid:
+            raise ValueError(f"{kind} needs {row.needs}, not {self.describe()}")
         return self
-
-    @classmethod
-    def principal(cls, m: int) -> GlaisherFilter:
-        return cls("chi0", (m,))
 
     @classmethod
     def kronecker(cls, D: int) -> GlaisherFilter:
         return cls("kronecker", (D,))
 
-    @classmethod
-    def all_divisors(cls) -> GlaisherFilter:
-        return cls("all")
-
-    @classmethod
-    def coprime_to(cls, m: int) -> GlaisherFilter:
-        return cls("coprime", (m,))
-
-    @classmethod
-    def odd_divisors(cls) -> GlaisherFilter:
-        return cls("odd")
-
-    @classmethod
-    def even_divisors(cls) -> GlaisherFilter:
-        return cls("even")
-
-    @classmethod
-    def residue_class(cls, a: int, m: int) -> GlaisherFilter:
-        return cls("residue", (a, m))
-
-    @classmethod
-    def quadratic_residues(cls, p: int) -> GlaisherFilter:
-        return cls("quadratic-residues", (p,))
-
-    @classmethod
-    def kronecker_weight(cls, D: int) -> GlaisherFilter:
-        return cls("kronecker-weight", (D,))
-
-    @classmethod
-    def exclude_multiples_of(cls, p: int) -> GlaisherFilter:
-        return cls("exclude-multiples", (p,))
-
-    def _row(self) -> tuple[Callable[[int], int], int, str]:
-        return _filter_row(self.kind, tuple(self.params))
-
     def weight(self, d: int) -> int:
-        return self._row()[0](d)
+        return _filter_row(*self)[0](d)
 
     @property
     def conductor(self) -> int:
         """The period of the weights, and the level over 4."""
-        return self._row()[1]
+        return _filter_row(*self)[1]
 
     def describe(self) -> str:
         if self.params:
@@ -161,7 +121,7 @@ class GlaisherFilter(_GlaisherFilterFields):
 
     def label(self) -> str:
         """chi=<kind>(<args>) for a twist, filter=<kind>(<args>) otherwise."""
-        return f"{'chi' if self.kind in _TWIST_KINDS else 'filter'}={self.describe()}"
+        return f"{'chi' if _FILTER_ROWS[self.kind].twist else 'filter'}={self.describe()}"
 
 
 # The twist class's former name, kept for the frozen acceptance suite.
@@ -383,5 +343,5 @@ def filter_modular_data(filt: GlaisherFilter, s: int) -> FilterModularData:
     character of the filter's row in _FILTER_ROWS."""
     if s < 1 or s % 2 == 0:
         raise ValueError("s must be odd and >= 1")
-    _, conductor, character = filt._row()
+    _, conductor, character = _filter_row(*filt)
     return FilterModularData(2 * s + 1, 4 * conductor, character)

@@ -39,14 +39,14 @@ def test_parse_twist_weights():
     w = parse_weight_spec("m=3,twist=kronecker(5)")
     assert w.selector == GlaisherFilter.kronecker(5)
     w = parse_weight_spec("m=7, twist=principal(4)")
-    assert w.selector == GlaisherFilter.principal(4)
+    assert w.selector == GlaisherFilter("chi0", (4,))
 
 
 def test_parse_filter_weights():
-    assert parse_weight_spec("m=3,filter=odd").selector == GlaisherFilter.odd_divisors()
-    assert parse_weight_spec("m=3,filter=residue(1,4)").selector == GlaisherFilter.residue_class(1, 4)
-    assert parse_weight_spec("m=5,filter=qr(7)").selector == GlaisherFilter.quadratic_residues(7)
-    assert parse_weight_spec("m=5,filter=kronweight(-4)").selector == GlaisherFilter.kronecker_weight(-4)
+    assert parse_weight_spec("m=3,filter=odd").selector == GlaisherFilter("odd")
+    assert parse_weight_spec("m=3,filter=residue(1,4)").selector == GlaisherFilter("residue", (1, 4))
+    assert parse_weight_spec("m=5,filter=qr(7)").selector == GlaisherFilter("quadratic-residues", (7,))
+    assert parse_weight_spec("m=5,filter=kronweight(-4)").selector == GlaisherFilter("kronecker-weight", (-4,))
 
 
 def test_parse_weight_errors():

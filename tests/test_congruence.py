@@ -55,6 +55,8 @@ from freqmoments.qseries import (
     make_series,
 )
 
+from test_divisorweights import ROW_IDS, ROW_SELECTORS
+
 Z = CoefficientRing.exact_integers()
 # the Euler product of c(r) = 2 for odd r and -1 for even r, f(q)^-2 f(q^2)^3
 # with f = (q;q)_inf: an eta-quotient with k = -1
@@ -382,7 +384,7 @@ def test_certify_builds_no_sigma_for_canonical_first_moments(monkeypatch, ensemb
     "ensemble,m,prog,modulus,weight",
     [
         (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1, GlaisherFilter.kronecker(5))),
-        (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1, GlaisherFilter.odd_divisors())),
+        (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1, GlaisherFilter("odd"))),
         (ORDINARY, 1, Progression(5, 4), 5, DivisorWeight(1)),
         (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, OVERPARTITION)),
         (OVERPARTITION, 1, Progression(5, 0), 5, DivisorWeight(1, ORDINARY)),
@@ -455,7 +457,7 @@ def test_zero_class_cli_both_levels_builds_nothing(monkeypatch, capsys):
         # p = 2 does not divide ell = 5, so t = 5n is odd for odd n
         (ORDINARY, 1, Progression(5, 0), 2, None),
         (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, GlaisherFilter.kronecker(5))),
-        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, GlaisherFilter.odd_divisors())),
+        (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, GlaisherFilter("odd"))),
         (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1)),
         (ORDINARY, 1, Progression(5, 0), 5, DivisorWeight(1, OVERPARTITION)),
         (OVERPARTITION, 1, Progression(5, 0), 5, DivisorWeight(1, ORDINARY)),
@@ -490,15 +492,20 @@ def oracle_table():
     return frequency_oracle(ORACLE_GUARD)
 
 
-# the kronecker(5) PASSes at ell = 11 run at L = 55**2 and take seconds
+# the kronecker(5) PASSes at ell = 11 run at L = 55**2 and take seconds; the
+# other rows of the twist and filter table run at ell = 5 and 7, all but
+# even, whose character is unknown, so certify refuses it
 @pytest.mark.parametrize(
     "selector,ells",
     [
-        (None, (5, 7, 11, 13)),
-        (GlaisherFilter.kronecker(5), (5, 7, 13)),
-        (GlaisherFilter.odd_divisors(), (5, 7, 11, 13)),
+        pytest.param(None, (5, 7, 11, 13), id="canonical"),
+        pytest.param(GlaisherFilter.kronecker(5), (5, 7, 13), id="kronecker(5)"),
+        pytest.param(GlaisherFilter("odd"), (5, 7, 11, 13), id="odd"),
+    ] + [
+        pytest.param(selector, (5, 7), id=row_id)
+        for (selector, _), row_id in zip(ROW_SELECTORS, ROW_IDS)
+        if row_id not in ("kronecker5", "odd", "even")
     ],
-    ids=["canonical", "kronecker(5)", "odd"],
 )
 def test_fail_witnesses_match_the_enumeration_oracle(oracle_table, selector, ells):
     # every ordinary FAIL of the grid, at the CLI's default
@@ -683,7 +690,7 @@ def test_certify_one_colour_is_ordinary():
 
 def test_certify_refuses_the_even_filter():
     # filter_modular_data records no character for the even-divisor filter
-    weight = DivisorWeight(3, GlaisherFilter.even_divisors())
+    weight = DivisorWeight(3, GlaisherFilter("even"))
     with pytest.raises(ValueError, match="no known character"):
         certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
     with pytest.raises(ValueError, match="no known character"):
@@ -753,9 +760,9 @@ def test_filtered_level_rule():
     assert _level(chi5, 5, safe) == 25
     assert _level(chi5, 5, natural) == 5
     assert _level(chi5, 7, safe) == 1225  # lcm(7,5)^2
-    assert _level(DivisorWeight(3, GlaisherFilter.principal(12)), 3, natural) == 12
+    assert _level(DivisorWeight(3, GlaisherFilter("chi0", (12,))), 3, natural) == 12
     # filters contribute their level over 4; plain and canonical weights 1
-    assert _level(DivisorWeight(3, GlaisherFilter.odd_divisors()), 7, safe) == 14**2
+    assert _level(DivisorWeight(3, GlaisherFilter("odd")), 7, safe) == 14**2
     for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY)):
         assert _level(weight, 7, safe) == 49
         assert _level(weight, 7, natural) == 7
@@ -865,11 +872,11 @@ FUNDAMENTAL_DISCRIMINANTS = [
 ]
 # (twist, filter twin, the twist's character defined on its own)
 TWIN_CASES = [
-    (GlaisherFilter.kronecker(D), GlaisherFilter.kronecker_weight(D),
+    (GlaisherFilter.kronecker(D), GlaisherFilter("kronecker-weight", (D,)),
      lambda d, D=D: kronecker_symbol(D, d) if gcd(d, D) == 1 else 0)
     for D in FUNDAMENTAL_DISCRIMINANTS
 ] + [
-    (GlaisherFilter.principal(m), GlaisherFilter.coprime_to(m), lambda d, m=m: int(gcd(d, m) == 1))
+    (GlaisherFilter("chi0", (m,)), GlaisherFilter("coprime", (m,)), lambda d, m=m: int(gcd(d, m) == 1))
     for m in range(1, 13)
 ]
 
@@ -918,7 +925,7 @@ GRID_CASES = [
     (ORDINARY, None),
     (OVERPARTITION, None),
     (ORDINARY, GlaisherFilter.kronecker(5)),
-    (ORDINARY, GlaisherFilter.odd_divisors()),
+    (ORDINARY, GlaisherFilter("odd")),
 ]
 
 

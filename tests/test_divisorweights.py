@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from math import gcd
 
@@ -95,7 +96,7 @@ def test_sigma_mod_ring_matches_reduction():
         # c(d) has period 12, longer than the tables at n = 0, 1 and 2
         Ensemble("period-12", ((1, 1), (4, 2), (6, -1), (12, 3))),
         GlaisherFilter.kronecker(5),
-        GlaisherFilter.residue_class(1, 4),
+        GlaisherFilter("residue", (1, 4)),
     ],
     ids=lambda s: "plain" if s is None else s.name if isinstance(s, Ensemble) else s.describe(),
 )
@@ -164,11 +165,11 @@ def test_weighted_sigma_beyond_int64_guard_is_exact():
 
 
 def test_character_values():
-    chi0_5 = GlaisherFilter.principal(5)
+    chi0_5 = GlaisherFilter("chi0", (5,))
     assert [chi0_5.weight(d) for d in (1, 2, 5, 10)] == [1, 1, 0, 0]
     chi5 = GlaisherFilter.kronecker(5)
     assert [chi5.weight(d) for d in (1, 2, 3, 4, 5, 6)] == [1, -1, -1, 1, 0, 1]
-    assert GlaisherFilter.principal(1).weight(12) == 1  # chi0(1) is the trivial character
+    assert GlaisherFilter("chi0", (1,)).weight(12) == 1  # chi0(1) is the trivial character
 
 
 def test_character_imprimitive_modulus():
@@ -223,7 +224,7 @@ def test_kronecker_twist_example():
 
 
 def test_odd_divisor_filter_example():
-    weight = DivisorWeight(0, GlaisherFilter.odd_divisors())
+    weight = DivisorWeight(0, GlaisherFilter("odd"))
     table = weighted_sigma_table(weight, 12, Z)
     assert table[12] == 2  # divisors 1 and 3
 
@@ -232,7 +233,7 @@ def test_overpartition_rule_is_sigma_plus_odd_part():
     for m in (1, 3, 5):
         rule = weighted_sigma_table(DivisorWeight(m, OVERPARTITION), 1000, Z)
         plain = sigma_table(m, 1000, Z)
-        odd = weighted_sigma_table(DivisorWeight(m, GlaisherFilter.odd_divisors()), 1000, Z)
+        odd = weighted_sigma_table(DivisorWeight(m, GlaisherFilter("odd")), 1000, Z)
         for n in range(1, 1001):
             assert rule[n] == plain[n] + odd[n]
 
@@ -258,37 +259,64 @@ def test_sigma_from_weight_function_moebius_collapses():
 
 
 def test_filter_weights():
-    assert GlaisherFilter.all_divisors().weight(7) == 1
-    assert GlaisherFilter.coprime_to(6).weight(4) == 0
-    assert GlaisherFilter.odd_divisors().weight(4) == 0
-    assert GlaisherFilter.even_divisors().weight(4) == 1
-    assert GlaisherFilter.residue_class(1, 4).weight(9) == 1
-    assert GlaisherFilter.exclude_multiples_of(3).weight(9) == 0
-    assert GlaisherFilter.kronecker_weight(-4).weight(3) == -1
-    qr5 = GlaisherFilter.quadratic_residues(5)
+    assert GlaisherFilter("all").weight(7) == 1
+    assert GlaisherFilter("coprime", (6,)).weight(4) == 0
+    assert GlaisherFilter("odd").weight(4) == 0
+    assert GlaisherFilter("even").weight(4) == 1
+    assert GlaisherFilter("residue", (1, 4)).weight(9) == 1
+    assert GlaisherFilter("exclude-multiples", (3,)).weight(9) == 0
+    assert GlaisherFilter("kronecker-weight", (-4,)).weight(3) == -1
+    qr5 = GlaisherFilter("quadratic-residues", (5,))
     assert [d for d in (1, 2, 3, 6) if qr5.weight(d) == 1] == [1, 6]  # 1 and 6 are 1 mod 5
-    assert GlaisherFilter.quadratic_residues(3).weight(3) == 0
+    assert GlaisherFilter("quadratic-residues", (3,)).weight(3) == 0
+
+
+# each kind: parameters in its domain, then refused parameters, a wrong
+# count first and then values out of the domain (a kind with no parameters
+# has no such value)
+FILTER_DOMAINS = [
+    ("all", (), [(1,)]),
+    ("odd", (), [(2,)]),
+    ("even", (), [(0, 2)]),
+    ("coprime", (6,), [(), (0,)]),
+    ("chi0", (6,), [(6, 1), (0,)]),
+    ("residue", (1, 4), [(1,), (4, 4), (-1, 4)]),
+    ("quadratic-residues", (5,), [(5, 7), (2,), (9,)]),
+    ("kronecker-weight", (5,), [(), (3,)]),
+    ("kronecker", (-4,), [(5, 5), (0,)]),
+    ("exclude-multiples", (3,), [(), (4,)]),
+]
 
 
 def test_filter_validation():
-    with pytest.raises(ValueError):
-        GlaisherFilter.residue_class(4, 4)
-    with pytest.raises(ValueError):
-        GlaisherFilter.quadratic_residues(2)
-    with pytest.raises(ValueError):
-        GlaisherFilter.quadratic_residues(9)
-    with pytest.raises(ValueError):
-        GlaisherFilter("all", (1,))
+    assert sorted(kind for kind, _, _ in FILTER_DOMAINS) == sorted(_FILTER_ROWS)
+    for kind, params, refused in FILTER_DOMAINS:
+        assert GlaisherFilter(kind, params).params == params
+        for bad in refused:
+            # the refusal names the kind and what it needs
+            with pytest.raises(ValueError, match=rf"^{re.escape(kind)} needs "):
+                GlaisherFilter(kind, bad)
+    with pytest.raises(ValueError, match="unknown selector kind"):
+        GlaisherFilter("qr", (5,))
+
+
+def test_params_are_a_tuple_whatever_sequence_they_are_given_as():
+    listed, tupled = GlaisherFilter("coprime", [3]), GlaisherFilter("coprime", (3,))
+    assert listed.params == (3,)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert hash(DivisorWeight(3, listed)) == hash(DivisorWeight(3, tupled))
+    assert listed.describe() == "coprime(3)"
+    assert GlaisherFilter("residue", iter([1, 4])) == GlaisherFilter("residue", (1, 4))
 
 
 def test_quadratic_residue_half_sum_instance():
     # (sigma_3(6; chi0) + sigma_3(6; chi5)) / 2 = 217 = 1^3 + 6^3
     principal = weighted_sigma_table(
-        DivisorWeight(3, GlaisherFilter.principal(5)), 6, Z
+        DivisorWeight(3, GlaisherFilter("chi0", (5,))), 6, Z
     )
     twisted = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.kronecker(5)), 6, Z)
     assert principal[6] + twisted[6] == 2 * 217
-    indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.quadratic_residues(5)), 6, Z)
+    indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter("quadratic-residues", (5,))), 6, Z)
     assert indicator[6] == 217
 
 
@@ -298,10 +326,10 @@ def test_twist_linearity_dictionary(p):
     n_max = 1000
     for s in (1, 3):
         principal = weighted_sigma_table(
-            DivisorWeight(s, GlaisherFilter.principal(p)), n_max, Z
+            DivisorWeight(s, GlaisherFilter("chi0", (p,))), n_max, Z
         )
         twisted = weighted_sigma_table(DivisorWeight(s, legendre_character(p)), n_max, Z)
-        indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter.quadratic_residues(p)), n_max, Z)
+        indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter("quadratic-residues", (p,))), n_max, Z)
         for n in range(1, n_max + 1):
             assert principal[n] + twisted[n] == 2 * indicator[n]
 
@@ -310,26 +338,26 @@ def test_twist_linearity_dictionary(p):
 
 
 def test_filter_modular_data_levels():
-    assert filter_modular_data(GlaisherFilter.all_divisors(), 3).level == 4
-    assert filter_modular_data(GlaisherFilter.all_divisors(), 3).k == 7
-    assert filter_modular_data(GlaisherFilter.odd_divisors(), 3).level == 8
-    assert filter_modular_data(GlaisherFilter.even_divisors(), 3).level == 8
-    assert filter_modular_data(GlaisherFilter.coprime_to(6), 3).level == 24
-    assert filter_modular_data(GlaisherFilter.residue_class(1, 4), 5).level == 16
-    assert filter_modular_data(GlaisherFilter.quadratic_residues(5), 3).level == 20
-    assert filter_modular_data(GlaisherFilter.kronecker_weight(5), 3).level == 20
-    assert filter_modular_data(GlaisherFilter.kronecker_weight(-4), 3).level == 16
-    assert filter_modular_data(GlaisherFilter.exclude_multiples_of(7), 3).level == 28
+    assert filter_modular_data(GlaisherFilter("all"), 3).level == 4
+    assert filter_modular_data(GlaisherFilter("all"), 3).k == 7
+    assert filter_modular_data(GlaisherFilter("odd"), 3).level == 8
+    assert filter_modular_data(GlaisherFilter("even"), 3).level == 8
+    assert filter_modular_data(GlaisherFilter("coprime", (6,)), 3).level == 24
+    assert filter_modular_data(GlaisherFilter("residue", (1, 4)), 5).level == 16
+    assert filter_modular_data(GlaisherFilter("quadratic-residues", (5,)), 3).level == 20
+    assert filter_modular_data(GlaisherFilter("kronecker-weight", (5,)), 3).level == 20
+    assert filter_modular_data(GlaisherFilter("kronecker-weight", (-4,)), 3).level == 16
+    assert filter_modular_data(GlaisherFilter("exclude-multiples", (7,)), 3).level == 28
 
 
 def test_filter_modular_data_unnamed_even_character():
-    data = filter_modular_data(GlaisherFilter.even_divisors(), 3)
+    data = filter_modular_data(GlaisherFilter("even"), 3)
     assert data.character == "unspecified"
 
 
 def test_filter_modular_data_rejects_even_exponent():
     with pytest.raises(ValueError):
-        filter_modular_data(GlaisherFilter.all_divisors(), 2)
+        filter_modular_data(GlaisherFilter("all"), 2)
 
 
 # --- one row per twist and filter ------------------------------------------
@@ -337,22 +365,22 @@ def test_filter_modular_data_rejects_even_exponent():
 # each selector with an independent definition of its weight w(d), d >= 1
 ROW_SELECTORS = [
     # chi0(1) is the trivial character
-    (GlaisherFilter.principal(1), lambda d: 1),
-    (GlaisherFilter.principal(6), lambda d: int(gcd(d, 6) == 1)),
+    (GlaisherFilter("chi0", (1,)), lambda d: 1),
+    (GlaisherFilter("chi0", (6,)), lambda d: int(gcd(d, 6) == 1)),
     (GlaisherFilter.kronecker(5), lambda d: kronecker_symbol(5, d)),
     # (-3|.) off the units of 6 is the Kronecker character of D = -3 * 2^2
     (GlaisherFilter.kronecker(-12), lambda d: kronecker_symbol(-3, d) if gcd(d, 6) == 1 else 0),
     (GlaisherFilter.kronecker(8), lambda d: kronecker_symbol(8, d)),
     (GlaisherFilter.kronecker(-4), lambda d: kronecker_symbol(-4, d)),
-    (GlaisherFilter.all_divisors(), lambda d: 1),
-    (GlaisherFilter.odd_divisors(), lambda d: int(d % 2 == 1)),
-    (GlaisherFilter.even_divisors(), lambda d: int(d % 2 == 0)),
-    (GlaisherFilter.coprime_to(6), lambda d: int(gcd(d, 6) == 1)),
-    (GlaisherFilter.residue_class(1, 4), lambda d: int(d % 4 == 1)),
-    (GlaisherFilter.residue_class(0, 3), lambda d: int(d % 3 == 0)),
-    (GlaisherFilter.quadratic_residues(7), lambda d: int(pow(d, 3, 7) == 1)),
-    (GlaisherFilter.kronecker_weight(12), lambda d: kronecker_symbol(12, d)),
-    (GlaisherFilter.exclude_multiples_of(3), lambda d: int(d % 3 != 0)),
+    (GlaisherFilter("all"), lambda d: 1),
+    (GlaisherFilter("odd"), lambda d: int(d % 2 == 1)),
+    (GlaisherFilter("even"), lambda d: int(d % 2 == 0)),
+    (GlaisherFilter("coprime", (6,)), lambda d: int(gcd(d, 6) == 1)),
+    (GlaisherFilter("residue", (1, 4)), lambda d: int(d % 4 == 1)),
+    (GlaisherFilter("residue", (0, 3)), lambda d: int(d % 3 == 0)),
+    (GlaisherFilter("quadratic-residues", (7,)), lambda d: int(pow(d, 3, 7) == 1)),
+    (GlaisherFilter("kronecker-weight", (12,)), lambda d: kronecker_symbol(12, d)),
+    (GlaisherFilter("exclude-multiples", (3,)), lambda d: int(d % 3 != 0)),
 ]
 ROW_IDS = [
     "trivial", "principal6", "kronecker5", "kronecker-3@6", "kronecker8", "kronecker-4",
@@ -391,12 +419,12 @@ def test_a_huge_conductor_evaluates_at_most_n_plus_one_weights(monkeypatch):
     calls = []
     weight_of = DivisorWeight.weight_of
     monkeypatch.setattr(DivisorWeight, "weight_of", lambda self, d: calls.append(d) or weight_of(self, d))
-    values = _weight_values_mod(DivisorWeight(3, GlaisherFilter.coprime_to(10**9)), 100, 7)
+    values = _weight_values_mod(DivisorWeight(3, GlaisherFilter("coprime", (10**9,))), 100, 7)
     assert calls == list(range(101))
     assert values.tolist() == [0] + [int(gcd(d, 10) == 1) for d in range(1, 101)]
     # over Z too, one period is evaluated, cut at n
     calls.clear()
-    weighted_sigma_table(DivisorWeight(3, GlaisherFilter.coprime_to(10**9)), 100, Z)
+    weighted_sigma_table(DivisorWeight(3, GlaisherFilter("coprime", (10**9,))), 100, Z)
     assert calls == list(range(101))
     calls.clear()
     weighted_sigma_table(DivisorWeight(3, GlaisherFilter.kronecker(5)), 100, Z)
@@ -409,7 +437,7 @@ def test_kronecker_needs_a_discriminant(D):
     with pytest.raises(ValueError, match="discriminant"):
         GlaisherFilter.kronecker(D)
     with pytest.raises(ValueError, match="discriminant"):
-        GlaisherFilter.kronecker_weight(D)
+        GlaisherFilter("kronecker-weight", (D,))
 
 
 def test_divisor_weight_descriptors():
@@ -418,23 +446,23 @@ def test_divisor_weight_descriptors():
         DivisorWeight(3, GlaisherFilter.kronecker(5)).describe()
         == "m=3, chi=kronecker(5)"
     )
-    assert DivisorWeight(3, GlaisherFilter.principal(4)).describe() == "m=3, chi=chi0(4)"
-    assert DivisorWeight(1, GlaisherFilter.odd_divisors()).describe() == "m=1, filter=odd"
+    assert DivisorWeight(3, GlaisherFilter("chi0", (4,))).describe() == "m=3, chi=chi0(4)"
+    assert DivisorWeight(1, GlaisherFilter("odd")).describe() == "m=1, filter=odd"
     assert DivisorWeight(2, OVERPARTITION).describe() == "m=2, rule=overpartition"
 
 
 def test_each_selector_row_is_built_once(monkeypatch):
     built = Counter()
     for kind in ("coprime", "chi0", "kronecker-weight", "kronecker", "odd"):
-        factory = _FILTER_ROWS[kind]
+        row = _FILTER_ROWS[kind]
         monkeypatch.setitem(
             _FILTER_ROWS, kind,
-            lambda *params, kind=kind, factory=factory: built.update([(kind, params)]) or factory(*params),
+            row._replace(build=lambda *params, kind=kind, build=row.build: built.update([(kind, params)]) or build(*params)),
         )
     _filter_row.cache_clear()
     selectors = [
-        GlaisherFilter.coprime_to(7), GlaisherFilter.principal(7), GlaisherFilter.kronecker_weight(-4),
-        GlaisherFilter.kronecker(-4), GlaisherFilter.odd_divisors(),
+        GlaisherFilter("coprime", (7,)), GlaisherFilter("chi0", (7,)), GlaisherFilter("kronecker-weight", (-4,)),
+        GlaisherFilter.kronecker(-4), GlaisherFilter("odd"),
     ]
     for _ in range(3):
         # equal selectors built anew share the row of their value

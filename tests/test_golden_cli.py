@@ -3,10 +3,12 @@
 Each case in cli_outputs.json runs `python -m freqmoments.cli <argv>` in a
 fresh process; its stdout must equal <name>.out exactly and its exit code
 must match.  The cases cover the published tables in every format, the
-README certify examples, two FAIL records, three companion dumps, the
-twist and filter labels of scan and certify reports, and three usage
-errors (exit 2, no stdout) for the removed theta and plane-partition
-ensembles and `--allow-large`.
+README certify examples, FAIL records, three companion dumps, and the
+labels of scan and certify reports for all ten twist and filter
+spellings of the weight grammar (even, which certify refuses, through a
+scan).  Four usage errors (exit 2, no stdout) cover the removed theta and
+plane-partition ensembles, `--allow-large`, and a filter given the wrong
+number of parameters, `filter=odd(2)`.
 """
 
 from __future__ import annotations

@@ -142,6 +142,8 @@ def parse_weight_spec(spec: str) -> DivisorWeight:
         if not value:
             raise ValueError(f"weight component {part!r} needs key=value")
         if key == "m":
+            if exponent is not None:
+                raise ValueError("at most one m per weight")
             exponent = int(value)
         elif key in ("twist", "filter"):
             if selector is not None:

@@ -214,16 +214,45 @@ def _first_moments(t: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return t.astype(object) % modulus * b.astype(object) % modulus
 
 
-def _level(weight: DivisorWeight, ell: int, config: SturmConfig) -> int:
-    """The L of Gamma0(4L) a certification of this weight runs at: L =
-    lcm(ell, weight.conductor) (natural), its square (safe), or the custom
-    L.  The conductor is a twist's or filter's, the period of its weights,
-    and 1 for plain and canonical weights.
+class _Plan(NamedTuple):
+    """A certification decided before anything is built, by _certify_plan.
 
-    The natural level, and lcm(ell, conductor) for twists and filters, are
-    the paper's convention, not a level the code proves the projected
-    moment series lives on."""
-    return config.resolve_level(lcm(ell, weight.conductor))
+    weight is the one certified, the ensemble's canonical c(d) * d^m when
+    none was given.  level is the L of Gamma0(4L): config.resolve_level of
+    lcm(ell, weight.conductor), that is that lcm (natural), its square
+    (safe), or the custom L; the conductor is a twist's or filter's, the
+    period of its weights, and 1 for plain and canonical weights.  The
+    natural level, and lcm(ell, conductor) for twists and filters, are the
+    paper's convention, not a level the code proves the projected moment
+    series lives on.  bound is the Sturm bound B at weight m + 1/2 on
+    Gamma0(4L), and top = ell*B + r the last moment index checked.
+
+    route is how the values M(ell*n + r), n <= B, are found:
+    "zero" when _first_moment_gate holds and modulus divides ell and r, so
+    every t = ell*n + r and with it every value t b(t) is 0 and nothing is
+    built; "first-moment" for the rest of the gate, t b(t) read off the
+    companion by _first_moments, with no sigma table or polyphase product;
+    "sigma" for every other weight, the weighted sigma table, built whole
+    at each stage, against the companion by _projected_moment_values."""
+
+    weight: DivisorWeight
+    level: int
+    bound: int
+    top: int
+    route: str
+
+
+def _first_moment_gate(ensemble, selector, m, modulus) -> bool:
+    """Whether M(t) = M_1(t) = t b(t) (mod modulus) for the weights
+    selector(d) * d^m: the ensemble's own canonical weights (selector an
+    Ensemble with this eta) and m = 1 (mod modulus - 1), so d^m = d (mod
+    modulus) for every d >= 1.  A twist or filter changes the weights and
+    the identity with them."""
+    return (
+        isinstance(selector, Ensemble)
+        and selector.eta == ensemble.eta
+        and (m - 1) % (modulus - 1) == 0
+    )
 
 
 def certify(
@@ -255,80 +284,47 @@ def certify(
     backs a PASS for them.
 
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
-    must equal m.  The level L of Gamma0(4L) is _level's; the record stores
-    4L, so the rule is auditable.  The natural level and the twisted rule
-    L = lcm(ell, conductor) are also the paper's convention, not a level
-    the code proves.
-
-    The values come by one of three routes, with the same record.  The
-    first-moment gate is the ensemble's own canonical weights (the
-    weight's selector an Ensemble with this eta) and m = 1 (mod modulus -
-    1): then d^m = d (mod modulus) for every d >= 1, so M(t) = M_1(t) =
-    t b(t) (mod modulus).  The zero-class route is that gate with modulus
-    dividing ell and r: it divides every t = ell*n + r, so every value is
-    0 and the record is a PASS to ell*B + r with nothing built.  The
-    first-moment route, the rest of the gate, reads t b(t) off the
-    companion by _first_moments, with no sigma table or polyphase product.
-    Every other weight takes the sigma route: the weighted sigma table,
-    built whole at each stage, against the companion by
-    _projected_moment_values.
+    must equal m.  _certify_plan decides the level L (the record stores
+    4L, so the rule is auditable), B and the route, as _Plan describes.
+    The values come by one of the plan's three routes, "zero",
+    "first-moment" or "sigma", with the same record.
 
     Before anything is built, on every route, a certification needing
     more than max_coeffs coefficients, or a companion past fits_newton
     beyond q^_SCALAR_COMPANION_MAX_N, raises ResourceLimitError.
     """
-    weight, level, bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs)
-    zero_class = _zero_class(ensemble, weight, m, prog, modulus)
-    witness = None if zero_class else _first_witness(ensemble, weight, m, prog, modulus, bound)
-    max_index = n_max if witness is None else witness[1]
+    plan = _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs)
+    witness = _first_witness(ensemble, plan, prog, modulus)
     return CertificationRecord(
-        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
-        config.mode, config.level_model, 4 * level, bound,
-        max_index_checked=max_index,
+        ensemble.name, plan.weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * plan.level, plan.bound,
+        max_index_checked=plan.top if witness is None else witness[1],
         status="PASS" if witness is None else "FAIL",
         fail_witness=witness,
     )
 
 
-def _first_moment_route(ensemble, weight, m, modulus) -> bool:
-    """certify's first-moment gate: the ensemble's own canonical weights
-    and m = 1 (mod modulus - 1), so that M(t) = t b(t) (mod modulus)."""
-    return (
-        isinstance(weight.selector, Ensemble)
-        and weight.selector.eta == ensemble.eta
-        and (m - 1) % (modulus - 1) == 0
-    )
-
-
-def _zero_class(ensemble, weight, m, prog, modulus) -> bool:
-    """The first-moment gate with modulus dividing ell and r (for a prime
-    ell and 0 <= r < ell, modulus = ell and r = 0): modulus divides every
-    t = ell*n + r, so every value t b(t) is 0 mod modulus."""
-    return (
-        _first_moment_route(ensemble, weight, m, modulus)
-        and prog.ell % modulus == prog.r % modulus == 0
-    )
-
-
-def _first_witness(ensemble, weight, m, prog, modulus, bound) -> tuple[int, int, int] | None:
+def _first_witness(ensemble, plan, prog, modulus) -> tuple[int, int, int] | None:
     """The first (n, t, value) with value = M(t) != 0 mod modulus, t =
-    ell*n + r and n <= bound, or None: a probe of rows 0..min(bound,
-    _PROBE_ROWS) first, then, unless it found one, all bound + 1 rows."""
+    ell*n + r and n <= plan.bound, or None: none on the zero route, else a
+    probe of rows 0..min(bound, _PROBE_ROWS) first, then, unless it found
+    one, all bound + 1 rows."""
+    if plan.route == "zero":
+        return None
     ring = CoefficientRing.integers_mod(modulus)
-    first_moment = _first_moment_route(ensemble, weight, m, modulus)
     # a short probe first: a FAIL usually shows in its first rows, and then
     # the series up to ell*bound + r are never built
-    for rows in sorted({min(bound, _PROBE_ROWS), bound}):
+    for rows in sorted({min(plan.bound, _PROBE_ROWS), plan.bound}):
         top = prog.ell * rows + prog.r
         # the companion first, so that Newton's FFT workspace is freed
         # before sigma's table is built; the full series continues from the
         # probe's, which companion_block holds
         comp = companion_series(ensemble, top, ring)
-        if first_moment:
+        if plan.route == "first-moment":
             t = np.arange(prog.r, top + 1, prog.ell)
             values = _first_moments(t, comp.coeffs[prog.r :: prog.ell], modulus)
         else:
-            sigma = weighted_sigma_table(weight, top, ring)
+            sigma = weighted_sigma_table(plan.weight, top, ring)
             values = _projected_moment_values(sigma, comp, prog.ell, prog.r, rows + 1)
         nonzero = np.flatnonzero(values)
         if len(nonzero):
@@ -337,10 +333,9 @@ def _first_witness(ensemble, weight, m, prog, modulus, bound) -> tuple[int, int,
     return None
 
 
-def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> tuple[DivisorWeight, int, int, int]:
-    """certify's checks and sizing, before anything is built: (weight, L,
-    B, ell*B + r), the weight the canonical one when None, or the
-    ValueError or ResourceLimitError certify raises."""
+def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> _Plan:
+    """certify's checks and plan, before anything is built: the _Plan, or
+    the ValueError or ResourceLimitError certify raises."""
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and >= 1")
     if not is_prime(modulus):
@@ -362,19 +357,23 @@ def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> tup
             f"filter {weight.selector.describe()} has no known character, "
             "so no Sturm bound applies"
         )
-    level = _level(weight, prog.ell, config)
+    level = config.resolve_level(lcm(prog.ell, weight.conductor))
     bound = sturm_bound_for_level(m, config.mode, level)
-    n_max = prog.ell * bound + prog.r
-    if n_max + 1 > max_coeffs:
+    top = prog.ell * bound + prog.r
+    if top + 1 > max_coeffs:
         raise ResourceLimitError(
-            f"certification needs {n_max + 1} coefficients, over the budget of {max_coeffs}"
+            f"certification needs {top + 1} coefficients, over the budget of {max_coeffs}"
         )
-    if n_max > _SCALAR_COMPANION_MAX_N and not fits_newton(n_max, modulus):
+    if top > _SCALAR_COMPANION_MAX_N and not fits_newton(top, modulus):
         raise ResourceLimitError(
-            f"the companion to q^{n_max} mod {modulus} is past the FFT guard of Newton "
+            f"the companion to q^{top} mod {modulus} is past the FFT guard of Newton "
             f"inversion, and the scalar recurrence is capped at q^{_SCALAR_COMPANION_MAX_N}"
         )
-    return weight, level, bound, n_max
+    route = "sigma"
+    if _first_moment_gate(ensemble, weight.selector, m, modulus):
+        # for a prime ell and 0 <= r < ell: modulus = ell and r = 0
+        route = "zero" if prog.ell % modulus == prog.r % modulus == 0 else "first-moment"
+    return _Plan(weight, level, bound, top, route)
 
 
 def certify_filtered(
@@ -562,10 +561,10 @@ def _scan_prime(ensemble, weight_selector, ms, ell, comp, n_scan, include_r0) ->
     m of a class share their moments mod ell.  mbar = (m - 1) % (ell - 1) + 1
     is fermat_reduce for ell >= 5 and stays >= 1 at ell = 2 and 3.
 
-    For canonical weights the class mbar = 1 is read off the companion as
-    M_1(t) = t b(t) (_first_moments, which certify reads too).  A twist or
-    filter changes the weights and the identity with them, so all of its
-    classes are built.
+    The class mbar = 1 is read off the companion as M_1(t) = t b(t)
+    (_first_moments) when _first_moment_gate, the rule certify's plan
+    reads too, holds: for canonical weights, not for a twist or filter,
+    whose classes are all built.
 
     The weight w(d) mod ell does not depend on the class, so it is built
     once, to n_scan.  The probe stage screens every other class on the
@@ -581,12 +580,12 @@ def _scan_prime(ensemble, weight_selector, ms, ell, comp, n_scan, include_r0) ->
         classes.setdefault((m - 1) % (ell - 1) + 1, []).append(m)
     found: dict[int, tuple[int, ...]] = {}
     live = list(classes)
-    if weight_selector is None and 1 in classes:
+    selector = ensemble if weight_selector is None else weight_selector
+    if 1 in classes and _first_moment_gate(ensemble, selector, 1, ell):
         first_moments = _first_moments(np.arange(n_scan + 1), comp, ell)
         [found[1]] = _residues_of_zeros(first_moments[None] != 0, ell, include_r0)
         live.remove(1)
     if live:
-        selector = ensemble if weight_selector is None else weight_selector
         w = _weight_values_mod(DivisorWeight(live[0], selector), n_scan, ell)
         for top in sorted({min(n_scan, _SCAN_PROBE_ROWS * ell), n_scan}):
             found.update(_vanishing_residues(live, w, comp, ell, top, include_r0))
@@ -662,20 +661,17 @@ def certify_batch(tasks, *, jobs: int = 1, max_coeffs: int = DEFAULT_COEFF_BUDGE
 
     Each task is (ensemble, m, prog, modulus, config) or the same with a
     weight appended, and runs as certify with max_coeffs.  Every task is
-    checked and sized by certify's own _certify_plan before any series is
-    built, so a task certify would refuse raises its ValueError or
-    ResourceLimitError first.  A task checks ell*B + r + 1 coefficients,
-    or none in the zero class (_zero_class), which builds nothing.  The
-    tasks run on up to jobs worker processes when _CERTIFY_COEFF_COST
-    times the sum reaches _POOL_MIN_COEFFS, and in this process
-    otherwise.  Results come back in task order regardless of jobs.
+    checked and planned by certify's own _certify_plan before any series
+    is built, so a task certify would refuse raises its ValueError or
+    ResourceLimitError first.  A task checks plan.top + 1 coefficients,
+    or none on the zero route, which builds nothing.  The tasks run on up
+    to jobs worker processes when _CERTIFY_COEFF_COST times the sum
+    reaches _POOL_MIN_COEFFS, and in this process otherwise.  Results come
+    back in task order regardless of jobs.
     """
     normalized = [(*task, None, max_coeffs) if len(task) == 5 else (*task, max_coeffs) for task in tasks]
-    coeffs = 0
-    for ensemble, m, prog, modulus, config, weight, budget in normalized:
-        weight, _level, _bound, n_max = _certify_plan(ensemble, m, prog, modulus, config, weight, budget)
-        if not _zero_class(ensemble, weight, m, prog, modulus):
-            coeffs += n_max + 1
+    plans = [_certify_plan(*task) for task in normalized]
+    coeffs = sum(plan.top + 1 for plan in plans if plan.route != "zero")
     return _map_tasks(_certify_task, normalized, _pool_jobs(jobs, _CERTIFY_COEFF_COST * coeffs))
 
 

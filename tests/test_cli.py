@@ -145,6 +145,16 @@ def test_scan_weight_with_m_is_a_usage_error(weights, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("spec", ["m=3,m=5", "m=5,m=5", "m=3,filter=odd,m=5"])
+def test_repeated_m_in_a_weight_is_a_usage_error(spec, capsys):
+    with pytest.raises(ValueError, match="at most one m"):
+        parse_weight_spec(spec)
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--weight", spec, "--ell", "7", "--r", "0", "--prime", "7"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_weight_with_m_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["certify", "--weight", "m=3", "--m", "5", "--ell", "7", "--r", "0", "--prime", "7"])

@@ -20,7 +20,6 @@ from freqmoments.arith import (
 from freqmoments.congruence import (
     Progression,
     ResourceLimitError,
-    _level,
     _map_tasks,
     _pool_size,
     _projected_moment_values,
@@ -293,21 +292,58 @@ K1_QUOTIENT = Ensemble("eta(1:-1,4:2)", ((1, -1), (4, 2)))
 def sigma_route_record(ensemble, m, prog, modulus, config, weight=None):
     """certify's record by the sigma route in one stage: the weighted sigma
     table and _projected_moment_values on the companion to ell*B + r."""
-    weight, level, bound, n_max = congruence._certify_plan(
-        ensemble, m, prog, modulus, config, weight, congruence.DEFAULT_COEFF_BUDGET
-    )
+    plan = congruence._certify_plan(ensemble, m, prog, modulus, config, weight, congruence.DEFAULT_COEFF_BUDGET)
     ring = CoefficientRing.integers_mod(modulus)
-    sigma = weighted_sigma_table(weight, n_max, ring)
-    comp = companion_series(ensemble, n_max, ring)
-    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, bound + 1)
+    sigma = weighted_sigma_table(plan.weight, plan.top, ring)
+    comp = companion_series(ensemble, plan.top, ring)
+    values = _projected_moment_values(sigma, comp, prog.ell, prog.r, plan.bound + 1)
     witness = next(((n, prog.ell * n + prog.r, v) for n, v in enumerate(values) if v), None)
     return congruence.CertificationRecord(
-        ensemble.name, weight.describe(), m, prog.ell, prog.r, modulus,
-        config.mode, config.level_model, 4 * level, bound,
-        max_index_checked=n_max if witness is None else witness[1],
+        ensemble.name, plan.weight.describe(), m, prog.ell, prog.r, modulus,
+        config.mode, config.level_model, 4 * plan.level, plan.bound,
+        max_index_checked=plan.top if witness is None else witness[1],
         status="PASS" if witness is None else "FAIL",
         fail_witness=witness,
     )
+
+
+# (ensemble, m, prog, modulus, weight) -> the plan's (4L, B, ell*B + r,
+# route) at sharp24/natural and sharp24/safe
+PLAN_CASES = [
+    # zero: r = 0 and modulus = ell, canonical weights, m = 1 (mod ell - 1)
+    ((ORDINARY, 1, Progression(13, 0), 13, None), (52, 10, 130, "zero"), (676, 136, 1768, "zero")),
+    ((OVERPARTITION, 7, Progression(7, 0), 7, None), (28, 30, 210, "zero"), (196, 210, 1470, "zero")),
+    ((K1_QUOTIENT, 5, Progression(5, 0), 5, None), (20, 16, 80, "zero"), (100, 82, 410, "zero")),
+    # first-moment: r != 0, or modulus != ell
+    ((ORDINARY, 1, Progression(5, 4), 5, None), (20, 4, 24, "first-moment"), (100, 22, 114, "first-moment")),
+    ((OVERPARTITION, 1, Progression(5, 0), 2, None), (20, 4, 20, "first-moment"), (100, 22, 110, "first-moment")),
+    ((K1_QUOTIENT, 5, Progression(5, 1), 5, None), (20, 16, 81, "first-moment"), (100, 82, 411, "first-moment")),
+    # sigma: a twist, a filter, a plain weight, and canonical m != 1 (mod ell - 1)
+    ((ORDINARY, 3, Progression(5, 4), 5, DivisorWeight(3, GlaisherFilter.kronecker(5))),
+     (20, 10, 54, "sigma"), (100, 52, 264, "sigma")),
+    ((OVERPARTITION, 3, Progression(7, 0), 7, DivisorWeight(3, GlaisherFilter("odd"))),
+     (56, 28, 196, "sigma"), (784, 392, 2744, "sigma")),
+    ((K1_QUOTIENT, 1, Progression(5, 0), 5, DivisorWeight(1)), (20, 4, 20, "sigma"), (100, 22, 110, "sigma")),
+    ((ORDINARY, 3, Progression(7, 0), 7, None), (28, 14, 98, "sigma"), (196, 98, 686, "sigma")),
+]
+PLAN_IDS = [
+    "ordinary-zero", "overpartition-zero", "k1-quotient-zero",
+    "ordinary-r-nonzero", "overpartition-p-not-ell", "k1-quotient-r-nonzero",
+    "ordinary-twist", "overpartition-filter", "k1-quotient-plain", "ordinary-m3",
+]
+
+
+@pytest.mark.parametrize("level_model", ["natural", "safe"])
+@pytest.mark.parametrize("task,natural,safe", PLAN_CASES, ids=PLAN_IDS)
+def test_certify_plan_pins_level_bound_top_and_route(task, natural, safe, level_model):
+    ensemble, m, prog, modulus, weight = task
+    config = SturmConfig(SHARP24, level_model)
+    plan = congruence._certify_plan(ensemble, m, prog, modulus, config, weight, congruence.DEFAULT_COEFF_BUDGET)
+    assert (4 * plan.level, plan.bound, plan.top, plan.route) == (natural if level_model == "natural" else safe)
+    assert plan.weight == (weight or DivisorWeight(m, ensemble))
+    rec = certify(ensemble, m, prog, modulus, config, weight=weight)
+    assert (rec.level, rec.bound_b) == (4 * plan.level, plan.bound)
+    assert rec.status == "FAIL" or rec.max_index_checked == plan.top
 
 
 # (ell, modulus): the modulus ell, and other primes: 2 and 3, where every
@@ -587,10 +623,10 @@ def table_rows_outside_the_zero_class() -> list[tuple]:
     rows = []
     for _heading, table in _published_tables().values():
         for ensemble, m, prog, prime, config, weight, _b, _top in table:
-            planned, *_ = congruence._certify_plan(
+            plan = congruence._certify_plan(
                 ensemble, m, prog, prime, config, weight, congruence.DEFAULT_COEFF_BUDGET
             )
-            if not congruence._zero_class(ensemble, planned, m, prog, prime):
+            if plan.route != "zero":
                 rows.append((ensemble, m, prog, prime, config, weight))
     return rows
 
@@ -753,22 +789,30 @@ def test_nontrivial_pass_vanishes_to_the_bound_of_weight_m_plus_ell(m, ell, r):
 # --- filtered certification -------------------------------------------------
 
 
+def _plan_level(weight, ell, config):
+    """The L of Gamma0(4L) certify plans for weight at ell, r = 0, mod ell."""
+    plan = congruence._certify_plan(
+        ORDINARY, weight.exponent, Progression(ell, 0), ell, config, weight, congruence.DEFAULT_COEFF_BUDGET
+    )
+    return plan.level
+
+
 def test_filtered_level_rule():
     # L = config.resolve_level(lcm(ell, conductor))
     safe, natural = SturmConfig(level_model="safe"), SturmConfig(level_model="natural")
     chi5 = DivisorWeight(3, GlaisherFilter.kronecker(5))
-    assert _level(chi5, 5, safe) == 25
-    assert _level(chi5, 5, natural) == 5
-    assert _level(chi5, 7, safe) == 1225  # lcm(7,5)^2
-    assert _level(DivisorWeight(3, GlaisherFilter("chi0", (12,))), 3, natural) == 12
+    assert _plan_level(chi5, 5, safe) == 25
+    assert _plan_level(chi5, 5, natural) == 5
+    assert _plan_level(chi5, 7, safe) == 1225  # lcm(7,5)^2
+    assert _plan_level(DivisorWeight(3, GlaisherFilter("chi0", (12,))), 3, natural) == 12
     # filters contribute their level over 4; plain and canonical weights 1
-    assert _level(DivisorWeight(3, GlaisherFilter("odd")), 7, safe) == 14**2
+    assert _plan_level(DivisorWeight(3, GlaisherFilter("odd")), 7, safe) == 14**2
     for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY)):
-        assert _level(weight, 7, safe) == 49
-        assert _level(weight, 7, natural) == 7
+        assert _plan_level(weight, 7, safe) == 49
+        assert _plan_level(weight, 7, natural) == 7
     # a custom level is taken as given, twisted or not
     custom = SturmConfig(level_model="custom", custom_level=30)
-    assert _level(chi5, 7, custom) == _level(DivisorWeight(3), 7, custom) == 30
+    assert _plan_level(chi5, 7, custom) == _plan_level(DivisorWeight(3), 7, custom) == 30
 
 
 def test_certify_filtered_chi5_m3():

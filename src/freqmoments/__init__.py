@@ -33,14 +33,11 @@ _EXPORTS = {
         "certify_batch",
         "certify_filtered",
         "predicted_hits",
-        "project",
         "scan",
     ),
     "divisorweights": (
         "DivisorWeight",
-        "FilterModularData",
         "GlaisherFilter",
-        "filter_modular_data",
         "sigma_table",
         "weighted_sigma_table",
     ),

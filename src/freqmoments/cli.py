@@ -85,9 +85,10 @@ def _coefficient_budget() -> int:
 
 # ---------------------------------------------------------------------------
 # Weight spec grammar, version 1:
-#   m=<int>[,twist=kronecker(<D>)|twist=principal(<m>)|filter=<name>(<args>)]
-# Filter names: all, odd, even, coprime(m), residue(a,m), qr(p),
-# kronweight(D), exclude(p).
+#   [m=<int>][, twist=<kind>(<args>) | chi=<kind>(<args>) | filter=<kind>(<args>)]
+# The kinds are the rows of divisorweights._FILTER_ROWS, by the names a
+# report prints, so every printed twist or filter label parses back;
+# twist= and chi= are one key.  Only scan takes a spec without m.
 # ---------------------------------------------------------------------------
 
 
@@ -117,23 +118,9 @@ def _parse_call(text: str) -> tuple[str, list[int]]:
     return name.strip(), args
 
 
-# (key, name) in a weight spec -> the selector kind, whose row checks the arguments
-_SELECTORS = {
-    ("twist", "kronecker"): "kronecker",
-    ("twist", "principal"): "chi0",
-    ("filter", "all"): "all",
-    ("filter", "odd"): "odd",
-    ("filter", "even"): "even",
-    ("filter", "coprime"): "coprime",
-    ("filter", "residue"): "residue",
-    ("filter", "qr"): "quadratic-residues",
-    ("filter", "kronweight"): "kronecker-weight",
-    ("filter", "exclude"): "exclude-multiples",
-}
-
-
-def parse_weight_spec(spec: str) -> DivisorWeight:
-    """Parse the compact weight grammar into a DivisorWeight."""
+def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | None]:
+    """The m (None if the spec names none) and the selector (None for no
+    twist or filter) of a weight spec."""
     exponent: int | None = None
     selector = None
     for part in _split_top_level(spec):
@@ -145,16 +132,20 @@ def parse_weight_spec(spec: str) -> DivisorWeight:
             if exponent is not None:
                 raise ValueError("at most one m per weight")
             exponent = int(value)
-        elif key in ("twist", "filter"):
+        elif key in ("twist", "chi", "filter"):
             if selector is not None:
                 raise ValueError("at most one twist or filter per weight")
-            name, args = _parse_call(value)
-            kind = _SELECTORS.get((key, name))
-            if kind is None:
-                raise ValueError(f"unknown {key} {value!r}")
-            selector = GlaisherFilter(kind, args)
+            selector = GlaisherFilter(*_parse_call(value))
+            if selector.is_twist != (key != "filter"):
+                raise ValueError(f"{key}={value} names the wrong key: write {selector.label()}")
         else:
             raise ValueError(f"unknown weight key {key!r}")
+    return exponent, selector
+
+
+def parse_weight_spec(spec: str) -> DivisorWeight:
+    """Parse the compact weight grammar into a DivisorWeight."""
+    exponent, selector = _parse_weight_parts(spec)
     if exponent is None:
         raise ValueError("weight spec needs m=<int>")
     return DivisorWeight(exponent, selector)
@@ -214,17 +205,14 @@ FILTERED_TABLE = (
 
 def _run_scan(args) -> int:
     ensemble = ensemble_by_name(args.ensemble)
-    if args.weight:
+    ms = _parse_int_list(args.m)
+    if args.m_odd_max is not None:
+        ms.extend(range(1, args.m_odd_max + 1, 2))
+    exponent, selector = _parse_weight_parts(args.weight) if args.weight else (None, None)
+    if exponent is not None:
         if args.m or args.m_odd_max is not None:
             raise ValueError("--weight names its own m; drop --m and --m-odd-max")
-        weight = parse_weight_spec(args.weight)
-        ms = [weight.exponent]
-        selector = weight.selector
-    else:
-        selector = None
-        ms = _parse_int_list(args.m)
-        if args.m_odd_max is not None:
-            ms.extend(range(1, args.m_odd_max + 1, 2))
+        ms = [exponent]
     ells = _parse_int_list(args.ell)
     if args.ell_max is not None:
         ells.extend(p for p in primes_up_to(args.ell_max).primes if p >= 5)
@@ -446,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Weight grammar v{WEIGHT_GRAMMAR_VERSION}: "
-            "m=<int>[,twist=kronecker(<D>)|twist=principal(<m>)|filter=<name>(<args>)]. "
+            "[m=<int>][,twist=<kind>(<args>)|chi=<kind>(<args>)|filter=<kind>(<args>)], "
+            "m optional for scan; every twist and filter label a report prints parses back. "
             f"Env {MEMORY_CAP_ENV} overrides the coefficient budget "
             f"(default {DEFAULT_COEFF_BUDGET})."
         ),
@@ -469,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--ell", action="append", help="prime(s), comma separated")
     p_scan.add_argument("--ell-max", type=int, help="scan all primes 5..this")
     p_scan.add_argument("--nscan", type=int, default=2000)
-    p_scan.add_argument("--weight", help="weight spec (single twisted/filtered scan)")
+    p_scan.add_argument("--weight", help="weight spec; without m=, give --m or --m-odd-max")
     p_scan.add_argument(
         "--nonzero-only", action="store_true", help="skip the r = 0 residue class"
     )

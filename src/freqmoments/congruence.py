@@ -25,7 +25,6 @@ from .divisorweights import (
     _divisor_sums_mod,
     _weight_terms_mod,
     _weight_values_mod,
-    filter_modular_data,
     weighted_sigma_table,
 )
 from .qseries import (
@@ -54,7 +53,6 @@ __all__ = [
     "certify_batch",
     "certify_filtered",
     "predicted_hits",
-    "project",
     "records_to_csv",
     "records_to_json",
     "records_to_text",
@@ -97,16 +95,6 @@ class Progression(_ProgressionFields):
         if not 0 <= self.r < self.ell:
             raise ValueError(f"residue r={self.r} out of range for ell={self.ell}")
         return self
-
-
-def project(moments: Series, prog: Progression) -> Series:
-    """The subsequence M(ell*n + r) for 0 <= n <= floor((N - r)/ell).
-
-    Residues r >= ell are rejected by Progression itself.
-    """
-    if moments.n_max < prog.r:
-        raise ValueError("series too short to contain the residue class")
-    return Series(moments.ring, moments.coeffs[prog.r :: prog.ell])
 
 
 class CertificationRecord(NamedTuple):
@@ -280,7 +268,7 @@ def certify(
     q^d)_inf^(-m_d), its own companion, of weight -k/2 with k = sum m_d:
     the moments have weight m + 1 - k/2.  Anything but k = 1 (ordinary
     partitions, overpartitions, coloured(1)) raises ValueError, as does a
-    filter whose character is unspecified (the even filter).  No bound here
+    filter whose row in the dictionary names no character.  No bound here
     backs a PASS for them.
 
     weight defaults to the ensemble's canonical c(d) * d^m; its exponent
@@ -349,10 +337,7 @@ def _certify_plan(ensemble, m, prog, modulus, config, weight, max_coeffs) -> _Pl
         weight = DivisorWeight(m, ensemble)
     elif weight.exponent != m:
         raise ValueError("weight exponent disagrees with m")
-    if (
-        isinstance(weight.selector, GlaisherFilter)
-        and filter_modular_data(weight.selector, m).character == "unspecified"
-    ):
+    if isinstance(weight.selector, GlaisherFilter) and weight.selector.character == "unspecified":
         raise ValueError(
             f"filter {weight.selector.describe()} has no known character, "
             "so no Sturm bound applies"

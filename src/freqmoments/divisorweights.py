@@ -1,5 +1,5 @@
-"""Divisor-sum tables: plain powers, character twists, Glaisher-style
-divisor filters, and the modular data of each filtered moment.
+"""Divisor-sum tables: plain powers, character twists and Glaisher-style
+divisor filters.
 
 Filters are divisor predicates.  Only real ({-1, 0, 1}-valued) characters
 are evaluated, because modular arithmetic has no canonical home for complex
@@ -20,9 +20,7 @@ from .qseries import CoefficientRing, Ensemble, Series, fits_int64
 
 __all__ = [
     "DivisorWeight",
-    "FilterModularData",
     "GlaisherFilter",
-    "filter_modular_data",
     "sigma_from_weight_function",
     "sigma_table",
     "weighted_sigma_table",
@@ -42,31 +40,32 @@ class _FilterRow(NamedTuple):
     twist: bool = False
 
 
-# A twist by a real character chi is the filter with weights chi(d), so the
-# twist kinds chi0(m) and kronecker(D) reuse the rows of their filter twins
-# coprime(m) and kronecker-weight(D); only their labels differ.
+# Each key is the one spelling of its kind: what --weight takes and what a
+# report prints.  A twist by a real character chi is the filter with weights
+# chi(d), so the twist kinds principal(m) and kronecker(D) reuse the rows of
+# their filter twins coprime(m) and kronweight(D); only their labels differ.
 _FILTER_ROWS: dict[str, _FilterRow] = {
     "all": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: 1), 1, "trivial")),
     "coprime": _FilterRow("a modulus m >= 1", lambda m: m >= 1, lambda m: (
         (lambda d: int(gcd(d, m) == 1)), m, f"chi0({m})")),
     "odd": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: d % 2), 2, "chi0(2)")),
-    # level 8 is recorded with no named character for this row
+    # no character is named for this row, so no Sturm bound applies to it
     "even": _FilterRow("no parameters", lambda: True, lambda: ((lambda d: 1 - d % 2), 2, "unspecified")),
     "residue": _FilterRow("(a, m) with 0 <= a < m", lambda a, m: 0 <= a < m, lambda a, m: (
         (lambda d: int(d % m == a)), m, f"character mixture mod {m}")),
-    "quadratic-residues": _FilterRow("an odd prime p", lambda p: p != 2 and is_prime(p), lambda p: (
+    "qr": _FilterRow("an odd prime p", lambda p: p != 2 and is_prime(p), lambda p: (
         (lambda d: int(pow(d, (p - 1) // 2, p) == 1)), p, f"(chi0({p}) + chi_{p})/2")),
     # (D|.) is a real character mod |D| exactly when D = 0, 1 (mod 4) and
     # D is nonzero (Cohen, A Course in Computational Algebraic Number
     # Theory, 1.4): (2|.) has period 8, and (3|.) none below 200
-    "kronecker-weight": _FilterRow(
+    "kronweight": _FilterRow(
         "a nonzero discriminant D = 0, 1 (mod 4)", lambda D: D != 0 and D % 4 < 2,
         lambda D: (partial(kronecker_symbol, D), abs(D), f"chi_D, D={D}")),
-    "exclude-multiples": _FilterRow("a prime p", is_prime, lambda p: (
+    "exclude": _FilterRow("a prime p", is_prime, lambda p: (
         (lambda d: int(d % p != 0)), p, f"chi0({p})")),
 }
-_FILTER_ROWS.update(chi0=_FILTER_ROWS["coprime"]._replace(twist=True),
-                    kronecker=_FILTER_ROWS["kronecker-weight"]._replace(twist=True))
+_FILTER_ROWS.update(principal=_FILTER_ROWS["coprime"]._replace(twist=True),
+                    kronecker=_FILTER_ROWS["kronweight"]._replace(twist=True))
 
 
 @cache
@@ -113,6 +112,15 @@ class GlaisherFilter(_GlaisherFilterFields):
         """The period of the weights, and the level over 4."""
         return _filter_row(*self)[1]
 
+    @property
+    def character(self) -> str:
+        """The dictionary's character, "unspecified" where it names none."""
+        return _filter_row(*self)[2]
+
+    @property
+    def is_twist(self) -> bool:
+        return _FILTER_ROWS[self.kind].twist
+
     def describe(self) -> str:
         if self.params:
             inner = ",".join(str(p) for p in self.params)
@@ -121,7 +129,7 @@ class GlaisherFilter(_GlaisherFilterFields):
 
     def label(self) -> str:
         """chi=<kind>(<args>) for a twist, filter=<kind>(<args>) otherwise."""
-        return f"{'chi' if _FILTER_ROWS[self.kind].twist else 'filter'}={self.describe()}"
+        return f"{'chi' if self.is_twist else 'filter'}={self.describe()}"
 
 
 # The twist class's former name, kept for the frozen acceptance suite.
@@ -310,38 +318,3 @@ def sigma_from_weight_function(f, n: int, ring: CoefficientRing) -> Series:
     terms = np.array([0] + [ring.reduce(f(d)) for d in range(1, n + 1)], dtype=object)
     return Series(ring, _divisor_sums_mod(terms, ring.modulus))
 
-
-# ---------------------------------------------------------------------------
-# Modular metadata
-# ---------------------------------------------------------------------------
-
-
-class _FilterModularDataFields(NamedTuple):
-    k: int
-    level: int
-    character: str
-
-
-class FilterModularData(_FilterModularDataFields):
-    """Half-integral modular data for a filtered odd moment: weight k/2 with
-    k = 2s + 1, level of the Gamma0 group, and the character."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.k % 2 == 0:
-            raise ValueError("k must be odd")
-        if self.level % 4 != 0:
-            raise ValueError("level must be a multiple of 4")
-        return self
-
-
-def filter_modular_data(filt: GlaisherFilter, s: int) -> FilterModularData:
-    """Dictionary row for a filter at odd exponent s: the filtered moment
-    series lives in weight s + 1/2 at level 4 * conductor, with the
-    character of the filter's row in _FILTER_ROWS."""
-    if s < 1 or s % 2 == 0:
-        raise ValueError("s must be odd and >= 1")
-    _, conductor, character = _filter_row(*filt)
-    return FilterModularData(2 * s + 1, 4 * conductor, character)

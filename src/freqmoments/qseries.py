@@ -132,9 +132,6 @@ class Series:
     def __getitem__(self, n: int) -> int:
         return int(self.coeffs[n])
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     @property
     def values(self) -> Series:
         """The series itself: the benchmark's witness check reads moment

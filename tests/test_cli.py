@@ -13,11 +13,13 @@ import pytest
 from freqmoments.cli import (
     BLAS_THREAD_VARS,
     MEMORY_CAP_ENV,
+    _parse_weight_parts,
     main,
     parse_weight_spec,
     run,
 )
-from freqmoments.divisorweights import GlaisherFilter
+from freqmoments.divisorweights import DivisorWeight, GlaisherFilter
+from test_divisorweights import FILTER_DOMAINS
 
 
 def run_cli(args, capsys) -> tuple[int, str]:
@@ -39,14 +41,16 @@ def test_parse_twist_weights():
     w = parse_weight_spec("m=3,twist=kronecker(5)")
     assert w.selector == GlaisherFilter.kronecker(5)
     w = parse_weight_spec("m=7, twist=principal(4)")
-    assert w.selector == GlaisherFilter("chi0", (4,))
+    assert w.selector == GlaisherFilter("principal", (4,))
+    # chi= is the key a report prints, the same key as twist=
+    assert parse_weight_spec("m=7, chi=principal(4)") == w
 
 
 def test_parse_filter_weights():
     assert parse_weight_spec("m=3,filter=odd").selector == GlaisherFilter("odd")
     assert parse_weight_spec("m=3,filter=residue(1,4)").selector == GlaisherFilter("residue", (1, 4))
-    assert parse_weight_spec("m=5,filter=qr(7)").selector == GlaisherFilter("quadratic-residues", (7,))
-    assert parse_weight_spec("m=5,filter=kronweight(-4)").selector == GlaisherFilter("kronecker-weight", (-4,))
+    assert parse_weight_spec("m=5,filter=qr(7)").selector == GlaisherFilter("qr", (7,))
+    assert parse_weight_spec("m=5,filter=kronweight(-4)").selector == GlaisherFilter("kronweight", (-4,))
 
 
 def test_parse_weight_errors():
@@ -58,6 +62,67 @@ def test_parse_weight_errors():
         parse_weight_spec("m=3,filter=odd,twist=kronecker(5)")
     with pytest.raises(ValueError):
         parse_weight_spec("m=3,mystery=1")
+
+
+# every kind, at parameters in its domain
+KINDS = [(kind, params) for kind, params, _ in FILTER_DOMAINS]
+
+
+@pytest.mark.parametrize("kind, params", KINDS, ids=[kind for kind, _ in KINDS])
+def test_a_record_label_parses_back(kind, params):
+    weight = DivisorWeight(3, GlaisherFilter(kind, params))
+    assert parse_weight_spec(weight.describe()) == weight
+
+
+@pytest.mark.parametrize("kind, params", KINDS, ids=[kind for kind, _ in KINDS])
+def test_a_scan_label_parses_back_and_reruns(kind, params, capsys):
+    selector = GlaisherFilter(kind, params)
+    scan_args = ["--ell", "5,7", "--nscan", "60", "--format", "json"]
+    code, out = run_cli(["scan", "--weight", DivisorWeight(3, selector).describe(), *scan_args], capsys)
+    assert code == 0
+    family = json.loads(out)["weight_family"]
+    assert _parse_weight_parts(family) == (None, selector)
+    # the printed label, given the m it lacks, re-runs the same scan
+    assert run_cli(["scan", "--weight", family, "--m", "3", *scan_args], capsys) == (0, out)
+
+
+def test_a_scan_weight_without_m_takes_the_ms_of_the_flags(capsys):
+    args = ["--ell", "5,7", "--nscan", "100", "--format", "json"]
+    code, out = run_cli(["scan", "--weight", "chi=kronecker(5)", "--m-odd-max", "5", *args], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"]["m"] == [1, 3, 5] and report["weight_family"] == "chi=kronecker(5)"
+    # scan needs an m from somewhere; certify needs it in the spec
+    for argv in (["scan", *args], ["certify", "--ell", "5", "--r", "4", "--prime", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--weight", "chi=kronecker(5)"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # kind names that are no row: the spellings reports printed before
+        # each kind had one name
+        ("filter=exclude-multiples(5)", "unknown selector kind"),
+        ("filter=quadratic-residues(5)", "unknown selector kind"),
+        ("filter=kronecker-weight(5)", "unknown selector kind"),
+        ("twist=chi0(3)", "unknown selector kind"),
+        # a twist under the filter key, or a filter under a twist key
+        ("filter=kronecker(5)", "write chi=kronecker\\(5\\)"),
+        ("filter=principal(3)", "write chi=principal\\(3\\)"),
+        ("twist=odd", "write filter=odd"),
+        ("chi=qr(5)", "write filter=qr\\(5\\)"),
+    ],
+)
+def test_a_spelling_no_row_takes_is_a_usage_error(spec, message, capsys):
+    with pytest.raises(ValueError, match=message):
+        parse_weight_spec(f"m=3,{spec}")
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--weight", f"m=3,{spec}", "--ell", "7", "--r", "0", "--prime", "7"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # --- subcommands ------------------------------------------------------------

@@ -27,7 +27,6 @@ from freqmoments.congruence import (
     certify_batch,
     certify_filtered,
     predicted_hits,
-    project,
     records_to_csv,
     records_to_json,
     scan,
@@ -52,6 +51,7 @@ from freqmoments.qseries import (
     fits_float64,
     fits_int64,
     make_series,
+    partition_counts,
 )
 
 from test_divisorweights import ROW_IDS, ROW_SELECTORS
@@ -78,26 +78,27 @@ def test_progression_validation():
         Progression(7, -1)
 
 
+# A progression's moments M(ell*n + r) are the slice coeffs[r::ell].
+
+
 def test_project_stride_extraction():
     M = ensemble_moments(ORDINARY, 1, 20, Z)
-    projected = project(M, Progression(5, 0))
-    assert projected.coeffs.tolist() == [M[5 * n] for n in range(5)]
-    assert projected[0] == 0
+    p = partition_counts(20, Z)
+    # M_1(t) = t * p(t)
+    assert M.coeffs[0::5].tolist() == [5 * n * p[5 * n] for n in range(5)]
 
 
 def test_project_m1_ramanujan_instance():
     mod5 = CoefficientRing.integers_mod(5)
-    M = ensemble_moments(ORDINARY, 1, 20, mod5)
-    projected = project(M, Progression(5, 4))
+    projected = ensemble_moments(ORDINARY, 1, 20, mod5).coeffs[4::5]
     # n=1 entry is M_1(9) = 9 * p(9) = 270 = 0 mod 5
     assert projected[1] == 0
-    assert all(v == 0 for v in projected.coeffs)
+    assert not projected.any()
 
 
 def test_project_m3_seven_example():
     mod7 = CoefficientRing.integers_mod(7)
-    M = ensemble_moments(ORDINARY, 3, 40, mod7)
-    projected = project(M, Progression(7, 5))
+    projected = ensemble_moments(ORDINARY, 3, 40, mod7).coeffs[5::7]
     assert projected[0] == 0  # M_3(5) = 287 = 7 * 41
 
 
@@ -105,10 +106,7 @@ def test_project_commutes_with_reduction():
     exact = ensemble_moments(ORDINARY, 3, 100, Z)
     ring = CoefficientRing.integers_mod(7)
     mod7 = ensemble_moments(ORDINARY, 3, 100, ring)
-    prog = Progression(7, 5)
-    reduced_then_projected = project(mod7, prog)
-    projected_then_reduced = make_series(ring, project(exact, prog).coeffs)
-    assert reduced_then_projected == projected_then_reduced
+    assert mod7.coeffs[5::7].tolist() == make_series(ring, exact.coeffs[5::7]).coeffs.tolist()
 
 
 # --- certification ----------------------------------------------------------
@@ -725,7 +723,7 @@ def test_certify_one_colour_is_ordinary():
 
 
 def test_certify_refuses_the_even_filter():
-    # filter_modular_data records no character for the even-divisor filter
+    # the dictionary names no character for the even-divisor filter
     weight = DivisorWeight(3, GlaisherFilter("even"))
     with pytest.raises(ValueError, match="no known character"):
         certify(ORDINARY, 3, Progression(7, 0), 7, SHARP_SAFE, weight=weight)
@@ -804,7 +802,7 @@ def test_filtered_level_rule():
     assert _plan_level(chi5, 5, safe) == 25
     assert _plan_level(chi5, 5, natural) == 5
     assert _plan_level(chi5, 7, safe) == 1225  # lcm(7,5)^2
-    assert _plan_level(DivisorWeight(3, GlaisherFilter("chi0", (12,))), 3, natural) == 12
+    assert _plan_level(DivisorWeight(3, GlaisherFilter("principal", (12,))), 3, natural) == 12
     # filters contribute their level over 4; plain and canonical weights 1
     assert _plan_level(DivisorWeight(3, GlaisherFilter("odd")), 7, safe) == 14**2
     for weight in (DivisorWeight(3), DivisorWeight(3, ORDINARY)):
@@ -916,16 +914,19 @@ FUNDAMENTAL_DISCRIMINANTS = [
 ]
 # (twist, filter twin, the twist's character defined on its own)
 TWIN_CASES = [
-    (GlaisherFilter.kronecker(D), GlaisherFilter("kronecker-weight", (D,)),
+    (GlaisherFilter.kronecker(D), GlaisherFilter("kronweight", (D,)),
      lambda d, D=D: kronecker_symbol(D, d) if gcd(d, D) == 1 else 0)
     for D in FUNDAMENTAL_DISCRIMINANTS
 ] + [
-    (GlaisherFilter("chi0", (m,)), GlaisherFilter("coprime", (m,)), lambda d, m=m: int(gcd(d, m) == 1))
+    (GlaisherFilter("principal", (m,)), GlaisherFilter("coprime", (m,)), lambda d, m=m: int(gcd(d, m) == 1))
     for m in range(1, 13)
 ]
+# each case is named by its character: the Kronecker symbol (D|.), or chi0(m),
+# the principal character mod m
+TWIN_IDS = [f"kronecker({D})" for D in FUNDAMENTAL_DISCRIMINANTS] + [f"chi0({m})" for m in range(1, 13)]
 
 
-@pytest.mark.parametrize("twist, twin, chi", TWIN_CASES, ids=[t.describe() for t, _, _ in TWIN_CASES])
+@pytest.mark.parametrize("twist, twin, chi", TWIN_CASES, ids=TWIN_IDS)
 def test_every_twist_equals_its_filter_twin(twist, twin, chi):
     # a twist is the filter whose weights are the character's values, so it
     # shares its twin's row and differs from it only in its label

@@ -10,7 +10,6 @@ import pytest
 from freqmoments.divisorweights import (
     DivisorWeight,
     GlaisherFilter,
-    filter_modular_data,
     sigma_from_weight_function,
     sigma_table,
     weighted_sigma_table,
@@ -165,11 +164,11 @@ def test_weighted_sigma_beyond_int64_guard_is_exact():
 
 
 def test_character_values():
-    chi0_5 = GlaisherFilter("chi0", (5,))
-    assert [chi0_5.weight(d) for d in (1, 2, 5, 10)] == [1, 1, 0, 0]
+    principal5 = GlaisherFilter("principal", (5,))
+    assert [principal5.weight(d) for d in (1, 2, 5, 10)] == [1, 1, 0, 0]
     chi5 = GlaisherFilter.kronecker(5)
     assert [chi5.weight(d) for d in (1, 2, 3, 4, 5, 6)] == [1, -1, -1, 1, 0, 1]
-    assert GlaisherFilter("chi0", (1,)).weight(12) == 1  # chi0(1) is the trivial character
+    assert GlaisherFilter("principal", (1,)).weight(12) == 1  # principal(1) is the trivial character
 
 
 def test_character_imprimitive_modulus():
@@ -264,11 +263,11 @@ def test_filter_weights():
     assert GlaisherFilter("odd").weight(4) == 0
     assert GlaisherFilter("even").weight(4) == 1
     assert GlaisherFilter("residue", (1, 4)).weight(9) == 1
-    assert GlaisherFilter("exclude-multiples", (3,)).weight(9) == 0
-    assert GlaisherFilter("kronecker-weight", (-4,)).weight(3) == -1
-    qr5 = GlaisherFilter("quadratic-residues", (5,))
+    assert GlaisherFilter("exclude", (3,)).weight(9) == 0
+    assert GlaisherFilter("kronweight", (-4,)).weight(3) == -1
+    qr5 = GlaisherFilter("qr", (5,))
     assert [d for d in (1, 2, 3, 6) if qr5.weight(d) == 1] == [1, 6]  # 1 and 6 are 1 mod 5
-    assert GlaisherFilter("quadratic-residues", (3,)).weight(3) == 0
+    assert GlaisherFilter("qr", (3,)).weight(3) == 0
 
 
 # each kind: parameters in its domain, then refused parameters, a wrong
@@ -279,12 +278,12 @@ FILTER_DOMAINS = [
     ("odd", (), [(2,)]),
     ("even", (), [(0, 2)]),
     ("coprime", (6,), [(), (0,)]),
-    ("chi0", (6,), [(6, 1), (0,)]),
+    ("principal", (6,), [(6, 1), (0,)]),
     ("residue", (1, 4), [(1,), (4, 4), (-1, 4)]),
-    ("quadratic-residues", (5,), [(5, 7), (2,), (9,)]),
-    ("kronecker-weight", (5,), [(), (3,)]),
+    ("qr", (5,), [(5, 7), (2,), (9,)]),
+    ("kronweight", (5,), [(), (3,)]),
     ("kronecker", (-4,), [(5, 5), (0,)]),
-    ("exclude-multiples", (3,), [(), (4,)]),
+    ("exclude", (3,), [(), (4,)]),
 ]
 
 
@@ -297,7 +296,7 @@ def test_filter_validation():
             with pytest.raises(ValueError, match=rf"^{re.escape(kind)} needs "):
                 GlaisherFilter(kind, bad)
     with pytest.raises(ValueError, match="unknown selector kind"):
-        GlaisherFilter("qr", (5,))
+        GlaisherFilter("quadratic-residues", (5,))
 
 
 def test_params_are_a_tuple_whatever_sequence_they_are_given_as():
@@ -312,11 +311,11 @@ def test_params_are_a_tuple_whatever_sequence_they_are_given_as():
 def test_quadratic_residue_half_sum_instance():
     # (sigma_3(6; chi0) + sigma_3(6; chi5)) / 2 = 217 = 1^3 + 6^3
     principal = weighted_sigma_table(
-        DivisorWeight(3, GlaisherFilter("chi0", (5,))), 6, Z
+        DivisorWeight(3, GlaisherFilter("principal", (5,))), 6, Z
     )
     twisted = weighted_sigma_table(DivisorWeight(3, GlaisherFilter.kronecker(5)), 6, Z)
     assert principal[6] + twisted[6] == 2 * 217
-    indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter("quadratic-residues", (5,))), 6, Z)
+    indicator = weighted_sigma_table(DivisorWeight(3, GlaisherFilter("qr", (5,))), 6, Z)
     assert indicator[6] == 217
 
 
@@ -326,10 +325,10 @@ def test_twist_linearity_dictionary(p):
     n_max = 1000
     for s in (1, 3):
         principal = weighted_sigma_table(
-            DivisorWeight(s, GlaisherFilter("chi0", (p,))), n_max, Z
+            DivisorWeight(s, GlaisherFilter("principal", (p,))), n_max, Z
         )
         twisted = weighted_sigma_table(DivisorWeight(s, legendre_character(p)), n_max, Z)
-        indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter("quadratic-residues", (p,))), n_max, Z)
+        indicator = weighted_sigma_table(DivisorWeight(s, GlaisherFilter("qr", (p,))), n_max, Z)
         for n in range(1, n_max + 1):
             assert principal[n] + twisted[n] == 2 * indicator[n]
 
@@ -337,36 +336,31 @@ def test_twist_linearity_dictionary(p):
 # --- modular metadata -------------------------------------------------------
 
 
-def test_filter_modular_data_levels():
-    assert filter_modular_data(GlaisherFilter("all"), 3).level == 4
-    assert filter_modular_data(GlaisherFilter("all"), 3).k == 7
-    assert filter_modular_data(GlaisherFilter("odd"), 3).level == 8
-    assert filter_modular_data(GlaisherFilter("even"), 3).level == 8
-    assert filter_modular_data(GlaisherFilter("coprime", (6,)), 3).level == 24
-    assert filter_modular_data(GlaisherFilter("residue", (1, 4)), 5).level == 16
-    assert filter_modular_data(GlaisherFilter("quadratic-residues", (5,)), 3).level == 20
-    assert filter_modular_data(GlaisherFilter("kronecker-weight", (5,)), 3).level == 20
-    assert filter_modular_data(GlaisherFilter("kronecker-weight", (-4,)), 3).level == 16
-    assert filter_modular_data(GlaisherFilter("exclude-multiples", (7,)), 3).level == 28
+def test_filter_conductors():
+    # the level a certification takes is lcm(ell, conductor), times 4
+    assert GlaisherFilter("all").conductor == 1
+    assert GlaisherFilter("odd").conductor == 2
+    assert GlaisherFilter("even").conductor == 2
+    assert GlaisherFilter("coprime", (6,)).conductor == 6
+    assert GlaisherFilter("residue", (1, 4)).conductor == 4
+    assert GlaisherFilter("qr", (5,)).conductor == 5
+    assert GlaisherFilter("kronweight", (5,)).conductor == 5
+    assert GlaisherFilter("kronweight", (-4,)).conductor == 4
+    assert GlaisherFilter("exclude", (7,)).conductor == 7
 
 
-def test_filter_modular_data_unnamed_even_character():
-    data = filter_modular_data(GlaisherFilter("even"), 3)
-    assert data.character == "unspecified"
-
-
-def test_filter_modular_data_rejects_even_exponent():
-    with pytest.raises(ValueError):
-        filter_modular_data(GlaisherFilter("all"), 2)
+def test_the_even_filter_names_no_character():
+    assert GlaisherFilter("even").character == "unspecified"
+    assert GlaisherFilter("principal", (5,)).character == GlaisherFilter("exclude", (5,)).character == "chi0(5)"
 
 
 # --- one row per twist and filter ------------------------------------------
 
 # each selector with an independent definition of its weight w(d), d >= 1
 ROW_SELECTORS = [
-    # chi0(1) is the trivial character
-    (GlaisherFilter("chi0", (1,)), lambda d: 1),
-    (GlaisherFilter("chi0", (6,)), lambda d: int(gcd(d, 6) == 1)),
+    # principal(1) is the trivial character
+    (GlaisherFilter("principal", (1,)), lambda d: 1),
+    (GlaisherFilter("principal", (6,)), lambda d: int(gcd(d, 6) == 1)),
     (GlaisherFilter.kronecker(5), lambda d: kronecker_symbol(5, d)),
     # (-3|.) off the units of 6 is the Kronecker character of D = -3 * 2^2
     (GlaisherFilter.kronecker(-12), lambda d: kronecker_symbol(-3, d) if gcd(d, 6) == 1 else 0),
@@ -378,9 +372,9 @@ ROW_SELECTORS = [
     (GlaisherFilter("coprime", (6,)), lambda d: int(gcd(d, 6) == 1)),
     (GlaisherFilter("residue", (1, 4)), lambda d: int(d % 4 == 1)),
     (GlaisherFilter("residue", (0, 3)), lambda d: int(d % 3 == 0)),
-    (GlaisherFilter("quadratic-residues", (7,)), lambda d: int(pow(d, 3, 7) == 1)),
-    (GlaisherFilter("kronecker-weight", (12,)), lambda d: kronecker_symbol(12, d)),
-    (GlaisherFilter("exclude-multiples", (3,)), lambda d: int(d % 3 != 0)),
+    (GlaisherFilter("qr", (7,)), lambda d: int(pow(d, 3, 7) == 1)),
+    (GlaisherFilter("kronweight", (12,)), lambda d: kronecker_symbol(12, d)),
+    (GlaisherFilter("exclude", (3,)), lambda d: int(d % 3 != 0)),
 ]
 ROW_IDS = [
     "trivial", "principal6", "kronecker5", "kronecker-3@6", "kronecker8", "kronecker-4",
@@ -407,7 +401,6 @@ def test_the_conductor_is_the_period_and_the_level_factor(selector):
     conductor = DivisorWeight(3, selector).conductor
     assert conductor == selector.conductor
     assert all(selector.weight(d) == selector.weight(d + conductor) for d in range(1, 3 * conductor + 1))
-    assert filter_modular_data(selector, 3).level == 4 * conductor
 
 
 def test_plain_and_canonical_weights_have_conductor_one():
@@ -437,7 +430,7 @@ def test_kronecker_needs_a_discriminant(D):
     with pytest.raises(ValueError, match="discriminant"):
         GlaisherFilter.kronecker(D)
     with pytest.raises(ValueError, match="discriminant"):
-        GlaisherFilter("kronecker-weight", (D,))
+        GlaisherFilter("kronweight", (D,))
 
 
 def test_divisor_weight_descriptors():
@@ -446,14 +439,14 @@ def test_divisor_weight_descriptors():
         DivisorWeight(3, GlaisherFilter.kronecker(5)).describe()
         == "m=3, chi=kronecker(5)"
     )
-    assert DivisorWeight(3, GlaisherFilter("chi0", (4,))).describe() == "m=3, chi=chi0(4)"
+    assert DivisorWeight(3, GlaisherFilter("principal", (4,))).describe() == "m=3, chi=principal(4)"
     assert DivisorWeight(1, GlaisherFilter("odd")).describe() == "m=1, filter=odd"
     assert DivisorWeight(2, OVERPARTITION).describe() == "m=2, rule=overpartition"
 
 
 def test_each_selector_row_is_built_once(monkeypatch):
     built = Counter()
-    for kind in ("coprime", "chi0", "kronecker-weight", "kronecker", "odd"):
+    for kind in ("coprime", "principal", "kronweight", "kronecker", "odd"):
         row = _FILTER_ROWS[kind]
         monkeypatch.setitem(
             _FILTER_ROWS, kind,
@@ -461,7 +454,7 @@ def test_each_selector_row_is_built_once(monkeypatch):
         )
     _filter_row.cache_clear()
     selectors = [
-        GlaisherFilter("coprime", (7,)), GlaisherFilter("chi0", (7,)), GlaisherFilter("kronecker-weight", (-4,)),
+        GlaisherFilter("coprime", (7,)), GlaisherFilter("principal", (7,)), GlaisherFilter("kronweight", (-4,)),
         GlaisherFilter.kronecker(-4), GlaisherFilter("odd"),
     ]
     for _ in range(3):
@@ -470,9 +463,9 @@ def test_each_selector_row_is_built_once(monkeypatch):
             weight = DivisorWeight(3, selector)
             assert [weight.weight_of(d) for d in range(200)] == [selector.weight(d) for d in range(200)]
             assert weight.conductor == selector.conductor
-            filter_modular_data(selector, 3)
+            assert selector.character
     assert built == Counter({
-        ("coprime", (7,)): 1, ("chi0", (7,)): 1, ("kronecker-weight", (-4,)): 1, ("kronecker", (-4,)): 1,
+        ("coprime", (7,)): 1, ("principal", (7,)): 1, ("kronweight", (-4,)): 1, ("kronecker", (-4,)): 1,
         ("odd", ()): 1,
     })
     assert [GlaisherFilter.kronecker(-4).weight(d) for d in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]

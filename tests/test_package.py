@@ -23,12 +23,10 @@ EXPORTS = {
     ),
     "congruence": (
         "CertificationRecord", "Progression", "ResourceLimitError", "ScanReport",
-        "certify", "certify_batch", "certify_filtered", "predicted_hits", "project",
-        "scan",
+        "certify", "certify_batch", "certify_filtered", "predicted_hits", "scan",
     ),
     "divisorweights": (
-        "DivisorWeight", "FilterModularData", "GlaisherFilter", "filter_modular_data",
-        "sigma_table", "weighted_sigma_table",
+        "DivisorWeight", "GlaisherFilter", "sigma_table", "weighted_sigma_table",
     ),
     "moments": (
         "FrequencyTable", "ensemble_moments", "ford_recursion_check",
@@ -110,7 +108,6 @@ def _value_objects():
             qseries.Ensemble("overpartition", eta=((1, 2), (2, -1))),
             divisorweights.GlaisherFilter("coprime", params=(3,)),
             divisorweights.DivisorWeight(3, selector=odd),
-            divisorweights.FilterModularData(7, level=4, character="trivial"),
             congruence.Progression(11, r=6),
             congruence.CertificationRecord(
                 "ordinary", "m=3", 3, 11, 6, 11, "sharp24", "safe", 484, 231,
@@ -126,7 +123,7 @@ def _value_objects():
 
 FIRST_FIELD = {
     "PrimeTable": "limit", "SturmConfig": "mode", "CoefficientRing": "modulus",
-    "Ensemble": "name", "GlaisherFilter": "kind", "DivisorWeight": "exponent", "FilterModularData": "k",
+    "Ensemble": "name", "GlaisherFilter": "kind", "DivisorWeight": "exponent",
     "Progression": "ell", "CertificationRecord": "ensemble", "ScanReport": "ensemble",
     "IdentityCheckResult": "name", "FrequencyTable": "n_max",
 }
@@ -164,7 +161,7 @@ def test_series_is_immutable_and_unhashable():
 
 
 def test_all_lists_the_reexported_names():
-    assert len(NAMES) == 43
+    assert len(NAMES) == 40
     assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)
 
 

@@ -2,7 +2,9 @@
 
 Primes, factorization, the index of Gamma0(N) in SL2(Z), half-integral
 Sturm bounds, and Kronecker symbols.  Everything is exact integer
-arithmetic; nothing here ever touches floating point.
+arithmetic; nothing here ever touches floating point.  It also holds the
+coefficient budget and its error, which the CLI needs before it loads the
+series engine, so this module imports nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from math import isqrt
 from typing import NamedTuple
 
 __all__ = [
+    "DEFAULT_COEFF_BUDGET",
     "PrimeTable",
+    "ResourceLimitError",
     "SturmConfig",
     "SHARP24",
     "CONSERVATIVE12",
@@ -30,6 +34,12 @@ CONSERVATIVE12 = "conservative12"
 
 _BOUND_MODES = (SHARP24, CONSERVATIVE12)
 _LEVEL_MODELS = ("natural", "safe", "custom")
+
+DEFAULT_COEFF_BUDGET = 1 << 25
+
+
+class ResourceLimitError(RuntimeError):
+    """A requested series would exceed a coefficient budget or size cap."""
 
 
 class PrimeTable:

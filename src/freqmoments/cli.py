@@ -12,59 +12,85 @@ import argparse
 import gc
 import os
 import sys
+from functools import cache
+from importlib import import_module
+
+from .arith import (
+    CONSERVATIVE12,
+    DEFAULT_COEFF_BUDGET,
+    SHARP24,
+    ResourceLimitError,
+    SturmConfig,
+    primes_up_to,
+)
+
+# The series engine, loaded on a command's first use by _load_engine: the
+# names the commands take from each module.  Parsing arguments needs none of
+# it, so --help and a usage error cost the parser alone, not numpy.
+_ENGINE_NAMES = (
+    ("congruence", (
+        "CertificationRecord", "Progression", "certify", "scan",
+        "records_to_csv", "records_to_json", "records_to_text",
+        "scan_report_to_csv", "scan_report_to_json", "scan_report_to_text",
+        "certify_filtered",  # unused here; perfbench/tracing.py wraps this name
+    )),
+    ("divisorweights", ("DivisorWeight", "GlaisherFilter")),
+    ("qseries", (
+        "ORDINARY", "OVERPARTITION", "CoefficientRing", "Ensemble",
+        "companion_series", "dump_series", "ensemble_by_name",
+    )),
+)
 
 # When numpy loads, OpenBLAS starts one spinning thread per CPU.  The program
 # makes no threaded BLAS call (its only BLAS use is np.convolve dots of at
 # most 10^4 terms), so unless the user chose a count it gets one thread.
-# This has to run before the imports below load numpy.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if not any(name in os.environ for name in BLAS_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# Nearly every object the imports below create lives until exit, so
-# collecting them finds next to nothing: the cyclic GC stays off while they
-# load, and gc.freeze() then moves them out of its reach, so no later
-# collection (nor a pool worker's, which would also unshare the forked
-# pages) walks them again.  The one large exception is datetime, which
-# numpy's core imports: its pure-Python classes, replaced by the C ones as
-# it loads, are left as about 0.2 MB of garbage cycles that the freeze would
-# keep, so it is imported first and its garbage collected while still young,
-# by a collection of the two young generations only.
-import datetime  # noqa: F401
 
-gc.collect(1)
-_gc_was_enabled = gc.isenabled()
-gc.disable()
-try:
-    from .arith import CONSERVATIVE12, SHARP24, SturmConfig, primes_up_to
-    from .congruence import (
-        CertificationRecord,
-        DEFAULT_COEFF_BUDGET,
-        Progression,
-        ResourceLimitError,
-        certify,
-        certify_filtered,  # unused here; perfbench/tracing.py wraps this name
-        records_to_csv,
-        records_to_json,
-        records_to_text,
-        scan,
-        scan_report_to_csv,
-        scan_report_to_json,
-        scan_report_to_text,
-    )
-    from .divisorweights import DivisorWeight, GlaisherFilter
-    from .qseries import (
-        ORDINARY,
-        OVERPARTITION,
-        CoefficientRing,
-        companion_series,
-        dump_series,
-        ensemble_by_name,
-    )
-finally:
-    gc.freeze()
-    if _gc_was_enabled:
-        gc.enable()
+@cache
+def _load_engine() -> None:
+    """Import the series engine and bind _ENGINE_NAMES in this module, once.
+
+    The names are module globals, so the commands look each one up at call
+    time and a name patched on this module (perfbench/tracing.py wraps
+    several) is the one that runs; a name bound before the load is kept.
+    """
+    # The thread count has to be chosen before numpy loads.
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # Nearly every object the engine's imports create lives until exit, so
+    # collecting them finds next to nothing: the cyclic GC stays off while
+    # they load, and gc.freeze() then moves them out of its reach, so no
+    # later collection (nor a pool worker's, which would also unshare the
+    # forked pages) walks them again.  The one large exception is datetime,
+    # which numpy's core imports: its pure-Python classes, replaced by the C
+    # ones as it loads, are left as about 0.2 MB of garbage cycles that the
+    # freeze would keep, so it is imported first and its garbage collected
+    # while still young, by a collection of the two young generations only.
+    import datetime  # noqa: F401
+
+    gc.collect(1)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        namespace = globals()
+        for module, names in _ENGINE_NAMES:
+            loaded = import_module(f".{module}", __package__)
+            for name in names:
+                namespace.setdefault(name, getattr(loaded, name))
+    finally:
+        gc.freeze()
+        if was_enabled:
+            gc.enable()
+
+
+def __getattr__(name: str):
+    """Resolve an engine name for a caller outside main (PEP 562)."""
+    if not any(name in names for _, names in _ENGINE_NAMES):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
+
 
 WEIGHT_GRAMMAR_VERSION = "1"
 MEMORY_CAP_ENV = "FREQMOMENTS_MAX_COEFFS"
@@ -85,10 +111,13 @@ def _coefficient_budget() -> int:
 
 # ---------------------------------------------------------------------------
 # Weight spec grammar, version 1:
-#   [m=<int>][, twist=<kind>(<args>) | chi=<kind>(<args>) | filter=<kind>(<args>)]
+#   [m=<int>][, twist=<kind>(<args>) | chi=<kind>(<args>) | filter=<kind>(<args>)
+#             | rule=<ensemble>]
 # The kinds are the rows of divisorweights._FILTER_ROWS, by the names a
 # report prints, so every printed twist or filter label parses back;
-# twist= and chi= are one key.  Only scan takes a spec without m.
+# twist= and chi= are one key.  rule= names an ensemble, whose canonical
+# weights a certification record prints as rule=<name>; only certify takes
+# it, and only for the --ensemble it runs.  Only scan takes a spec without m.
 # ---------------------------------------------------------------------------
 
 
@@ -118,9 +147,10 @@ def _parse_call(text: str) -> tuple[str, list[int]]:
     return name.strip(), args
 
 
-def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | None]:
+def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | Ensemble | None]:
     """The m (None if the spec names none) and the selector (None for no
-    twist or filter) of a weight spec."""
+    twist, filter or rule) of a weight spec."""
+    _load_engine()
     exponent: int | None = None
     selector = None
     for part in _split_top_level(spec):
@@ -138,6 +168,10 @@ def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | None]:
             selector = GlaisherFilter(*_parse_call(value))
             if selector.is_twist != (key != "filter"):
                 raise ValueError(f"{key}={value} names the wrong key: write {selector.label()}")
+        elif key == "rule":
+            if selector is not None:
+                raise ValueError("at most one twist, filter or rule per weight")
+            selector = ensemble_by_name(value)
         else:
             raise ValueError(f"unknown weight key {key!r}")
     return exponent, selector
@@ -209,6 +243,8 @@ def _run_scan(args) -> int:
     if args.m_odd_max is not None:
         ms.extend(range(1, args.m_odd_max + 1, 2))
     exponent, selector = _parse_weight_parts(args.weight) if args.weight else (None, None)
+    if isinstance(selector, Ensemble):
+        raise ValueError("scan takes no rule=: without a twist or filter it scans the canonical weights")
     if exponent is not None:
         if args.m or args.m_odd_max is not None:
             raise ValueError("--weight names its own m; drop --m and --m-odd-max")
@@ -262,6 +298,8 @@ def _run_certify(args) -> int:
             raise ValueError("--weight names its own m; drop --m")
         parsed = parse_weight_spec(args.weight)
         m, selector = parsed.exponent, parsed.selector
+        if isinstance(selector, Ensemble) and selector != ensemble:
+            raise ValueError(f"rule={selector.name} is not --ensemble {ensemble.name}")
     elif args.m is None:
         raise ValueError("certify needs --m or --weight")
     else:
@@ -434,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Weight grammar v{WEIGHT_GRAMMAR_VERSION}: "
-            "[m=<int>][,twist=<kind>(<args>)|chi=<kind>(<args>)|filter=<kind>(<args>)], "
-            "m optional for scan; every twist and filter label a report prints parses back. "
+            "[m=<int>][,twist=<kind>(<args>)|chi=<kind>(<args>)|filter=<kind>(<args>)"
+            "|rule=<ensemble>], m optional for scan, rule= for certify's --ensemble only; "
+            "every twist, filter and rule label a report prints parses back. "
             f"Env {MEMORY_CAP_ENV} overrides the coefficient budget "
             f"(default {DEFAULT_COEFF_BUDGET})."
         ),
@@ -545,6 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(raw)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
+    _load_engine()
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -557,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     """Process entry point: main(), then freeze the heap so that interpreter
-    shutdown does not collect the objects the imports created."""
+    shutdown does not collect the objects the command created."""
     code = main(argv)
     gc.freeze()
     return code

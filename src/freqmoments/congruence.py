@@ -18,7 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import SturmConfig, fermat_reduce, is_prime, sturm_bound_for_level
+from .arith import (
+    DEFAULT_COEFF_BUDGET,
+    ResourceLimitError,
+    SturmConfig,
+    fermat_reduce,
+    is_prime,
+    sturm_bound_for_level,
+)
 from .divisorweights import (
     DivisorWeight,
     GlaisherFilter,
@@ -30,7 +37,6 @@ from .divisorweights import (
 from .qseries import (
     CoefficientRing,
     Ensemble,
-    ResourceLimitError,
     Series,
     _convolve_mod,
     companion_block,
@@ -61,8 +67,6 @@ __all__ = [
     "scan_report_to_json",
     "scan_report_to_text",
 ]
-
-DEFAULT_COEFF_BUDGET = 1 << 25
 
 # certify checks projected rows 0..min(B, _PROBE_ROWS) before building the
 # series for all B + 1 rows

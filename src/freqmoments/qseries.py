@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arith import ResourceLimitError
+
 __all__ = [
     "CoefficientRing",
     "Ensemble",
@@ -39,15 +41,10 @@ __all__ = [
     "ensemble_by_name",
     "eta_power_coefficients",
     "euler_product_coefficients",
-    "make_series",
     "master_transform",
     "partition_counts",
     "tau_coefficients",
 ]
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested series would exceed a coefficient budget or size cap."""
 
 
 class RingMismatchError(ValueError):
@@ -137,11 +134,6 @@ class Series:
         """The series itself: the benchmark's witness check reads moment
         series as `.values.coeffs`."""
         return self
-
-
-def make_series(ring: CoefficientRing, values) -> Series:
-    """Build a Series from a sequence, reducing every entry into the ring."""
-    return Series(ring, [ring.reduce(v) for v in values])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from freqmoments import cli
 from freqmoments.cli import (
     BLAS_THREAD_VARS,
     MEMORY_CAP_ENV,
@@ -19,6 +20,7 @@ from freqmoments.cli import (
     run,
 )
 from freqmoments.divisorweights import DivisorWeight, GlaisherFilter
+from freqmoments.qseries import ORDINARY, OVERPARTITION, coloured_ensemble
 from test_divisorweights import FILTER_DOMAINS
 
 
@@ -72,6 +74,35 @@ KINDS = [(kind, params) for kind, params, _ in FILTER_DOMAINS]
 def test_a_record_label_parses_back(kind, params):
     weight = DivisorWeight(3, GlaisherFilter(kind, params))
     assert parse_weight_spec(weight.describe()) == weight
+
+
+@pytest.mark.parametrize("ensemble", [ORDINARY, OVERPARTITION, coloured_ensemble(3)], ids=lambda e: e.name)
+def test_a_canonical_record_label_parses_back(ensemble):
+    weight = DivisorWeight(3, ensemble)
+    assert weight.describe() == f"m=3, rule={ensemble.name}"
+    assert parse_weight_spec(weight.describe()) == weight
+
+
+def test_certify_takes_the_rule_of_its_own_ensemble_only(capsys):
+    args = ["--ell", "7", "--r", "5", "--prime", "7", "--mode", "sharp24", "--level", "natural",
+            "--format", "json"]
+    plain = run_cli(["certify", "--m", "3", *args], capsys)
+    assert plain[0] == 0 and json.loads(plain[1])[0]["weight"] == "m=3, rule=ordinary"
+    assert run_cli(["certify", "--weight", "m=3, rule=ordinary", *args], capsys) == plain
+    refused = [
+        ["certify", "--ensemble", "overpartition", "--weight", "m=3, rule=ordinary", *args],
+        ["certify", "--ensemble", "coloured(1)", "--weight", "m=3, rule=ordinary", *args],
+        ["certify", "--weight", "m=3, rule=plane", *args],
+        ["certify", "--weight", "m=3, rule=ordinary, chi=kronecker(5)", *args],
+        ["certify", "--weight", "m=3, chi=kronecker(5), rule=ordinary", *args],
+        # scan prints its canonical weights as "canonical", and takes no rule=
+        ["scan", "--weight", "rule=ordinary", "--m", "3", "--ell", "7", "--nscan", "60"],
+    ]
+    for argv in refused:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("kind, params", KINDS, ids=[kind for kind, _ in KINDS])
@@ -333,7 +364,7 @@ def test_identity_failures_report_python_ints(monkeypatch, capsys):
     # a wrong tau(1) and a wrong sigma_7(1) make tau691 and fermat fail; the
     # values they report are read off Z/N series, yet must print as ints
     from freqmoments import moments
-    from freqmoments.qseries import make_series
+    from test_qseries import make_series
 
     tau, sigma = moments.tau_coefficients, moments.sigma_table
 
@@ -506,15 +537,17 @@ PASS_ARGV = ["certify", "--m", "3", "--ell", "7", "--r", "5", "--prime", "7",
 FAIL_ARGV = ["certify", "--m", "3", "--ell", "5", "--r", "1", "--prime", "5"]
 _BLAS_PROBE = (
     "import json, os, sys, freqmoments.cli\n"
+    "freqmoments.cli._load_engine()\n"
     "threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
     "print(json.dumps([{v: os.environ.get(v) for v in freqmoments.cli.BLAS_THREAD_VARS}, threads]))"
 )
 
 
 def _import_cli_fresh(**blas_env: str) -> tuple[dict, int | None]:
-    """Import freqmoments.cli in a fresh interpreter whose only BLAS thread
-    variables are blas_env; return those variables after the import and the
-    process's thread count (None off Linux)."""
+    """Import freqmoments.cli and load its engine, numpy with it, in a fresh
+    interpreter whose only BLAS thread variables are blas_env; return those
+    variables after the load and the process's thread count (None off
+    Linux)."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(blas_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -538,6 +571,19 @@ def test_cli_import_keeps_a_chosen_thread_count(name):
     assert values == {v: "3" if v == name else None for v in BLAS_THREAD_VARS}
 
 
+def test_a_patched_engine_name_is_the_one_main_calls(monkeypatch, capsys):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    certify = cli.certify
+    monkeypatch.setattr(cli, "certify", spy)
+    assert main(PASS_ARGV) == 0
+    assert len(calls) == 1 and "PASS" in capsys.readouterr().out
+
+
 @pytest.fixture
 def unfreeze():
     yield
@@ -545,6 +591,8 @@ def unfreeze():
 
 
 def test_main_does_not_freeze_the_heap(capsys, unfreeze):
+    # the engine's first load freezes what it imported; a command does not
+    cli._load_engine()
     before = gc.get_freeze_count()
     assert main(PASS_ARGV) == 0
     assert gc.get_freeze_count() == before

@@ -50,11 +50,11 @@ from freqmoments.qseries import (
     companion_series,
     fits_float64,
     fits_int64,
-    make_series,
     partition_counts,
 )
 
 from test_divisorweights import ROW_IDS, ROW_SELECTORS
+from test_qseries import make_series
 
 Z = CoefficientRing.exact_integers()
 # the Euler product of c(r) = 2 for odd r and -1 for even r, f(q)^-2 f(q^2)^3

@@ -22,7 +22,9 @@ from freqmoments.divisorweights import (
     _weight_values_mod,
 )
 from freqmoments.divisorweights import _FILTER_ROWS, _filter_row
-from freqmoments.qseries import CoefficientRing, Ensemble, ORDINARY, OVERPARTITION, fits_int64, make_series
+from freqmoments.qseries import CoefficientRing, Ensemble, ORDINARY, OVERPARTITION, fits_int64
+
+from test_qseries import make_series
 
 Z = CoefficientRing.exact_integers()
 

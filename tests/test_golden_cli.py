@@ -7,8 +7,9 @@ code must match.  The cases cover the published tables in every format, the
 README certify examples, FAIL records, three companion dumps, and the
 labels of scan and certify reports for all ten selector kinds of the weight
 grammar (even, which certify refuses, through a scan).  Each kind prints
-under the name --weight takes, and one case re-runs a printed label,
-`m=3, chi=kronecker(5)`, against the record of `m=3,twist=kronecker(5)`.
+under the name --weight takes, and two cases re-run printed labels:
+`m=3, chi=kronecker(5)` against the record of `m=3,twist=kronecker(5)`,
+and the canonical `m=3, rule=ordinary` against the record of `m=3`.
 Four usage errors (exit 2, no stdout) cover the removed theta and
 plane-partition ensembles, `--allow-large`, and a filter given the wrong
 number of parameters, `filter=odd(2)`.

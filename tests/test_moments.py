@@ -23,9 +23,10 @@ from freqmoments.qseries import (
     coloured_ensemble,
     OVERPARTITION,
     RingMismatchError,
-    make_series,
     partition_counts,
 )
+
+from test_qseries import make_series
 
 Z = CoefficientRing.exact_integers()
 

@@ -73,18 +73,67 @@ def test_cli_import_loads_no_moments_module():
     assert _fresh_python(code) == "False"
 
 
+def test_cli_parser_loads_no_engine():
+    # the engine loads on a command's first use, so --help and usage errors
+    # cost the parser alone
+    engine = ["numpy", "json", "freqmoments.congruence", "freqmoments.divisorweights", "freqmoments.qseries"]
+    code = f"import sys, freqmoments.cli as cli; cli.build_parser(); print(sorted(set({engine}) & set(sys.modules)))"
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["--help"], 0, ""),
+        (["certify", "--ell", "7"], 2, "error: the following arguments are required: --r, --prime\n"),
+    ],
+    ids=["help", "usage-error"],
+)
+def test_cli_parses_without_numpy(argv, code, stderr):
+    # the same exit code and output with numpy importable and without it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    runs = []
+    for block in ("", "sys.modules['numpy'] = None; "):
+        script = f"import sys; {block}from freqmoments.cli import main; main({argv!r})"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] == code and runs[0][2].endswith(stderr)
+    assert runs[1] == runs[0]
+
+
+def test_parse_weight_spec_loads_the_engine_itself():
+    code = "import freqmoments.cli as cli; print(cli.parse_weight_spec('m=3, chi=kronecker(5)').describe())"
+    assert _fresh_python(code) == "m=3, chi=kronecker(5)"
+
+
+def test_every_name_the_tracer_patches_resolves_on_a_fresh_cli():
+    # perfbench/tracing.py wraps these names with setattr; the cli's must
+    # resolve before any command has loaded the engine
+    code = (
+        f"import importlib, sys; sys.path.insert(0, {str(SRC.parent / 'perfbench')!r}); "
+        "from tracing import PATCHES; "
+        "print([(m, n) for m, n, _ in PATCHES if not hasattr(importlib.import_module(m), n)])"
+    )
+    assert _fresh_python(code) == "[]"
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_cli_import_leaves_the_gc_switch_as_it_found_it(enabled):
     code = (
         f"import gc; gc.enable() if {enabled} else gc.disable(); "
-        "import freqmoments.cli as cli; cli.build_parser(); print(gc.isenabled())"
+        "import freqmoments.cli as cli; cli.build_parser(); cli._load_engine(); print(gc.isenabled())"
     )
     assert _fresh_python(code) == str(enabled)
 
 
 def test_cli_import_freezes_the_objects_it_created():
-    code = "import gc, freqmoments.cli as cli; cli.build_parser(); print(gc.get_freeze_count() > 0)"
-    assert _fresh_python(code) == "True"
+    # nothing is frozen until a command loads the engine, which freezes it
+    code = (
+        "import gc, freqmoments.cli as cli; cli.build_parser(); before = gc.get_freeze_count(); "
+        "cli._load_engine(); print(before, gc.get_freeze_count() > 0)"
+    )
+    assert _fresh_python(code) == "0 True"
 
 
 def test_moments_reexports_the_moved_names():
@@ -92,6 +141,14 @@ def test_moments_reexports_the_moved_names():
 
     assert moments.master_transform is qseries.master_transform
     assert moments.fermat_reduce is arith.fermat_reduce
+
+
+def test_the_budget_and_its_error_are_arith_objects_reexported():
+    # the CLI reads both before it loads the series engine
+    from freqmoments import arith, congruence, qseries
+
+    assert congruence.ResourceLimitError is qseries.ResourceLimitError is arith.ResourceLimitError
+    assert congruence.DEFAULT_COEFF_BUDGET is arith.DEFAULT_COEFF_BUDGET
 
 
 def _value_objects():

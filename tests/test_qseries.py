@@ -21,7 +21,6 @@ from freqmoments.qseries import (
     ensemble_by_name,
     eta_power_coefficients,
     euler_product_coefficients,
-    make_series,
     partition_counts,
     tau_coefficients,
     ORDINARY,
@@ -35,6 +34,11 @@ Z = CoefficientRing.exact_integers()
 
 # c(r) = 2 for odd r and -1 for even r: f(q)^-2 f(q^2)^3, f = (q;q)_inf
 THETA_WEIGHTS = Ensemble("theta-weights", ((1, 2), (2, -3)))
+
+
+def make_series(ring: CoefficientRing, values) -> Series:
+    """A Series of values, each reduced into the ring."""
+    return Series(ring, [ring.reduce(v) for v in values])
 
 
 # --- brute-force oracles ----------------------------------------------------

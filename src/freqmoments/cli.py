@@ -26,7 +26,8 @@ from .arith import (
 
 # The series engine, loaded on a command's first use by _load_engine: the
 # names the commands take from each module.  Parsing arguments needs none of
-# it, so --help and a usage error cost the parser alone, not numpy.
+# it, so --help and an error argparse finds cost the parser alone, not numpy;
+# an ensemble name or a weight spec is checked by the engine, and loads it.
 _ENGINE_NAMES = (
     ("congruence", (
         "CertificationRecord", "Progression", "certify", "scan",
@@ -117,7 +118,8 @@ def _coefficient_budget() -> int:
 # report prints, so every printed twist or filter label parses back;
 # twist= and chi= are one key.  rule= names an ensemble, whose canonical
 # weights a certification record prints as rule=<name>; only certify takes
-# it, and only for the --ensemble it runs.  Only scan takes a spec without m.
+# it (parse_weight_spec, not scan's _parse_weight_parts), and only for the
+# --ensemble it runs.  Only scan takes a spec without m.
 # ---------------------------------------------------------------------------
 
 
@@ -147,9 +149,9 @@ def _parse_call(text: str) -> tuple[str, list[int]]:
     return name.strip(), args
 
 
-def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | Ensemble | None]:
-    """The m (None if the spec names none) and the selector (None for no
-    twist, filter or rule) of a weight spec."""
+def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | None]:
+    """The m (None if the spec names none) and the twist or filter (None if
+    it names neither) of a weight spec."""
     _load_engine()
     exponent: int | None = None
     selector = None
@@ -168,20 +170,23 @@ def _parse_weight_parts(spec: str) -> tuple[int | None, GlaisherFilter | Ensembl
             selector = GlaisherFilter(*_parse_call(value))
             if selector.is_twist != (key != "filter"):
                 raise ValueError(f"{key}={value} names the wrong key: write {selector.label()}")
-        elif key == "rule":
-            if selector is not None:
-                raise ValueError("at most one twist, filter or rule per weight")
-            selector = ensemble_by_name(value)
         else:
             raise ValueError(f"unknown weight key {key!r}")
     return exponent, selector
 
 
 def parse_weight_spec(spec: str) -> DivisorWeight:
-    """Parse the compact weight grammar into a DivisorWeight."""
-    exponent, selector = _parse_weight_parts(spec)
+    """Parse the compact weight grammar into a DivisorWeight; a rule=<ensemble>
+    part names that ensemble's canonical weights."""
+    parts = _split_top_level(spec)
+    rules = [part for part in parts if part.partition("=")[0].strip() == "rule"]
+    exponent, selector = _parse_weight_parts(", ".join(part for part in parts if part not in rules))
     if exponent is None:
         raise ValueError("weight spec needs m=<int>")
+    if rules:
+        if len(rules) > 1 or selector is not None:
+            raise ValueError("at most one twist, filter or rule per weight")
+        selector = ensemble_by_name(rules[0].partition("=")[2])
     return DivisorWeight(exponent, selector)
 
 
@@ -243,8 +248,6 @@ def _run_scan(args) -> int:
     if args.m_odd_max is not None:
         ms.extend(range(1, args.m_odd_max + 1, 2))
     exponent, selector = _parse_weight_parts(args.weight) if args.weight else (None, None)
-    if isinstance(selector, Ensemble):
-        raise ValueError("scan takes no rule=: without a twist or filter it scans the canonical weights")
     if exponent is not None:
         if args.m or args.m_odd_max is not None:
             raise ValueError("--weight names its own m; drop --m and --m-odd-max")

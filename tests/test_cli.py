@@ -90,19 +90,27 @@ def test_certify_takes_the_rule_of_its_own_ensemble_only(capsys):
     assert plain[0] == 0 and json.loads(plain[1])[0]["weight"] == "m=3, rule=ordinary"
     assert run_cli(["certify", "--weight", "m=3, rule=ordinary", *args], capsys) == plain
     refused = [
-        ["certify", "--ensemble", "overpartition", "--weight", "m=3, rule=ordinary", *args],
-        ["certify", "--ensemble", "coloured(1)", "--weight", "m=3, rule=ordinary", *args],
-        ["certify", "--weight", "m=3, rule=plane", *args],
-        ["certify", "--weight", "m=3, rule=ordinary, chi=kronecker(5)", *args],
-        ["certify", "--weight", "m=3, chi=kronecker(5), rule=ordinary", *args],
+        (["certify", "--ensemble", "overpartition", "--weight", "m=3, rule=ordinary", *args],
+         "rule=ordinary is not --ensemble overpartition"),
+        (["certify", "--ensemble", "coloured(1)", "--weight", "m=3, rule=ordinary", *args],
+         "rule=ordinary is not --ensemble coloured(1)"),
+        (["certify", "--weight", "m=3, rule=plane", *args], "unknown ensemble 'plane'"),
+        (["certify", "--weight", "m=3, rule=ordinary, chi=kronecker(5)", *args],
+         "at most one twist, filter or rule per weight"),
+        (["certify", "--weight", "m=3, chi=kronecker(5), rule=ordinary", *args],
+         "at most one twist, filter or rule per weight"),
+        (["certify", "--weight", "m=3, rule=ordinary, rule=ordinary", *args],
+         "at most one twist, filter or rule per weight"),
         # scan prints its canonical weights as "canonical", and takes no rule=
-        ["scan", "--weight", "rule=ordinary", "--m", "3", "--ell", "7", "--nscan", "60"],
+        (["scan", "--weight", "rule=ordinary", "--m", "3", "--ell", "7", "--nscan", "60"],
+         "unknown weight key 'rule'"),
     ]
-    for argv in refused:
+    for argv, message in refused:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("kind, params", KINDS, ids=[kind for kind, _ in KINDS])

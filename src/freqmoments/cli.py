@@ -552,21 +552,24 @@ _BOOLEAN_FLAGS = {"nonzero_only", "both_levels"}
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Turn a --config file into flags inserted right after the subcommand,
-    so anything given explicitly on the command line still wins (argparse
-    lets later store-type options override earlier ones)."""
+    """Turn a --config file into flags inserted right after the subcommand.
+    A key whose option the command line names is skipped, so explicit flags
+    win, for append options (--m, --ell, --check) too."""
     config_path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
             config_path = argv[i + 1]
         elif token.startswith("--config="):
             config_path = token.split("=", 1)[1]
-    if not config_path:
+    if config_path is None:
         return argv
     defaults = _load_config_defaults(config_path)
+    named = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     injected: list[str] = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
+        if flag in named:
+            continue
         if key in _BOOLEAN_FLAGS:
             if value.lower() in ("1", "true", "yes", "on"):
                 injected.append(flag)

@@ -24,14 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ResourceLimitError
-
 __all__ = [
     "CoefficientRing",
     "Ensemble",
     "ORDINARY",
     "OVERPARTITION",
-    "ResourceLimitError",
     "RingMismatchError",
     "Series",
     "companion_block",

@@ -495,6 +495,24 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["parameters"]["n_scan"] == 150
 
 
+@pytest.mark.parametrize("flag", [["--ell", "11"], ["--ell=11"]], ids=["separate", "joined"])
+def test_config_list_option_yields_to_the_flag(tmp_path, capsys, flag):
+    # --ell appends, so the config value would otherwise be scanned as well
+    config = tmp_path / "t.cfg"
+    config.write_text("ell = 7\nm = 3\nnscan = 100\n")
+    code, out = run_cli(["scan", "--config", str(config), *flag, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["parameters"]["ell"] == [11]
+    assert json.loads(out)["parameters"]["m"] == [3]
+
+
+def test_empty_config_path_is_refused(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--config=", "--m", "3", "--ell", "7", "--nscan", "100"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "freqmoments.cli", "certify", "--m", "3", "--ell", "7",

@@ -48,12 +48,13 @@ from freqmoments.qseries import (
     OVERPARTITION,
     coloured_ensemble,
     companion_series,
+    euler_product_coefficients,
     fits_float64,
     fits_int64,
     partition_counts,
 )
 
-from test_divisorweights import ROW_IDS, ROW_SELECTORS
+from test_divisorweights import ROW_IDS, ROW_SELECTORS, slow_sigma
 from test_qseries import make_series
 
 Z = CoefficientRing.exact_integers()
@@ -564,6 +565,69 @@ def test_fail_witnesses_match_the_enumeration_oracle(oracle_table, selector, ell
                 later_rows += n > 0
     # some witnesses lie past the first projected row
     assert later_rows > 0
+
+
+# --- certified verdicts against exact integers --------------------------------
+
+
+def exact_moments(ensemble, weight, prog, count) -> list[int]:
+    """M(ell*n + r) over Z for n < count, with no Z/p kernel: sigma by a
+    direct divisor sum, b by the scalar recurrence over Z."""
+    top = prog.ell * (count - 1) + prog.r
+    sigma = [0] + [slow_sigma(d, weight.exponent, weight.weight_of) for d in range(1, top + 1)]
+    b = euler_product_coefficients(ensemble, top, Z).coeffs
+    return [sum(sigma[d] * b[t - d] for d in range(1, t + 1)) for t in range(prog.r, top + 1, prog.ell)]
+
+
+@pytest.mark.parametrize(
+    "ensemble, weight, prog, config",
+    [
+        pytest.param(ORDINARY, DivisorWeight(3, ORDINARY), Progression(7, 0), SHARP_NATURAL, id="m3-ell7-r0"),
+        pytest.param(ORDINARY, DivisorWeight(3, ORDINARY), Progression(7, 5), SHARP_NATURAL, id="m3-ell7-r5"),
+        pytest.param(ORDINARY, DivisorWeight(3, ORDINARY), Progression(11, 0), SHARP_NATURAL, id="m3-ell11-r0"),
+        pytest.param(ORDINARY, DivisorWeight(3, ORDINARY), Progression(11, 6), SHARP_NATURAL, id="m3-ell11-r6"),
+        pytest.param(ORDINARY, DivisorWeight(7, ORDINARY), Progression(11, 6), SHARP_NATURAL, id="m7-ell11-r6"),
+        pytest.param(
+            ORDINARY, DivisorWeight(3, GlaisherFilter.kronecker(5)), Progression(5, 4), SHARP_SAFE, id="chi5-m3-ell5-r4"
+        ),
+        pytest.param(
+            OVERPARTITION, DivisorWeight(5, OVERPARTITION), Progression(5, 0),
+            SturmConfig(CONSERVATIVE12, "natural"), id="overpartition-m5-ell5-r0",
+        ),
+        pytest.param(
+            ORDINARY, DivisorWeight(5, GlaisherFilter("exclude", (5,))), Progression(5, 0),
+            SturmConfig(CONSERVATIVE12, "safe"), id="exclude5-m5-ell5-r0",
+        ),
+    ],
+)
+def test_pass_holds_over_z_to_four_times_the_bound(ensemble, weight, prog, config):
+    record = certify(ensemble, weight.exponent, prog, prog.ell, config, weight=weight)
+    assert record.status == "PASS"
+    values = exact_moments(ensemble, weight, prog, 4 * record.bound_b + 1)
+    assert [n for n, v in enumerate(values) if v % prog.ell] == []
+
+
+@pytest.mark.parametrize(
+    "weight, prog, config",
+    [
+        pytest.param(DivisorWeight(3, ORDINARY), Progression(5, 1), SturmConfig(CONSERVATIVE12, "safe"), id="m3-ell5"),
+        pytest.param(DivisorWeight(3, GlaisherFilter("odd")), Progression(7, 0), SHARP_SAFE, id="odd"),
+        pytest.param(DivisorWeight(3, GlaisherFilter("residue", (1, 4))), Progression(7, 0), SHARP_SAFE, id="residue1,4"),
+        pytest.param(DivisorWeight(3, GlaisherFilter("principal", (3,))), Progression(7, 0), SHARP_NATURAL, id="principal3"),
+        pytest.param(
+            DivisorWeight(3, GlaisherFilter("coprime", (6,))), Progression(5, 4),
+            SturmConfig(CONSERVATIVE12, "safe"), id="coprime6",
+        ),
+    ],
+)
+def test_fail_witness_is_the_first_nonzero_exact_value(weight, prog, config):
+    # the golden CLI FAILs: certify-fail-m3-ell5 and the filter and twist cases
+    record = certify(ORDINARY, weight.exponent, prog, prog.ell, config, weight=weight)
+    assert record.status == "FAIL"
+    n, t, residue = record.fail_witness
+    assert t == prog.ell * n + prog.r and residue != 0
+    values = exact_moments(ORDINARY, weight, prog, n + 1)
+    assert [v % prog.ell for v in values] == [0] * n + [residue]
 
 
 def test_scan_makes_no_long_direct_convolution(monkeypatch):

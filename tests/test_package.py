@@ -1,4 +1,5 @@
-"""The package namespace resolves its re-exports lazily (PEP 562)."""
+"""Each library name is imported from its module; the package root and the
+CLI's parser import no engine."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import freqmoments
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every name the package re-exports, with the submodule that defines it.
+# Library names, each with the submodule it is imported from.
 EXPORTS = {
     "arith": (
         "CONSERVATIVE12", "SHARP24", "PrimeTable", "SturmConfig", "factorize",
@@ -145,9 +146,9 @@ def test_moments_reexports_the_moved_names():
 
 def test_the_budget_and_its_error_are_arith_objects_reexported():
     # the CLI reads both before it loads the series engine
-    from freqmoments import arith, congruence, qseries
+    from freqmoments import arith, congruence
 
-    assert congruence.ResourceLimitError is qseries.ResourceLimitError is arith.ResourceLimitError
+    assert congruence.ResourceLimitError is arith.ResourceLimitError
     assert congruence.DEFAULT_COEFF_BUDGET is arith.DEFAULT_COEFF_BUDGET
 
 
@@ -218,19 +219,27 @@ def test_series_is_immutable_and_unhashable():
 
 
 def test_all_lists_the_reexported_names():
+    # the root lists and defines no library name, and loads no numpy
     assert len(NAMES) == 40
-    assert sorted(freqmoments.__all__) == sorted(name for name, _ in NAMES)
+    assert not hasattr(freqmoments, "__all__")
+    code = "import sys, freqmoments; print([n for n in vars(freqmoments) if not n.startswith('__')], 'numpy' in sys.modules)"
+    assert _fresh_python(code) == "[] False"
+    assert freqmoments.__version__ == "0.1.0"
 
 
 @pytest.mark.parametrize("name, module", NAMES, ids=[name for name, _ in NAMES])
 def test_name_resolves_to_its_submodule_object(name, module):
     submodule = importlib.import_module(f"freqmoments.{module}")
-    assert getattr(freqmoments, name) is getattr(submodule, name)
+    assert name in submodule.__all__ and name in vars(submodule)
+    assert not hasattr(freqmoments, name)
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        freqmoments.no_such_name  # noqa: B018
+    # the root has no module __getattr__, so a library name is unknown there too
+    assert "__getattr__" not in vars(freqmoments)
+    for name in ("no_such_name", "certify"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(freqmoments, name)
 
 
 def test_submodule_and_star_imports():
@@ -239,5 +248,6 @@ def test_submodule_and_star_imports():
     assert callable(cli.main)
     namespace: dict = {}
     exec("from freqmoments import *", namespace)
-    assert {name for name, _ in NAMES} <= set(namespace)
+    assert not {name for name, _ in NAMES} & set(namespace)
+    exec("from freqmoments.congruence import *", namespace)
     assert namespace["certify"] is freqmoments.congruence.certify
